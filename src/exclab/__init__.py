@@ -1,137 +1,4 @@
-"""Simulator and exact-bounds toolkit for the quantum-classical exclusion game."""
-
-from .bounds import (
-    BoundsRow,
-    GameParameters,
-    MRule,
-    binomial_sum_entropy_bound,
-    bounds_row,
-    classical_ic_lower_bound,
-    gamma,
-    gamma_log2,
-    quantum_ic_upper_bound,
-    quantum_message_entropy_upper,
-    separation_table,
-)
-from .classical import (
-    AnswerSet,
-    CoverStrategy,
-    brute_force_min_exclusion,
-    build_cover_strategy,
-    consistent_answer_set,
-    exact_information_cost,
-    excluded_count,
-    is_valid_message,
-)
-from .game import (
-    STRATEGIES,
-    GameConfig,
-    RunStatistics,
-    Transcript,
-    monte_carlo,
-    referee_draw,
-    run_trial,
-)
-from .pbr import (
-    MAX_QUBITS,
-    BitString,
-    IndexSubset,
-    bit_state,
-    critical_angle,
-    exclusion_measurement,
-    exclusion_vector,
-    measure_exclusion,
-    product_state,
-    restrict,
-)
-from .qcore import (
-    MATRIX_TOL,
-    VECTOR_TOL,
-    ProbabilityDistribution,
-    RankOneMeasurement,
-    ResourceLimitError,
-    StateVector,
-    binary_entropy,
-    born_measure,
-    conditional_entropy,
-    inner_product,
-    make_rng,
-    shannon_entropy,
-    tensor_product,
-)
-from .steering import (
-    SteeringKit,
-    SteeringParameters,
-    SteeringRoundResult,
-    build_kit,
-    choose_k,
-    p_abort,
-    p_global_steer,
-    p_steer,
-    run_steering_round,
-    steer_one,
-)
+"""Simulator and exact-bounds toolkit for the quantum-classical exclusion game.
+The API lives in the submodules (``exclab.qcore``, ``exclab.game``, ...)."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnswerSet",
-    "BitString",
-    "BoundsRow",
-    "CoverStrategy",
-    "GameConfig",
-    "GameParameters",
-    "IndexSubset",
-    "MATRIX_TOL",
-    "MAX_QUBITS",
-    "MRule",
-    "ProbabilityDistribution",
-    "RankOneMeasurement",
-    "ResourceLimitError",
-    "RunStatistics",
-    "STRATEGIES",
-    "StateVector",
-    "SteeringKit",
-    "SteeringParameters",
-    "SteeringRoundResult",
-    "Transcript",
-    "VECTOR_TOL",
-    "binary_entropy",
-    "binomial_sum_entropy_bound",
-    "bit_state",
-    "born_measure",
-    "bounds_row",
-    "brute_force_min_exclusion",
-    "build_cover_strategy",
-    "build_kit",
-    "choose_k",
-    "classical_ic_lower_bound",
-    "conditional_entropy",
-    "consistent_answer_set",
-    "critical_angle",
-    "exact_information_cost",
-    "excluded_count",
-    "exclusion_measurement",
-    "exclusion_vector",
-    "gamma",
-    "gamma_log2",
-    "inner_product",
-    "is_valid_message",
-    "make_rng",
-    "measure_exclusion",
-    "monte_carlo",
-    "p_abort",
-    "p_global_steer",
-    "p_steer",
-    "product_state",
-    "quantum_ic_upper_bound",
-    "quantum_message_entropy_upper",
-    "referee_draw",
-    "restrict",
-    "run_steering_round",
-    "run_trial",
-    "separation_table",
-    "shannon_entropy",
-    "steer_one",
-    "tensor_product",
-]

@@ -23,8 +23,8 @@ from .pbr import BitString, IndexSubset, restrict
 from .qcore import (
     ProbabilityDistribution,
     ResourceLimitError,
-    bit_count_array,
     conditional_entropy,
+    usable_workers,
 )
 
 # excluded_count streams one 2**n array per subset; past this n it refuses.
@@ -184,6 +184,7 @@ def brute_force_min_exclusion(n: int, m: int,
     baseline = baseline_union.bit_count()
 
     jobs = list(range(1 << m))
+    workers = usable_workers(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch_minimum,
@@ -244,7 +245,7 @@ class CoverStrategy:
         msg_values = np.array([msg.to_index() for msg in self.messages],
                               dtype=np.int64)
         x_all = np.arange(1 << self.n, dtype=np.int64)
-        distance = bit_count_array(x_all ^ msg_values[indices])
+        distance = np.bitwise_count(x_all ^ msg_values[indices])
         if distance.min() < self.n - self.m + 1:
             raise ValueError("assignment maps some input to a message that "
                              "does not serve it")
@@ -287,23 +288,22 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         )
     size = 1 << n
     threshold = n - m + 1
-    popcounts = bit_count_array(np.arange(size, dtype=np.int64))
+    inputs = np.arange(size, dtype=np.int64)
+    popcounts = np.bitwise_count(inputs)
     kernel_transform = _fwht((popcounts >= threshold).astype(np.float64))
 
     uncovered = np.ones(size, dtype=bool)
+    assignment = np.full(size, -1, dtype=np.int64)
     message_values: list[int] = []
     while uncovered.any():
         correlation = _fwht(_fwht(uncovered.astype(np.float64))
                             * kernel_transform) / size
         candidate = int(np.argmax(np.rint(correlation)))
+        served = popcounts[inputs ^ candidate] >= threshold
+        # An input is first served in the round that covers it.
+        assignment[uncovered & served] = len(message_values)
         message_values.append(candidate)
-        served = popcounts[np.arange(size) ^ candidate] >= threshold
         uncovered &= ~served
-
-    assignment = np.full(size, -1, dtype=np.int64)
-    for index, value in enumerate(message_values):
-        served = popcounts[np.arange(size) ^ value] >= threshold
-        assignment = np.where((assignment < 0) & served, index, assignment)
 
     return CoverStrategy(
         n,

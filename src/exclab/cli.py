@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,12 +29,19 @@ from . import bounds as bounds_mod
 from . import classical, game, steering
 from .pbr import (
     BitString,
+    bit_state,
     critical_angle,
     exclusion_measurement,
     exclusion_vector,
     product_state,
 )
-from .qcore import MATRIX_TOL, VECTOR_TOL, ResourceLimitError, inner_product
+from .qcore import (
+    MATRIX_TOL,
+    VECTOR_TOL,
+    ResourceLimitError,
+    StateVector,
+    inner_product,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -81,22 +89,21 @@ def cmd_verify_pbr(args: argparse.Namespace) -> int:
     for m in range(1, args.m_max + 1):
         theta = critical_angle(m)
         measurement = exclusion_measurement(m)
-        matrix = np.vstack([v.amplitudes for v in measurement.outcome_vectors])
+        kets = measurement.kets
         gram_residual = float(
-            np.abs(matrix @ matrix.conj().T - np.eye(1 << m)).max()
+            np.abs(kets @ kets.conj().T - np.eye(1 << m)).max()
         )
         overlap = 0.0
         subcritical_overlap = 0.0
         formula_residual = 0.0
-        for z_index, z in enumerate(measurement.labels):
-            vector = measurement.outcome_vectors[z_index]
-            overlap = max(overlap, abs(inner_product(
-                vector, product_state(z, theta))))
+        for ket, z in zip(kets, measurement.labels):
+            overlap = max(overlap, abs(complex(np.vdot(
+                ket, product_state(z, theta).amplitudes))))
             # Below the critical angle exclusion must demonstrably fail.
-            subcritical_overlap = max(subcritical_overlap, abs(inner_product(
-                vector, product_state(z, SUBCRITICAL_FACTOR * theta))))
+            subcritical_overlap = max(subcritical_overlap, abs(complex(np.vdot(
+                ket, product_state(z, SUBCRITICAL_FACTOR * theta).amplitudes))))
             formula_residual = max(formula_residual, float(np.abs(
-                exclusion_vector(z).amplitudes - vector.amplitudes
+                exclusion_vector(z).amplitudes - ket
             ).max()))
         row_pass = (overlap <= VECTOR_TOL
                     and gram_residual <= MATRIX_TOL
@@ -262,10 +269,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_steering(args: argparse.Namespace) -> int:
     if args.m_max < 1:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
+    root_half = 1.0 / math.sqrt(2.0)
+    minus = StateVector(np.array([root_half, -root_half]), 1)
+    plus = StateVector(np.array([root_half, root_half]), 1)
     rows = []
     all_pass = True
     for m in range(1, args.m_max + 1):
         kit = steering.build_kit(m)
+        # Branch post-states in kit order, built without the kit.
+        targets = (bit_state(0, kit.theta), minus, bit_state(1, kit.theta), plus)
         closed = steering.p_steer(m)
         algebraic = 1.0 + 2.0 ** ((m - 2.0) / m) - 2.0 ** ((m - 1.0) / m)
         probability_residual = max(
@@ -276,7 +288,7 @@ def cmd_steering(args: argparse.Namespace) -> int:
             for bit in (0, 1)
         )
         fidelity_residual = 0.0
-        for branch, target in enumerate(kit.targets):
+        for branch, target in enumerate(targets):
             post = kit.branch_posts[branch // 2][branch % 2]
             fidelity = abs(inner_product(target, post)) ** 2
             fidelity_residual = max(fidelity_residual, abs(1.0 - fidelity))
@@ -350,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--delta", type=float, default=None)
     simulate.add_argument("--k", type=int, default=None)
-    simulate.add_argument("--threads", type=int, default=os.cpu_count())
+    simulate.add_argument("--threads", type=int, default=1)
     simulate.add_argument("--output", default=None)
     simulate.add_argument("--transcripts", default=None,
                           help="write one JSON transcript per line here")
@@ -361,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument("n", type=int)
     oracle.add_argument("m", type=int)
-    oracle.add_argument("--threads", type=int, default=os.cpu_count())
+    oracle.add_argument("--threads", type=int, default=1)
     oracle.add_argument("--output", default=None)
     oracle.set_defaults(func=cmd_oracle)
 

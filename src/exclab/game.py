@@ -45,6 +45,7 @@ from .qcore import (
     conditional_entropy,
     make_rng,
     tensor_product,
+    usable_workers,
 )
 from .steering import SteeringParameters, run_steering_round
 
@@ -295,15 +296,17 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     """Run ``config.trials`` independent trials and summarize them.
 
     With ``workers > 1`` trials are split into contiguous chunks over a
-    process pool; per-trial substreams make the result identical to a serial
-    run.  Streaming transcripts to ``transcript_sink`` forces the serial
-    path so the sink sees trials in order.
+    process pool (one worker at most per usable CPU and per trial); per-trial
+    substreams make the result identical to a serial run.  Streaming
+    transcripts to ``transcript_sink`` forces the serial path so the sink
+    sees trials in order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _preflight(config)
+    workers = usable_workers(workers, config.trials)
 
-    if workers == 1 or transcript_sink is not None or config.trials < workers:
+    if workers == 1 or transcript_sink is not None:
         wins, aborts, counts = _run_range(config, 0, config.trials,
                                           transcript_sink)
     else:

@@ -27,12 +27,12 @@ from .qcore import (
     RankOneMeasurement,
     ResourceLimitError,
     StateVector,
-    bit_count_array,
     born_measure,
 )
 
-# Hard cap on qubits handled by dense product states and measurements.
-MAX_QUBITS = 14
+# Hard cap on qubits handled by dense product states and measurements.  The
+# measurement's 16 * 4**m bytes of kets are 1 GiB at 13 qubits, 4 GiB at 14.
+MAX_QUBITS = 13
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,11 @@ def bit_state(bit: int, angle: float) -> StateVector:
     return StateVector(np.array([math.cos(half), sign * math.sin(half)]), 1)
 
 
-def product_state(x: BitString, angle: float,
-                  max_qubits: int = MAX_QUBITS) -> StateVector:
+def product_state(x: BitString, angle: float) -> StateVector:
     """Tensor product of the bit states of ``x``, bit 1 most significant."""
-    if len(x) > max_qubits:
+    if len(x) > MAX_QUBITS:
         raise ResourceLimitError(
-            f"product state on {len(x)} qubits exceeds the cap of {max_qubits}"
+            f"product state on {len(x)} qubits exceeds the cap of {MAX_QUBITS}"
         )
     amps = np.array([1.0])
     for b in x.bits:
@@ -178,7 +177,7 @@ def exclusion_vector(z: BitString) -> StateVector:
     dim = 1 << m
     z_index = z.to_index()
     s_values = np.arange(dim)
-    parities = bit_count_array(s_values & z_index) & 1
+    parities = np.bitwise_count(s_values & z_index) & 1
     amps = -np.where(parities == 1, -1.0, 1.0)
     amps[0] = 1.0
     return StateVector(amps / math.sqrt(dim), m)
@@ -191,9 +190,10 @@ _measurement_lock = threading.Lock()
 def exclusion_measurement(m: int) -> RankOneMeasurement:
     """Complete m-qubit measurement whose outcome z excludes preparation z.
 
-    All 2**m outcome vectors in one closed form: the rows of the Sylvester
-    Hadamard matrix give the parities (-1)**(z.s), so the full family is
-    -H/sqrt(2**m) with the s=0 column flipped back to +1/sqrt(2**m).  Rows are
+    All 2**m outcome kets in one closed form: the rows of the Sylvester
+    Hadamard matrix give the parities (-1)**(z.s), so the complex128 ket
+    matrix is -H/sqrt(2**m) with the s=0 column flipped back to +1/sqrt(2**m);
+    H is built as int8 so that the kets are the only large array.  Rows are
     orthonormal, which the RankOneMeasurement constructor re-verifies for
     dimensions up to its completeness-check cap.  Instances are cached per m.
     """
@@ -206,11 +206,11 @@ def exclusion_measurement(m: int) -> RankOneMeasurement:
         if cached is not None:
             return cached
         dim = 1 << m
-        matrix = -hadamard(dim).astype(np.float64) / math.sqrt(dim)
-        matrix[:, 0] = 1.0 / math.sqrt(dim)
+        kets = np.empty((dim, dim), dtype=np.complex128)
+        np.divide(hadamard(dim, dtype=np.int8), -math.sqrt(dim), out=kets)
+        kets[:, 0] = 1.0 / math.sqrt(dim)
         labels = tuple(BitString.from_index(z, m) for z in range(dim))
-        vectors = tuple(StateVector(row, m) for row in matrix)
-        measurement = RankOneMeasurement(vectors, labels)
+        measurement = RankOneMeasurement(kets, labels)
         _measurement_cache[m] = measurement
         return measurement
 
@@ -227,5 +227,4 @@ def restrict(x: BitString, y: IndexSubset) -> BitString:
 def measure_exclusion(state: StateVector, rng: np.random.Generator) -> BitString:
     """Sample the exclusion measurement on ``state``; the label rules out one
     preparation string."""
-    label, _ = born_measure(state, exclusion_measurement(state.qubit_count), rng)
-    return label
+    return born_measure(state, exclusion_measurement(state.qubit_count), rng)

@@ -10,6 +10,7 @@ that accumulate over a full matrix (completeness sums, entropy identities).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,13 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds a configured enumeration or size budget."""
 
 
-def bit_count_array(values: np.ndarray) -> np.ndarray:
-    """Elementwise population count of a nonnegative integer array."""
-    counts = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        counts += v & 1
-        v >>= 1
-    return counts
+def usable_workers(requested: int, jobs: int) -> int:
+    """Pool size: the request, capped by the usable CPUs and by ``jobs``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is Linux-only
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, jobs))
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -106,55 +106,54 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class RankOneMeasurement:
-    """Projective measurement given by an orthonormal family of unit vectors.
+    """Projective measurement given by an orthonormal family of unit kets.
 
-    ``labels[i]`` names outcome ``i``; the post-measurement state for that
-    outcome is ``outcome_vectors[i]`` itself.  On construction the family is
-    checked for unit norms (via StateVector) and, for dimensions up to
-    COMPLETENESS_CHECK_MAX_DIM, for completeness: the outcome projectors must
-    sum to the identity within MATRIX_TOL entrywise.
+    Row i of the complex128 matrix ``kets`` is the ket of outcome
+    ``labels[i]``; a complex128 input is frozen in place, not copied.  The
+    matrix must be 2-D with a power-of-two width, unit rows within VECTOR_TOL
+    and one label per row; up to COMPLETENESS_CHECK_MAX_DIM the outcome
+    projectors must also sum to the identity within MATRIX_TOL entrywise.
     """
 
-    outcome_vectors: tuple[StateVector, ...]
+    kets: np.ndarray
     labels: tuple
 
     def __post_init__(self) -> None:
-        if len(self.outcome_vectors) != len(self.labels):
-            raise ValueError("labels and outcome vectors differ in length")
-        if not self.outcome_vectors:
-            raise ValueError("measurement needs at least one outcome")
-        dim = self.outcome_vectors[0].dim
-        if any(v.dim != dim for v in self.outcome_vectors):
-            raise ValueError("outcome vectors live in different dimensions")
-        matrix = np.vstack([v.amplitudes for v in self.outcome_vectors])
-        matrix.setflags(write=False)
-        # Row i of the cached matrix is <v_i|, so matrix @ psi gives all
-        # outcome amplitudes in one product.
-        object.__setattr__(self, "_bra_matrix", matrix.conj())
+        kets = np.asarray(self.kets, dtype=np.complex128)
+        if kets.ndim != 2 or kets.shape[0] == 0:
+            raise ValueError("kets must be a nonempty two-dimensional array")
+        dim = kets.shape[1]
+        if dim == 0 or dim & (dim - 1):
+            raise ValueError(f"ket dimension {dim} is not a power of two")
+        if len(self.labels) != kets.shape[0]:
+            raise ValueError("labels and kets differ in length")
+        # Row norms via the real and imaginary views: no matrix-sized temporary.
+        norms = np.sqrt(np.einsum("ij,ij->i", kets.real, kets.real)
+                        + np.einsum("ij,ij->i", kets.imag, kets.imag))
+        if not np.abs(norms - 1.0).max() <= VECTOR_TOL:  # NaN fails too
+            raise ValueError("kets must have unit norm")
         if dim <= COMPLETENESS_CHECK_MAX_DIM:
-            gram = matrix.T @ matrix.conj()
+            gram = kets.T @ kets.conj()
             if not np.allclose(gram, np.eye(dim), rtol=0.0, atol=MATRIX_TOL):
                 raise ValueError("outcome projectors do not sum to identity")
-
-    @property
-    def dim(self) -> int:
-        return self.outcome_vectors[0].dim
+        kets.setflags(write=False)
+        object.__setattr__(self, "kets", kets)
 
     def outcome_probabilities(self, state: StateVector) -> np.ndarray:
-        """Born probabilities |<v_i|state>|**2 for every outcome at once."""
-        if state.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {state.dim} vs {self.dim}")
-        amps = self._bra_matrix @ state.amplitudes
-        return np.abs(amps) ** 2
+        """Born probabilities |<k_i|state>|**2 for every outcome at once."""
+        dim = self.kets.shape[1]
+        if state.dim != dim:
+            raise ValueError(f"dimension mismatch: {state.dim} vs {dim}")
+        # <k_i|state> = conj((kets @ conj(state))_i): no conjugated matrix.
+        return np.abs(self.kets @ state.amplitudes.conj()) ** 2
 
 
 def born_measure(state: StateVector, measurement: RankOneMeasurement,
                  rng: np.random.Generator):
-    """Sample one outcome of ``measurement`` on ``state``.
+    """Sample the label of one outcome of ``measurement`` on ``state``.
 
-    Returns ``(label, post_state)`` where the post state is the outcome
-    vector itself.  Sampling draws a single uniform variate against the
-    cumulative Born distribution, so one call consumes exactly one variate.
+    Sampling draws a single uniform variate against the cumulative Born
+    distribution, so one call consumes exactly one variate.
     """
     probs = measurement.outcome_probabilities(state)
     cumulative = np.cumsum(probs)
@@ -164,7 +163,7 @@ def born_measure(state: StateVector, measurement: RankOneMeasurement,
     draw = rng.random() * total
     index = int(np.searchsorted(cumulative, draw, side="right"))
     index = min(index, len(probs) - 1)
-    return measurement.labels[index], measurement.outcome_vectors[index]
+    return measurement.labels[index]
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,41 +15,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 
-from .pbr import BitString, bit_state, critical_angle
-from .qcore import RankOneMeasurement, StateVector
+from .pbr import BitString, critical_angle
+from .qcore import RankOneMeasurement, ResourceLimitError, StateVector
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# choose_k refuses a k of more decimal digits than this; it keeps every
+# alpha above about 0.006 at delta = 0.05.
+CHOOSE_K_MAX_DIGITS = 100
 
 
 @dataclass(frozen=True, eq=False)
 class SteeringKit:
-    """Everything both parties need for one bit at angle ``theta``.
-
-    ``targets`` holds the four post-measurement states in branch order
-    (bit 0 outcome 0, bit 0 outcome 1, bit 1 outcome 0, bit 1 outcome 1);
-    ``branch_probs[bit][outcome]`` and ``branch_posts[bit][outcome]`` tabulate
-    the same branches for sampling.
-    """
+    """What sampling needs for one bit at angle ``theta``: the shared pair
+    ``phi_ab`` and, per bit and sender outcome, ``branch_probs[bit][outcome]``
+    and the receiver's post-state ``branch_posts[bit][outcome]``."""
 
     theta: float
     phi_ab: StateVector
-    meas_s: RankOneMeasurement
-    meas_r: RankOneMeasurement
-    targets: tuple[StateVector, StateVector, StateVector, StateVector]
     branch_probs: tuple[tuple[float, float], tuple[float, float]]
     branch_posts: tuple[tuple[StateVector, StateVector],
                         tuple[StateVector, StateVector]]
 
 
-def _project_sender(phi: StateVector, sender: StateVector) -> tuple[float, StateVector]:
+def _project_sender(phi: StateVector, sender: np.ndarray) -> tuple[float, StateVector]:
     """Probability and receiver post-state when the sender's qubit (the most
-    significant one) is projected onto ``sender``."""
+    significant one) is projected onto the ket ``sender``."""
     pair = phi.amplitudes.reshape(2, 2)
-    receiver = pair.T @ sender.amplitudes.conj()
+    receiver = pair.T @ sender.conj()
     probability = float(np.vdot(receiver, receiver).real)
     return probability, StateVector(receiver / math.sqrt(probability), 1)
 
@@ -59,9 +55,9 @@ def build_kit(m: int) -> SteeringKit:
     """Steering kit at the critical angle for subset size m.
 
     The pair amplitudes a0, a1 and both bases are fixed by theta alone;
-    construction verifies nothing beyond the orthonormality checks built into
-    StateVector and RankOneMeasurement, leaving the steering identities to
-    callers (the CLI recomputes them as residuals).
+    construction verifies nothing beyond the checks built into StateVector
+    and RankOneMeasurement, leaving the steering identities to callers (the
+    CLI recomputes them as residuals).
     """
     theta = critical_angle(m)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
@@ -69,35 +65,19 @@ def build_kit(m: int) -> SteeringKit:
     a1 = math.sqrt(0.5 * (1.0 - cos_t / (1.0 + sin_t)))
 
     phi = StateVector(np.array([a0, 0.0, 0.0, a1]), 2)
-    meas_s = RankOneMeasurement(
-        (StateVector(np.array([a0, a1]), 1),
-         StateVector(np.array([a1, -a0]), 1)),
-        (0, 1),
-    )
-    meas_r = RankOneMeasurement(
-        (StateVector(np.array([a0, -a1]), 1),
-         StateVector(np.array([a1, a0]), 1)),
-        (0, 1),
-    )
-
-    minus = StateVector(np.array([_INV_SQRT2, -_INV_SQRT2]), 1)
-    plus = StateVector(np.array([_INV_SQRT2, _INV_SQRT2]), 1)
-    targets = (bit_state(0, theta), minus, bit_state(1, theta), plus)
+    meas_s = RankOneMeasurement(np.array([[a0, a1], [a1, -a0]]), (0, 1))
+    meas_r = RankOneMeasurement(np.array([[a0, -a1], [a1, a0]]), (0, 1))
 
     probs = []
     posts = []
     for measurement in (meas_s, meas_r):
-        branch = [_project_sender(phi, vector)
-                  for vector in measurement.outcome_vectors]
+        branch = [_project_sender(phi, ket) for ket in measurement.kets]
         probs.append(tuple(p for p, _ in branch))
         posts.append(tuple(state for _, state in branch))
 
     return SteeringKit(
         theta=theta,
         phi_ab=phi,
-        meas_s=meas_s,
-        meas_r=meas_r,
-        targets=targets,
         branch_probs=(probs[0], probs[1]),
         branch_posts=(posts[0], posts[1]),
     )
@@ -141,18 +121,37 @@ def choose_k(alpha: float, delta: float) -> int:
     4**(-1/alpha) lower-bounds the global steering probability whenever
     m = alpha * n exactly, so k sets suffice to keep the abort probability
     at or below delta uniformly over such n.
+
+    k is computed from the exact binary values of alpha and delta in decimal
+    arithmetic with over 100 guard digits past those of k and of 1/q, where
+    q = 4**(-1/alpha), so ln(1 - q) is as precise as log1p(-q), and then
+    checked to be minimal.  A k of over CHOOSE_K_MAX_DIGITS digits raises
+    ResourceLimitError.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    base = 1.0 - 4.0 ** (-1.0 / alpha)
-    k = max(1, math.ceil(math.log(delta) / math.log(base)))
-    # Guard the ceil against float edges on either side.
-    while k > 1 and base ** (k - 1) <= delta:
-        k -= 1
-    while base ** k > delta:
-        k += 1
+    # k is about -ln(delta) / q, so log10(k) is about this.
+    k_digits = math.log10(-math.log(delta)) + math.log10(4.0) / alpha
+    if k_digits > CHOOSE_K_MAX_DIGITS:
+        raise ResourceLimitError(
+            f"choose_k({alpha!r}, {delta!r}) needs a k of about "
+            f"{k_digits:.3g} digits, past the cap of {CHOOSE_K_MAX_DIGITS}"
+        )
+    with localcontext() as ctx:
+        # 1 - q spends log10(1/q) <= CHOOSE_K_MAX_DIGITS + 16 digits before
+        # those of q (delta <= 1 - 2**-53); k needs CHOOSE_K_MAX_DIGITS more.
+        ctx.prec = 3 * CHOOSE_K_MAX_DIGITS + 20
+        q = (-Decimal(4).ln() / Decimal(alpha)).exp()
+        log_base = (1 - q).ln()
+        log_delta = Decimal(delta).ln()
+        ratio = log_delta / log_base
+        k = max(1, int(ratio.to_integral_value(rounding=ROUND_CEILING)))
+        while k * log_base > log_delta:
+            k += 1
+        while k > 1 and (k - 1) * log_base <= log_delta:
+            k -= 1
     return k
 
 

@@ -1,0 +1,40 @@
+"""Shared fixtures."""
+
+import os
+
+import pytest
+
+from exclab import classical, game
+
+FAKE_CPUS = 3
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run process pools in process on a pretend 3-CPU host.
+
+    ``ProcessPoolExecutor`` in ``exclab.game`` and ``exclab.classical`` is
+    replaced by a stand-in that maps in this process and records the
+    ``max_workers`` it was asked for; the returned list collects them.  No
+    worker process starts, so a huge request is safe to test.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(game, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(classical, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(FAKE_CPUS)), raising=False)
+    return sizes

@@ -47,6 +47,7 @@ from exclab.game import (
 from exclab.pbr import (
     BitString,
     IndexSubset,
+    bit_state,
     critical_angle,
     exclusion_measurement,
     product_state,
@@ -54,6 +55,7 @@ from exclab.pbr import (
 )
 from exclab.qcore import (
     ProbabilityDistribution,
+    StateVector,
     binary_entropy,
     conditional_entropy,
     inner_product,
@@ -74,11 +76,11 @@ def test_criterion_01_perfect_exclusion_and_completeness():
     for m in range(1, 11):
         theta = critical_angle(m)
         measurement = exclusion_measurement(m)
-        kets = np.vstack([v.amplitudes for v in measurement.outcome_vectors])
+        kets = measurement.kets
         residual = np.abs(kets.T @ kets.conj() - np.eye(1 << m)).max()
         worst_residual = max(worst_residual, float(residual))
-        for vector, w in zip(measurement.outcome_vectors, measurement.labels):
-            overlap = abs(inner_product(vector, product_state(w, theta)))
+        for ket, w in zip(kets, measurement.labels):
+            overlap = abs(np.vdot(ket, product_state(w, theta).amplitudes))
             worst_overlap = max(worst_overlap, overlap)
     _report(
         "1",
@@ -94,8 +96,8 @@ def test_criterion_02_subcritical_angle_exclusion_fails():
         theta = 0.9 * critical_angle(m)
         measurement = exclusion_measurement(m)
         max_overlap = max(
-            abs(inner_product(vector, product_state(w, theta)))
-            for vector, w in zip(measurement.outcome_vectors, measurement.labels)
+            abs(np.vdot(ket, product_state(w, theta).amplitudes))
+            for ket, w in zip(measurement.kets, measurement.labels)
         )
         smallest_max_overlap = min(smallest_max_overlap, max_overlap)
     _report(
@@ -288,14 +290,20 @@ def test_criterion_06_cover_strategy_wins_everywhere_and_respects_bound():
 def test_criterion_07_steering_branches_exact():
     worst_fidelity_gap = 0.0
     worst_probability_gap = 0.0
+    root_half = 1.0 / math.sqrt(2.0)
+    # Outcome 1 leaves |-> under the S basis (bit 0) and |+> under R (bit 1).
+    conjugate_states = (StateVector.of([root_half, -root_half]),
+                        StateVector.of([root_half, root_half]))
     for m in range(1, 33):
         kit = build_kit(m)
-        sin_t = math.sin(critical_angle(m))
+        theta = critical_angle(m)
+        sin_t = math.sin(theta)
         expected = (1.0 / (1.0 + sin_t), sin_t / (1.0 + sin_t))
         for bit in (0, 1):
             for outcome in (0, 1):
                 post = kit.branch_posts[bit][outcome]
-                target = kit.targets[2 * bit + outcome]
+                target = (bit_state(bit, theta) if outcome == 0
+                          else conjugate_states[bit])
                 fidelity = abs(inner_product(target, post)) ** 2
                 worst_fidelity_gap = max(worst_fidelity_gap, abs(1.0 - fidelity))
                 gap = abs(kit.branch_probs[bit][outcome] - expected[outcome])

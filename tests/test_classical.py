@@ -110,6 +110,15 @@ def test_brute_force_serial_and_parallel_agree():
     assert serial == parallel
 
 
+def test_brute_force_caps_workers_at_cpus_and_jobs(pool_sizes):
+    # One job per answer to the first subset: 4 at m = 2, 2 at m = 1.
+    assert (brute_force_min_exclusion(4, 2, workers=10**6)
+            == brute_force_min_exclusion(4, 2))
+    assert (brute_force_min_exclusion(3, 1, workers=10**6)
+            == brute_force_min_exclusion(3, 1))
+    assert pool_sizes == [3, 2]
+
+
 def test_brute_force_budget_refusal():
     # (5, 3) needs 2**30 answer sets, past the 10**7 budget.
     with pytest.raises(ResourceLimitError, match="budget"):
@@ -170,6 +179,10 @@ def test_build_cover_serves_every_input(n, m):
     for value in range(1 << n):
         x = BitString.from_index(value, n)
         assert strategy.message_for(x).hamming_distance(x) >= threshold
+        # Each input gets the first chosen message that serves it.
+        first = min(i for i, message in enumerate(strategy.messages)
+                    if message.hamming_distance(x) >= threshold)
+        assert strategy.assignment[value] == first
 
 
 def test_build_cover_is_deterministic():

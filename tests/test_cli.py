@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from exclab import cli
 from exclab.bounds import GameParameters, classical_ic_lower_bound, gamma_log2
 
 CSV_HEADER = ("n,m,gamma_log2,classical_ic_lower,"
@@ -215,6 +217,27 @@ def test_simulate_usage_errors():
     assert "resource" in too_big.stderr
 
 
+def test_simulate_past_the_qubit_cap_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.main(["simulate", "--strategy", "quantum", "--n", "14",
+                         "--m", "14", "--trials", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_threads_default_to_one_worker():
+    parser = cli.build_parser()
+    assert parser.parse_args(["oracle", "4", "2"]).threads == 1
+    simulate = parser.parse_args(["simulate", "--strategy", "quantum",
+                                  "--n", "4", "--m", "2", "--trials", "5"])
+    assert simulate.threads == 1
+
+
 def test_oracle_small_instance():
     result = run_cli("oracle", "4", "2", "--threads", "1")
     assert result.returncode == 0, result.stderr
@@ -266,3 +289,12 @@ def test_choose_k_prints_bare_integer():
     assert result.returncode == 0
     assert result.stdout == "11\n"
     assert run_cli("choose-k", "1.5", "0.05").returncode == 2
+
+
+def test_choose_k_small_alpha_exact_or_refused():
+    small = run_cli("choose-k", "0.03", "0.05")
+    assert small.returncode == 0, small.stderr
+    assert small.stdout == "350888694609641424159\n"
+    tiny = run_cli("choose-k", "0.005", "0.05")
+    assert tiny.returncode == 2
+    assert "resource limit" in tiny.stderr

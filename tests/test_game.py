@@ -182,9 +182,18 @@ def test_monte_carlo_parallel_matches_serial():
     assert parallel.empirical_conditional_entropy == pytest.approx(
         serial.empirical_conditional_entropy, abs=1e-12
     )
-    # More workers than trials falls back to the serial path.
+    # More workers than trials: the pool gets one worker per trial.
     tiny = quantum_config(trials=2)
     assert monte_carlo(tiny, workers=8) == monte_carlo(tiny, workers=1)
+
+
+def test_monte_carlo_caps_workers_at_cpus_and_trials(pool_sizes):
+    many = quantum_config(trials=50)
+    assert monte_carlo(many, workers=10**6) == monte_carlo(many, workers=1)
+    few = quantum_config(trials=2)
+    assert monte_carlo(few, workers=10**6) == monte_carlo(few, workers=1)
+    # Three usable CPUs cap the first pool, two trials the second.
+    assert pool_sizes == [3, 2]
 
 
 def test_monte_carlo_transcript_sink_sees_ordered_trials():

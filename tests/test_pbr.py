@@ -1,10 +1,12 @@
 """Bit strings, subsets, encoding states, and the exclusion measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from exclab import pbr
 from exclab.pbr import (
     MAX_QUBITS,
     BitString,
@@ -21,6 +23,7 @@ from exclab.qcore import (
     MATRIX_TOL,
     VECTOR_TOL,
     ResourceLimitError,
+    StateVector,
     inner_product,
     make_rng,
 )
@@ -135,13 +138,10 @@ def test_product_state_matches_explicit_kron():
     assert np.allclose(product_state(x, theta).amplitudes, direct, atol=VECTOR_TOL)
 
 
-def test_product_state_cap_is_configurable():
+def test_product_state_refuses_past_the_cap():
     x = BitString(tuple([0] * (MAX_QUBITS + 1)))
     with pytest.raises(ResourceLimitError):
         product_state(x, 0.5)
-    y = BitString((0, 1, 0))
-    with pytest.raises(ResourceLimitError):
-        product_state(y, 0.5, max_qubits=2)
 
 
 def test_exclusion_vector_single_qubit_hand_values():
@@ -167,15 +167,15 @@ def test_exclusion_vector_matches_measurement_rows(m):
     for z_index, z in enumerate(measurement.labels):
         assert np.allclose(
             exclusion_vector(z).amplitudes,
-            measurement.outcome_vectors[z_index].amplitudes,
+            measurement.kets[z_index],
             atol=VECTOR_TOL,
         )
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_exclusion_measurement_orthonormal(m):
-    matrix = np.vstack([v.amplitudes for v in exclusion_measurement(m).outcome_vectors])
-    gram = matrix @ matrix.conj().T
+    kets = exclusion_measurement(m).kets
+    gram = kets @ kets.conj().T
     assert np.abs(gram - np.eye(1 << m)).max() <= MATRIX_TOL
 
 
@@ -195,13 +195,48 @@ def test_exclusion_measurement_cap():
         exclusion_measurement(0)
 
 
+def test_cap_of_13_qubits_refuses_before_allocating():
+    # 16 * 4**14 bytes = 4 GiB of kets at m = 14 would exhaust the host.
+    assert MAX_QUBITS == 13
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            exclusion_measurement(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_exclusion_measurement_holds_one_matrix_and_no_state_vectors(monkeypatch):
+    # A cold build: no cached instance, and every StateVector counted.
+    monkeypatch.setattr(pbr, "_measurement_cache", {})
+    built = []
+    original = StateVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    m = 8
+    measurement = exclusion_measurement(m)
+    assert built == []
+    assert set(vars(measurement)) == {"kets", "labels"}
+    kets = measurement.kets
+    assert kets.dtype == np.complex128
+    assert kets.shape == (1 << m, 1 << m)
+    assert kets.nbytes == 16 * 4**m
+    assert kets.base is None and not kets.flags.writeable
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_perfect_exclusion_at_critical_angle(m):
     theta = critical_angle(m)
     measurement = exclusion_measurement(m)
     worst = max(
-        abs(inner_product(measurement.outcome_vectors[z.to_index()],
-                          product_state(z, theta)))
+        abs(np.vdot(measurement.kets[z.to_index()],
+                    product_state(z, theta).amplitudes))
         for z in measurement.labels
     )
     assert worst < VECTOR_TOL
@@ -212,8 +247,8 @@ def test_exclusion_fails_below_critical_angle(m):
     theta = 0.9 * critical_angle(m)
     measurement = exclusion_measurement(m)
     worst = max(
-        abs(inner_product(measurement.outcome_vectors[z.to_index()],
-                          product_state(z, theta)))
+        abs(np.vdot(measurement.kets[z.to_index()],
+                    product_state(z, theta).amplitudes))
         for z in measurement.labels
     )
     assert worst > 1e-6

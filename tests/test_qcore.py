@@ -12,7 +12,6 @@ from exclab.qcore import (
     RankOneMeasurement,
     StateVector,
     binary_entropy,
-    bit_count_array,
     born_measure,
     conditional_entropy,
     inner_product,
@@ -23,11 +22,7 @@ from exclab.qcore import (
 
 
 def basis_measurement(dim: int) -> RankOneMeasurement:
-    eye = np.eye(dim)
-    return RankOneMeasurement(
-        tuple(StateVector.of(eye[i]) for i in range(dim)),
-        tuple(range(dim)),
-    )
+    return RankOneMeasurement(np.eye(dim), tuple(range(dim)))
 
 
 def test_state_vector_requires_unit_norm():
@@ -94,17 +89,40 @@ def test_inner_product_bounded_for_unit_vectors():
 
 def test_measurement_rejects_incomplete_family():
     with pytest.raises(ValueError, match="identity"):
-        RankOneMeasurement((StateVector.of([1.0, 0.0]),), (0,))
+        RankOneMeasurement(np.array([[1.0, 0.0]]), (0,))
 
 
 def test_measurement_rejects_mismatched_labels_and_dims():
     with pytest.raises(ValueError, match="length"):
-        RankOneMeasurement((StateVector.of([1.0, 0.0]),), (0, 1))
+        RankOneMeasurement(np.array([[1.0, 0.0]]), (0, 1))
     with pytest.raises(ValueError, match="dimension"):
-        RankOneMeasurement(
-            (StateVector.of([1.0, 0.0]), StateVector.of([0, 0, 0, 1.0])),
-            (0, 1),
-        )
+        RankOneMeasurement(np.eye(3), (0, 1, 2))
+    with pytest.raises(ValueError, match="two-dimensional"):
+        RankOneMeasurement(np.array([1.0, 0.0]), (0,))
+
+
+def test_measurement_rejects_non_unit_kets():
+    with pytest.raises(ValueError, match="unit norm"):
+        RankOneMeasurement(np.array([[1.0, 1.0], [1.0, -1.0]]), (0, 1))
+    with pytest.raises(ValueError, match="unit norm"):
+        RankOneMeasurement(np.array([[np.nan, 0.0], [0.0, 1.0]]), (0, 1))
+    # Norm errors inside the tolerance are accepted.
+    RankOneMeasurement(np.array([[1.0 + 4e-13, 0.0], [0.0, 1.0]]), (0, 1))
+
+
+def test_measurement_probabilities_match_overlaps_for_complex_kets():
+    # The stored kets and the state both have nonzero imaginary parts, so a
+    # missing or misplaced conjugation would change the probabilities.
+    rng = make_rng(23)
+    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    unitary, _ = np.linalg.qr(raw)
+    measurement = RankOneMeasurement(unitary, tuple(range(8)))
+    assert measurement.kets.dtype == np.complex128
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector.of(amps / np.linalg.norm(amps))
+    expected = [abs(np.vdot(ket, state.amplitudes)) ** 2 for ket in unitary]
+    assert np.allclose(measurement.outcome_probabilities(state), expected,
+                       rtol=0.0, atol=VECTOR_TOL)
 
 
 def test_born_measure_deterministic_on_eigenstate():
@@ -112,16 +130,7 @@ def test_born_measure_deterministic_on_eigenstate():
     state = StateVector.of([0.0, 1.0])
     rng = make_rng(0)
     for _ in range(100):
-        label, post = born_measure(state, measurement, rng)
-        assert label == 1
-        assert np.allclose(post.amplitudes, [0.0, 1.0])
-
-
-def test_born_measure_post_state_is_outcome_vector():
-    measurement = basis_measurement(4)
-    state = StateVector.of(np.full(4, 0.5))
-    label, post = born_measure(state, measurement, make_rng(3))
-    assert post is measurement.outcome_vectors[label]
+        assert born_measure(state, measurement, rng) == 1
 
 
 def test_born_measure_frequencies_match_born_rule():
@@ -130,7 +139,7 @@ def test_born_measure_frequencies_match_born_rule():
     measurement = basis_measurement(2)
     rng = make_rng(42)
     trials = 20000
-    ones = sum(born_measure(state, measurement, rng)[0] for _ in range(trials))
+    ones = sum(born_measure(state, measurement, rng) for _ in range(trials))
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(ones / trials - (1 - p)) <= 3 * sigma
 
@@ -139,7 +148,7 @@ def test_born_measure_reproducible_per_seed():
     state = StateVector.of(np.full(4, 0.5))
     measurement = basis_measurement(4)
     runs = [
-        [born_measure(state, measurement, make_rng(7))[0] for _ in range(64)]
+        [born_measure(state, measurement, make_rng(7)) for _ in range(64)]
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -203,11 +212,6 @@ def test_conditional_entropy_chain_rule_spot_check():
     marginal = ProbabilityDistribution(joint.weights.sum(axis=0))
     chain = shannon_entropy(joint) - shannon_entropy(marginal)
     assert conditional_entropy(joint) == pytest.approx(chain, abs=MATRIX_TOL)
-
-
-def test_bit_count_array():
-    values = np.array([0, 1, 2, 3, 255, 256])
-    assert bit_count_array(values).tolist() == [0, 1, 1, 2, 8, 1]
 
 
 def test_make_rng_accepts_seed_sequence_and_splits():

@@ -1,12 +1,14 @@
 """Steering kits, branch statistics, abort budgets, and full rounds."""
 
+import dataclasses
 import math
 
 import pytest
 
 from exclab.pbr import BitString, bit_state, critical_angle
-from exclab.qcore import StateVector, inner_product, make_rng
+from exclab.qcore import ResourceLimitError, StateVector, inner_product, make_rng
 from exclab.steering import (
+    SteeringKit,
     SteeringParameters,
     SteeringRoundResult,
     build_kit,
@@ -55,10 +57,20 @@ def test_steering_branches_hit_their_targets(m):
 
 def test_branch_posts_match_declared_targets():
     kit = build_kit(4)
+    root_half = 1.0 / math.sqrt(2.0)
+    # Branch order: bit 0 outcome 0, bit 0 outcome 1, bit 1 outcome 0,
+    # bit 1 outcome 1.
+    targets = (bit_state(0, kit.theta), StateVector.of([root_half, -root_half]),
+               bit_state(1, kit.theta), StateVector.of([root_half, root_half]))
     ordered = (kit.branch_posts[0][0], kit.branch_posts[0][1],
                kit.branch_posts[1][0], kit.branch_posts[1][1])
-    for post, target in zip(ordered, kit.targets):
+    for post, target in zip(ordered, targets):
         assert fidelity(post, target) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_steering_kit_holds_only_what_sampling_reads():
+    assert [f.name for f in dataclasses.fields(SteeringKit)] == [
+        "theta", "phi_ab", "branch_probs", "branch_posts"]
 
 
 def test_build_kit_is_cached():
@@ -103,6 +115,35 @@ def test_choose_k_golden_and_minimality():
         assert base ** k <= delta
         if k > 1:
             assert base ** (k - 1) > delta
+
+
+# Exact k at delta = 0.05, from an 80-digit mpmath evaluation on the exact
+# binary value of each float alpha.  Float evaluation of the old formula got
+# 0.06, 0.045 and 0.04 wrong and divided by zero from 0.037 down.
+CHOOSE_K_REFERENCES = (
+    (1.0, 11),
+    (0.5, 47),
+    (0.1, 3141252),
+    (0.05, 3293842468475),
+    (0.06, 32421730164),
+    (0.045, 71715646292038),
+    (0.04, 3372894687719877),
+    (0.037, 56026650026081251),
+    (0.03, 350888694609641424159),
+    (0.02, 3797541814693789449209309818742),
+)
+
+
+@pytest.mark.parametrize("alpha, expected", CHOOSE_K_REFERENCES)
+def test_choose_k_matches_exact_reference(alpha, expected):
+    assert choose_k(alpha, 0.05) == expected
+
+
+def test_choose_k_refuses_past_the_digit_cap():
+    # k would have about 101 digits at alpha = 0.006, delta = 0.05.
+    for alpha in (0.006, 1e-300, 5e-324):
+        with pytest.raises(ResourceLimitError):
+            choose_k(alpha, 0.05)
 
 
 def test_choose_k_validation():
