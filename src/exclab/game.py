@@ -47,7 +47,7 @@ from .qcore import (
     tensor_product,
     usable_workers,
 )
-from .steering import SteeringParameters, run_steering_round
+from .steering import SteeringParameters, p_global_steer, run_steering_round
 
 STRATEGY_QUANTUM = "quantum"
 STRATEGY_CLASSICAL_COVER = "classical_cover"
@@ -57,6 +57,9 @@ STRATEGIES = (
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
 )
+# Largest expected number of shared sets an entanglement-assisted run may
+# walk: about 11 minutes at the ~1.5 M sets/s measured at n = 40, m = 4.
+STEERING_SET_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -243,7 +246,14 @@ def _preflight(config: GameConfig) -> None:
             f"receiver measurement needs m <= {MAX_QUBITS}, got {config.m}"
         )
     if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
-        SteeringParameters(config.n, config.m, config.k, config.delta)
+        # A round walks (1 - p_abort)/p_g sets on average, k once p_g
+        # underflows; capping k at 2**64 moves that mean only past any budget.
+        p_g, k = p_global_steer(config.n, config.m), min(config.k, 2**64)
+        sets = k if p_g == 0.0 else -math.expm1(k * math.log1p(-p_g)) / p_g
+        if config.trials * sets > STEERING_SET_BUDGET:
+            raise ResourceLimitError(
+                f"{config.trials} steering trials walk ~{config.trials * sets:.3g}"
+                f" shared sets, past the budget of {STEERING_SET_BUDGET}")
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:

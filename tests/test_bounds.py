@@ -1,16 +1,20 @@
 """Counting bounds, entropy bounds, and the separation table."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from exclab import bounds
 from exclab.bounds import (
+    BOUNDS_MAX_N,
     EXACT_GAMMA_MAX_N,
     BoundsRow,
     GameParameters,
     MRule,
     _gamma_log2_series,
-    binomial_sum_entropy_bound,
     bounds_row,
     classical_ic_lower_bound,
     gamma,
@@ -96,23 +100,98 @@ def test_quantum_entropy_per_qubit_shrinks_with_m():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_binomial_sum_entropy_bound_holds_on_grid():
+def test_gamma_log2_below_entropy_bound_on_grid():
+    # log2( sum_{i<=qn} C(n,i) ) <= n*H2(q) for 0 < q <= 1/2.
     for n in (5, 17, 64, 129, 1000):
         for q in (0.05, 0.2, 1.0 / 3.0, 0.5):
-            lhs, rhs = binomial_sum_entropy_bound(n, q)
-            assert lhs <= rhs + 1e-12
+            lhs = gamma_log2(n, math.floor(q * n) + 1)
+            assert lhs <= n * binary_entropy(q) + 1e-12
     # Exact equality case: n=1, q=1/2 sums C(1,0) = 1, and H2(1/2) = 1.
-    lhs, rhs = binomial_sum_entropy_bound(1, 0.5)
-    assert lhs == 0.0
-    assert rhs == pytest.approx(1.0, abs=1e-15)
+    assert gamma_log2(1, 1) == 0.0
+    assert 1 * binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_binomial_sum_entropy_bound_validation():
-    for bad_q in (0.0, 0.6, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            binomial_sum_entropy_bound(10, bad_q)
-    with pytest.raises(ValueError):
-        binomial_sum_entropy_bound(0, 0.3)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 2000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n))))
+@example((2000, 2))
+@example((2000, 1000))
+@example((2000, 1001))
+@example((2000, 2000))
+@example((65, 34))
+def test_gamma_log2_matches_exact_sum(n_m):
+    # Both branches of the tail sum (m - 1 <= n/2 and its complement) and the
+    # exact path, against the big-integer sum.
+    n, m = n_m
+    exact = math.log2(sum(math.comb(n, i) for i in range(m)))
+    assert math.isclose(gamma_log2(n, m), exact, rel_tol=1e-13)
+
+
+def test_gamma_log2_complement_does_not_overflow():
+    # Summed down from C(n, m-1), the terms past n/2 would grow to inf.
+    value = gamma_log2(10**5, 90000)
+    assert math.isfinite(value)
+    assert value == pytest.approx(10**5, rel=1e-15)
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _decimal_log_factorial(x: int) -> Decimal:
+    # Stirling's series for ln x!; for x >= 10**6 the first omitted term,
+    # 1/(1188 x**9), is below 1e-56.
+    x = Decimal(x)
+    series = sum(c / x ** (2 * k - 1) for k, c in enumerate(
+        (Decimal(1) / 12, Decimal(-1) / 360, Decimal(1) / 1260,
+         Decimal(-1) / 1680), start=1))
+    return (x + Decimal("0.5")) * x.ln() - x + (2 * _PI).ln() / 2 + series
+
+
+def _decimal_log_comb(n: int, k: int) -> Decimal:
+    return (_decimal_log_factorial(n) - _decimal_log_factorial(k)
+            - _decimal_log_factorial(n - k))
+
+
+def test_gamma_log2_at_the_cap_against_decimal_reference():
+    n = BOUNDS_MAX_N
+    m = MRule.parse("power:0.75").apply(n)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        series = term = Decimal(1)
+        for i in range(m - 1, 0, -1):
+            term *= Decimal(i) / (n - i + 1)
+            series += term
+            if term < Decimal("1e-45"):
+                break
+        reference = ((_decimal_log_comb(n, m - 1) + series.ln())
+                     / Decimal(2).ln())
+    assert math.isclose(gamma_log2(n, m), float(reference), rel_tol=1e-12)
+
+
+def test_gamma_log2_near_half_against_closed_forms():
+    # For even n, sum_{i<n/2} C(n,i) = (2**n - c 2**n)/2 with c = C(n,n/2)/2**n,
+    # and sum_{i<=n/2+1} C(n,i) = (2**n + c 2**n)/2 + C(n, n/2+1).
+    n = 10**10
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c = (_decimal_log_comb(n, n // 2) - n * Decimal(2).ln()).exp()
+        ln2 = Decimal(2).ln()
+        below = n - 1 + (1 - c).ln() / ln2
+        above = n - 1 + (1 + c + 2 * c * (n // 2) / (n // 2 + 1)).ln() / ln2
+    assert MRule.parse("linear:0.5").apply(n) == n // 2
+    assert math.isclose(gamma_log2(n, n // 2), float(below), rel_tol=1e-12)
+    assert math.isclose(gamma_log2(n, n // 2 + 2), float(above), rel_tol=1e-12)
+
+
+def test_bounds_refuse_past_the_cap_before_any_row(monkeypatch):
+    with pytest.raises(ResourceLimitError, match="n <= "):
+        gamma_log2(BOUNDS_MAX_N + 1, 2)
+    computed = []
+    monkeypatch.setattr(bounds, "bounds_row", computed.append)
+    for n in (BOUNDS_MAX_N + 1, 10**18, 10**400):
+        with pytest.raises(ResourceLimitError):
+            separation_table((100, n), MRule.parse("power:0.75"))
+    assert computed == []
 
 
 def test_m_rule_parse_and_apply():

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -16,7 +18,7 @@ CSV_HEADER = ("n,m,gamma_log2,classical_ic_lower,"
               "quantum_entropy_upper,quantum_ic_upper")
 
 
-def run_cli(*argv: str, env_extra: dict | None = None):
+def run_cli(*argv: str, env_extra: dict | None = None, preexec_fn=None):
     env = {k: v for k, v in os.environ.items() if k != "EXCLAB_SEED"}
     if env_extra:
         env.update(env_extra)
@@ -25,6 +27,7 @@ def run_cli(*argv: str, env_extra: dict | None = None):
         capture_output=True,
         text=True,
         env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -138,6 +141,47 @@ def test_bounds_requires_inputs():
     assert run_cli("bounds", "--m-rule", "power:0.75").returncode == 2
 
 
+def test_bounds_at_the_cap_answers_in_constant_memory(tmp_path):
+    target = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["bounds", "--n", "100000000000", "1000000000000",
+                         "--m-rule", "power:0.75", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = target.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["100000000000", "177827941"], ["1000000000000", "1000000000"]]
+    assert peak < len(rows) << 20
+
+
+def test_bounds_past_the_cap_exits_2_before_any_row():
+    for n in ("10000000000000", str(10**18)):
+        result = run_cli("bounds", "--n", "100", n, "--m-rule", "power:0.75")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "resource limit" in result.stderr
+
+
+def _limit_address_space():
+    # The shell's ulimit -v 3000000 (KiB), for this child process only.
+    limit = 3_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_bounds_under_an_address_space_limit_never_exit_1():
+    for rule, n_values, expected in (
+        ("power:0.75", ["1000000000000"], 0),
+        ("linear:0.5", ["1000000000000"], 0),
+        ("power:0.75", ["10000000000000", str(10**18)], 2),
+    ):
+        result = run_cli("bounds", "--n", *n_values, "--m-rule", rule,
+                         preexec_fn=_limit_address_space)
+        assert result.returncode == expected, result.stderr
+
+
 def test_bounds_output_file(tmp_path):
     target = tmp_path / "table.csv"
     result = run_cli("bounds", "--n", "8", "--m-rule", "linear:0.5",
@@ -228,6 +272,17 @@ def test_simulate_past_the_qubit_cap_exits_2_before_allocating(capsys):
     assert code == 2
     assert "resource limit" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+def test_simulate_refuses_a_steering_run_past_the_set_budget():
+    # k = choose_k(0.05, 0.05): one trial walks ~1/p_g = 2e10 sets.
+    start = time.perf_counter()
+    result = run_cli("simulate", "--strategy", "entanglement_assisted",
+                     "--n", "60", "--m", "3", "--k", "3293842468475",
+                     "--delta", "0.05", "--trials", "1")
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 2
+    assert "shared sets" in result.stderr
 
 
 def test_threads_default_to_one_worker():

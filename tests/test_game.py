@@ -5,6 +5,7 @@ import math
 import pytest
 
 from exclab.game import (
+    STEERING_SET_BUDGET,
     STRATEGIES,
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
@@ -18,7 +19,7 @@ from exclab.game import (
 )
 from exclab.pbr import BitString, IndexSubset, restrict
 from exclab.qcore import ResourceLimitError, make_rng
-from exclab.steering import p_abort
+from exclab.steering import p_abort, p_global_steer
 
 
 def quantum_config(**overrides) -> GameConfig:
@@ -217,6 +218,30 @@ def test_monte_carlo_preflight_rejects_oversized_games():
                                trials=1, seed=0))
     with pytest.raises(ValueError):
         monte_carlo(quantum_config(), workers=0)
+
+
+def steering_config(**overrides) -> GameConfig:
+    base = dict(n=60, m=3, strategy=STRATEGY_ENTANGLEMENT_ASSISTED, trials=1,
+                seed=0, k=3293842468475, delta=0.05)
+    base.update(overrides)
+    return GameConfig(**base)
+
+
+def test_monte_carlo_refuses_steering_runs_past_the_set_budget():
+    p_g = p_global_steer(60, 3)
+    assert 1.0 / p_g > STEERING_SET_BUDGET
+    with pytest.raises(ResourceLimitError, match="shared sets"):
+        monte_carlo(steering_config())
+    # With k * p_g small, nearly every round walks all k sets.
+    with pytest.raises(ResourceLimitError):
+        monte_carlo(steering_config(k=10**6, trials=1001))
+    # p_g underflows at n = 2000: every set fails, so a round walks all k.
+    assert p_global_steer(2000, 3) == 0.0
+    with pytest.raises(ResourceLimitError):
+        monte_carlo(steering_config(n=2000, k=STEERING_SET_BUDGET + 1))
+    # A k far past 2**64 with a tiny expected round still runs.
+    stats = monte_carlo(steering_config(n=4, m=2, k=10**400, trials=3))
+    assert stats.aborts == 0
 
 
 def test_strategy_listing():
