@@ -56,22 +56,6 @@ class AnswerSet:
         if any(len(z) != self.m for z in self.answers):
             raise ValueError("every answer must have length m")
 
-    def answer_for(self, y: IndexSubset) -> BitString:
-        return self.answers[_subset_rank(y.indices, self.n, self.m)]
-
-
-def _subset_rank(indices: tuple[int, ...], n: int, m: int) -> int:
-    """Lexicographic rank of a subset among combinations of {1..n} size m."""
-    if len(indices) != m or indices[-1] > n:
-        raise ValueError(f"subset {indices} is not a size-{m} subset of 1..{n}")
-    rank = 0
-    previous = 0
-    for position, value in enumerate(indices):
-        for skipped in range(previous + 1, value):
-            rank += math.comb(n - skipped, m - position - 1)
-        previous = value
-    return rank
-
 
 def consistent_answer_set(a: BitString, m: int) -> AnswerSet:
     """Answer set that excludes the restriction of ``a`` on every subset."""
@@ -204,20 +188,6 @@ def brute_force_min_exclusion(n: int, m: int,
         n, m, tuple(BitString.from_index(z, m) for z in best_choice)
     )
     return best_count, witness
-
-
-def is_valid_message(a: BitString, x: BitString, m: int) -> bool:
-    """Whether message ``a`` serves input ``x``: the consistent answers of
-    ``a`` never name the true restriction of ``x``.
-
-    Holds exactly when every size-m subset contains a disagreeing position,
-    i.e. the Hamming distance is at least n - m + 1.
-    """
-    if len(a) != len(x):
-        raise ValueError("message and input must have equal length")
-    if not 1 <= m <= len(a):
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={len(a)}")
-    return a.hamming_distance(x) >= len(a) - m + 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -148,6 +148,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise ValueError("batch file needs n_values and m_rule")
         n_values = doc["n_values"]
         rule_text = doc["m_rule"]
+        # type() is int refuses bools and floats, which isinstance would pass.
+        if not isinstance(n_values, list) or any(type(n) is not int
+                                                 for n in n_values):
+            raise ValueError(f"n_values must be a list of integers, "
+                             f"got {n_values!r}")
+        if not isinstance(rule_text, str):
+            raise ValueError(f"m_rule must be a string, got {rule_text!r}")
         output_format = doc.get("format", args.format)
     else:
         if args.n is None or args.m_rule is None:

@@ -6,12 +6,14 @@ differs from the true restriction of x on y:
 
 * ``quantum``: the sender ships the n-qubit product encoding at the critical
   angle; the receiver applies the exclusion measurement to the qubits in y.
-  Because the encoding is a product state, the simulation prepares just the
-  restricted m qubits, which is exactly the receiver's local view.
+  The encoding is a product state, so the receiver's view is the encoding of
+  the restriction alone, and its outcome is sampled in closed form from the
+  distance law of ``pbr.measure_exclusion``.
 * ``classical_cover``: the sender announces a covering message; the receiver
   answers with its restriction, which by construction never equals the truth.
 * ``entanglement_assisted``: the steering protocol either aborts or leaves
-  the receiver holding the product encoding, after which play is quantum.
+  the receiver holding the product encoding, on whose steered qubits the
+  receiver applies the dense exclusion measurement (so m <= MAX_QUBITS).
 
 Trials use independent counter-based substreams (one SeedSequence spawn per
 trial index), so statistics are identical however trials are distributed over
@@ -33,11 +35,12 @@ from .pbr import (
     MAX_QUBITS,
     BitString,
     IndexSubset,
-    critical_angle,
     measure_exclusion,
-    product_state,
+    measure_exclusion_dense,
     restrict,
 )
+# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
+from .pbr import product_state  # noqa: F401
 from .qcore import (
     ProbabilityDistribution,
     ResourceLimitError,
@@ -60,6 +63,9 @@ STRATEGIES = (
 # Largest expected number of shared sets an entanglement-assisted run may
 # walk: about 11 minutes at the ~1.5 M sets/s measured at n = 40, m = 4.
 STEERING_SET_BUDGET = 10**9
+# Largest n one trial may draw.  The input costs about 25 bytes per bit (an
+# int64 draw, then a tuple of ints): ~25 MB and ~0.3 s per trial at the cap.
+TRIAL_MAX_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -187,65 +193,45 @@ def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
     x, y = referee_draw(config.n, config.m, rng)
     truth = restrict(x, y)
 
-    if config.strategy == STRATEGY_QUANTUM:
-        state = product_state(truth, critical_angle(config.m))
-        answer = measure_exclusion(state, rng)
-        return Transcript(
-            x=x,
-            y=y,
-            message={"kind": "quantum_state", "qubits": config.n},
-            answer=answer,
-            aborted=False,
-            won=answer != truth,
-        )
-
     if config.strategy == STRATEGY_CLASSICAL_COVER:
-        message = _cover(config.n, config.m).message_for(x)
-        answer = restrict(message, y)
-        return Transcript(
-            x=x,
-            y=y,
-            message={"kind": "classical_message", "bits": str(message)},
-            answer=answer,
-            aborted=False,
-            won=answer != truth,
-        )
-
-    params = SteeringParameters(config.n, config.m, config.k, config.delta)
-    round_result = run_steering_round(params, x, rng)
-    if round_result.aborted:
-        return Transcript(
-            x=x,
-            y=y,
-            message={"kind": "abort"},
-            answer=None,
-            aborted=True,
-            won=None,
-        )
-    state: StateVector | None = None
-    for position in y.indices:
-        qubit = round_result.receiver_states[position - 1]
-        state = qubit if state is None else tensor_product(state, qubit)
-    answer = measure_exclusion(state, rng)
-    return Transcript(
-        x=x,
-        y=y,
-        message={"kind": "set_index", "value": round_result.set_index},
-        answer=answer,
-        aborted=False,
-        won=answer != truth,
-    )
+        announced = _cover(config.n, config.m).message_for(x)
+        message = {"kind": "classical_message", "bits": str(announced)}
+        answer = restrict(announced, y)
+    elif config.strategy == STRATEGY_QUANTUM:
+        message = {"kind": "quantum_state", "qubits": config.n}
+        answer = measure_exclusion(truth, rng)
+    else:
+        params = SteeringParameters(config.n, config.m, config.k, config.delta)
+        round_result = run_steering_round(params, x, rng)
+        if round_result.aborted:
+            return Transcript(x=x, y=y, message={"kind": "abort"},
+                              answer=None, aborted=True, won=None)
+        message = {"kind": "set_index", "value": round_result.set_index}
+        # The receiver measures the qubits the round steered, not the product
+        # encoding they should equal (acceptance criterion 7), so every
+        # completed round exercises the steering identities.
+        state: StateVector | None = None
+        for position in y.indices:
+            qubit = round_result.receiver_states[position - 1]
+            state = qubit if state is None else tensor_product(state, qubit)
+        answer = measure_exclusion_dense(state, rng)
+    return Transcript(x=x, y=y, message=message, answer=answer,
+                      aborted=False, won=answer != truth)
 
 
 def _preflight(config: GameConfig) -> None:
     """Surface configuration and resource violations before any trial runs."""
+    if config.n > TRIAL_MAX_N:
+        raise ResourceLimitError(
+            f"a trial draws n = {config.n} input bits, past the budget of "
+            f"{TRIAL_MAX_N}")
     if config.strategy == STRATEGY_CLASSICAL_COVER:
         _cover(config.n, config.m)
-    elif config.m > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"receiver measurement needs m <= {MAX_QUBITS}, got {config.m}"
-        )
     if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
+        if config.m > MAX_QUBITS:
+            raise ResourceLimitError(
+                f"steered receiver measurement needs m <= {MAX_QUBITS}, "
+                f"got {config.m}")
         # A round walks (1 - p_abort)/p_g sets on average, k once p_g
         # underflows; capping k at 2**64 moves that mean only past any budget.
         p_g, k = p_global_steer(config.n, config.m), min(config.k, 2**64)

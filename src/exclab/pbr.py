@@ -10,6 +10,22 @@ exclusion measurement on m qubits has one outcome vector zeta_z per string z,
 built so that observing z certifies the preparation was not z.  Perfect
 exclusion (<zeta_z|Psi_z> = 0 for every z) happens exactly at the critical
 angle returned by ``critical_angle``.
+
+The Born law in closed form (Pusey, Barrett and Rudolph, Nat. Phys. 8, 475
+(2012)).  zeta_z has amplitude (2[s = 0] - (-1)**(z.s))/sqrt(2**m) at basis
+string s, so with c = cos(theta/2), t = tan(theta/2) and d = |z xor w|,
+
+    sqrt(2**m) <zeta_z|Psi_w> = 2 c**m - c**m (1 + t)**(m - d) (1 - t)**d
+                              = c**m (1 + t)**m (2 (1 + t)**-m - r**d),
+
+where r = (1 - t)/(1 + t).  At the critical angle (1 + t)**m = 2, so the
+amplitude is proportional to 1 - r**d and vanishes at d = 0 only.  Summing
+C(m, d) (1 - r**d)**2 over d gives Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m,
+so the outcome's distance from the truth has P(d) = C(m, d) (1 - r**d)**2 / Z,
+shared evenly by the C(m, d) outcomes at that distance.  ``measure_exclusion``
+samples this law; the dense ``exclusion_measurement`` is its oracle, and
+``measure_exclusion_dense`` applies it to a state that need not be a product
+encoding, such as the receiver's steered qubits.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -85,9 +102,6 @@ class BitString:
         for b in self.bits:
             value = (value << 1) | b
         return value
-
-    def complement(self) -> BitString:
-        return BitString(tuple(1 - b for b in self.bits))
 
     def hamming_distance(self, other: BitString) -> int:
         if len(other) != len(self):
@@ -224,7 +238,51 @@ def restrict(x: BitString, y: IndexSubset) -> BitString:
     return BitString(tuple(x.bit(i) for i in y.indices))
 
 
-def measure_exclusion(state: StateVector, rng: np.random.Generator) -> BitString:
-    """Sample the exclusion measurement on ``state``; the label rules out one
-    preparation string."""
+@lru_cache(maxsize=None)
+def distance_distribution(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (P, CDF) over d = 0..m of the exclusion outcome's distance
+    from the truth (module docstring).  t is formed as expm1(log(2)/m) and
+    1 - r**d as -expm1(d log r), so P(0) is exactly 0.0 (r = 0 at m = 1); the
+    weights are formed in the log domain, where C(m, d) cannot overflow.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    t = math.expm1(math.log(2.0) / m)
+    log_r = math.log1p(-t) - math.log1p(t) if m > 1 else -math.inf
+    one_minus_r_d = np.zeros(m + 1)
+    one_minus_r_d[1:] = -np.expm1(np.arange(1, m + 1) * log_r)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(m + 1)])
+    with np.errstate(divide="ignore"):
+        log_w = (log_fact[m] - log_fact - log_fact[::-1]
+                 + 2.0 * np.log(one_minus_r_d))
+    weights = np.exp(log_w - log_w.max())
+    cdf = np.cumsum(weights)
+    probabilities = weights / cdf[-1]
+    cdf /= cdf[-1]
+    probabilities.setflags(write=False)
+    cdf.setflags(write=False)
+    return probabilities, cdf
+
+
+def measure_exclusion(truth: BitString, rng: np.random.Generator) -> BitString:
+    """Sample the exclusion measurement on the product encoding of ``truth``
+    at the critical angle; the outcome is never ``truth``.
+
+    One uniform variate picks the distance d by inverse CDF (side="right"
+    skips every d of probability 0); the first d entries of a random
+    permutation are a uniform set of d positions to flip.
+    """
+    m = len(truth)
+    cdf = distance_distribution(m)[1]
+    d = int(np.searchsorted(cdf, rng.random(), side="right"))
+    bits = list(truth.bits)
+    for position in rng.permutation(m)[:d].tolist():
+        bits[position] ^= 1
+    return BitString(tuple(bits))
+
+
+def measure_exclusion_dense(state: StateVector,
+                            rng: np.random.Generator) -> BitString:
+    """Born-sample the dense exclusion measurement on ``state`` itself, for up
+    to MAX_QUBITS qubits; the label rules out one preparation string."""
     return born_measure(state, exclusion_measurement(state.qubit_count), rng)

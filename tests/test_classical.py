@@ -18,7 +18,6 @@ from exclab.classical import (
     consistent_answer_set,
     exact_information_cost,
     excluded_count,
-    is_valid_message,
 )
 from exclab.pbr import BitString, IndexSubset, restrict
 from exclab.qcore import ResourceLimitError
@@ -43,23 +42,24 @@ def test_answer_set_validation():
 
 
 def test_answer_for_follows_lexicographic_subset_order():
-    texts = ["00", "01", "10", "11", "00", "11"]
-    a = answer_set(4, 2, *texts)
+    # AnswerSet.answers holds one answer per subset, in the lexicographic
+    # order of IndexSubset.all_subsets.
     subsets = IndexSubset.all_subsets(4, 2)
     assert [s.indices for s in subsets] == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
     ]
-    for subset, text in zip(subsets, texts):
-        assert str(a.answer_for(subset)) == text
-    with pytest.raises(ValueError):
-        a.answer_for(IndexSubset((2, 5)))  # 5 outside 1..4
+    source = bits("1101")
+    answers = consistent_answer_set(source, 2).answers
+    assert [str(z) for z in answers] == ["11", "10", "11", "10", "11", "01"]
+    for y, z in zip(subsets, answers):
+        assert z == restrict(source, y)
 
 
 def test_consistent_answer_set_restricts_the_source_string():
     a = consistent_answer_set(bits("101"), 2)
     assert [str(z) for z in a.answers] == ["10", "11", "01"]
-    for y in IndexSubset.all_subsets(3, 2):
-        assert a.answer_for(y) == restrict(bits("101"), y)
+    for y, z in zip(IndexSubset.all_subsets(3, 2), a.answers):
+        assert z == restrict(bits("101"), y)
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3), (5, 4), (6, 5)])
@@ -127,27 +127,44 @@ def test_brute_force_budget_refusal():
         brute_force_min_exclusion(2, 3)
 
 
+def serves(a: BitString, x: BitString, m: int) -> bool:
+    """Whether CoverStrategy accepts message ``a`` as the one announced on
+    input ``x`` (every other input keeps its greedy-cover message)."""
+    n = len(x)
+    base = build_cover_strategy(n, m)
+    assignment = list(base.assignment)
+    assignment[x.to_index()] = len(base.messages)
+    try:
+        CoverStrategy(n, m, base.messages + (a,), tuple(assignment))
+    except ValueError:
+        return False
+    return True
+
+
 def test_is_valid_message_hand_cases():
     # n=3, m=2 needs distance >= 2.
-    assert is_valid_message(bits("111"), bits("000"), 2)
-    assert is_valid_message(bits("111"), bits("100"), 2)
-    assert not is_valid_message(bits("111"), bits("110"), 2)
-    assert not is_valid_message(bits("111"), bits("111"), 2)
+    assert serves(bits("111"), bits("000"), 2)
+    assert serves(bits("111"), bits("100"), 2)
+    assert not serves(bits("111"), bits("110"), 2)
+    assert not serves(bits("111"), bits("111"), 2)
+    base = build_cover_strategy(3, 2)
+    with pytest.raises(ValueError, match="length n"):
+        CoverStrategy(3, 2, base.messages + (bits("0000"),), base.assignment)
     with pytest.raises(ValueError):
-        is_valid_message(bits("111"), bits("0000"), 2)
-    with pytest.raises(ValueError):
-        is_valid_message(bits("111"), bits("000"), 4)
+        CoverStrategy(3, 4, base.messages, base.assignment)
 
 
 def test_is_valid_message_matches_subset_semantics():
-    # Distance rule == "the consistent answers of a never name the truth".
-    n, m = 4, 2
-    subsets = IndexSubset.all_subsets(n, m)
-    for a_val, x_val in itertools.product(range(1 << n), repeat=2):
-        a = BitString.from_index(a_val, n)
-        x = BitString.from_index(x_val, n)
-        semantic = all(restrict(a, y) != restrict(x, y) for y in subsets)
-        assert is_valid_message(a, x, m) == semantic
+    # A strategy may announce message a on input x exactly when the
+    # consistent answers of a never name the truth, i.e. every size-m subset
+    # holds a position where a and x differ.
+    for n, m in ((3, 2), (4, 2)):
+        subsets = IndexSubset.all_subsets(n, m)
+        for a_val, x_val in itertools.product(range(1 << n), repeat=2):
+            a = BitString.from_index(a_val, n)
+            x = BitString.from_index(x_val, n)
+            semantic = all(restrict(a, y) != restrict(x, y) for y in subsets)
+            assert serves(a, x, m) == semantic, (str(a), str(x))
 
 
 def test_cover_strategy_validation():

@@ -13,6 +13,7 @@ import pytest
 
 from exclab import cli
 from exclab.bounds import GameParameters, classical_ic_lower_bound, gamma_log2
+from exclab.game import TRIAL_MAX_N
 
 CSV_HEADER = ("n,m,gamma_log2,classical_ic_lower,"
               "quantum_entropy_upper,quantum_ic_upper")
@@ -129,11 +130,26 @@ def test_bounds_batch_file_rejections(tmp_path):
     }))
     assert run_cli("bounds", "--spec", str(wrong_version)).returncode == 2
 
+    rule_type = tmp_path / "rule_type.json"
+    rule_type.write_text(json.dumps({"n_values": [8], "m_rule": 0.75}))
+    assert run_cli("bounds", "--spec", str(rule_type)).returncode == 2
+
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"n_values": [8], "m_rule": "power:0.75"}))
     both = run_cli("bounds", "--spec", str(good), "--n", "8",
                    "--m-rule", "power:0.75")
     assert both.returncode == 2
+
+
+@pytest.mark.parametrize("n_values", [["100"], [100.5], [True], "100"])
+def test_bounds_batch_file_refuses_non_integer_n_values(tmp_path, n_values):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"n_values": n_values,
+                                 "m_rule": "power:0.75"}))
+    result = run_cli("bounds", "--spec", str(batch))
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "n_values" in result.stderr
 
 
 def test_bounds_requires_inputs():
@@ -262,16 +278,58 @@ def test_simulate_usage_errors():
 
 
 def test_simulate_past_the_qubit_cap_exits_2_before_allocating(capsys):
+    # Completed steering rounds measure the steered qubits densely.
     tracemalloc.start()
     try:
-        code = cli.main(["simulate", "--strategy", "quantum", "--n", "14",
-                         "--m", "14", "--trials", "1"])
+        code = cli.main(["simulate", "--strategy", "entanglement_assisted",
+                         "--n", "14", "--m", "14", "--k", "11",
+                         "--delta", "0.05", "--trials", "1"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 2
     assert "resource limit" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
+    # The 13-qubit cap guards the dense measurement, which only verification
+    # builds; verify-pbr itself stops at m = 10.
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify-pbr", "14"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "m_max" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_simulate_past_the_qubit_cap_runs_with_zero_loss():
+    result = run_cli("simulate", "--strategy", "quantum", "--n", "200",
+                     "--m", "100", "--trials", "200", "--seed", "1")
+    assert result.returncode == 0, result.stderr
+    stats = json.loads(result.stdout)["statistics"]
+    assert stats["trials"] == stats["wins"] == 200
+
+
+def test_simulate_past_the_trial_budget_exits_2_under_an_address_space_limit():
+    steering = ("--k", "3", "--delta", "0.5")
+    for strategy, n, extra in (("quantum", 10**9, ()),
+                               ("quantum", TRIAL_MAX_N + 1, ()),
+                               ("entanglement_assisted", 10**8, steering)):
+        result = run_cli("simulate", "--strategy", strategy, "--n", str(n),
+                         "--m", "2", "--trials", "1", *extra,
+                         preexec_fn=_limit_address_space)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "input bits" in result.stderr
+    # At the budget a trial runs within the same limit.
+    at_budget = run_cli("simulate", "--strategy", "quantum", "--n",
+                        str(TRIAL_MAX_N), "--m", "2", "--trials", "1",
+                        preexec_fn=_limit_address_space)
+    assert at_budget.returncode == 0, at_budget.stderr
 
 
 def test_simulate_refuses_a_steering_run_past_the_set_budget():

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from exclab import pbr
 from exclab.game import (
     STEERING_SET_BUDGET,
     STRATEGIES,
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
     STRATEGY_QUANTUM,
+    TRIAL_MAX_N,
     GameConfig,
     RunStatistics,
     Transcript,
@@ -18,7 +21,7 @@ from exclab.game import (
     run_trial,
 )
 from exclab.pbr import BitString, IndexSubset, restrict
-from exclab.qcore import ResourceLimitError, make_rng
+from exclab.qcore import ResourceLimitError, StateVector, make_rng
 from exclab.steering import p_abort, p_global_steer
 
 
@@ -212,12 +215,63 @@ def test_monte_carlo_preflight_rejects_oversized_games():
     with pytest.raises(ResourceLimitError):
         monte_carlo(GameConfig(n=17, m=2, strategy=STRATEGY_CLASSICAL_COVER,
                                trials=1, seed=0))
-    # The receiver measurement caps m for the other strategies.
-    with pytest.raises(ResourceLimitError):
-        monte_carlo(GameConfig(n=15, m=15, strategy=STRATEGY_QUANTUM,
-                               trials=1, seed=0))
+    # One trial draws at most TRIAL_MAX_N input bits, whatever the strategy.
+    for strategy, extra in ((STRATEGY_QUANTUM, {}),
+                            (STRATEGY_ENTANGLEMENT_ASSISTED,
+                             {"k": 3, "delta": 0.5})):
+        with pytest.raises(ResourceLimitError, match="input bits"):
+            monte_carlo(GameConfig(n=TRIAL_MAX_N + 1, m=2, strategy=strategy,
+                                   trials=1, seed=0, **extra))
     with pytest.raises(ValueError):
         monte_carlo(quantum_config(), workers=0)
+
+
+def test_steering_runs_past_the_dense_qubit_cap_are_refused():
+    # Completed rounds measure the steered qubits densely, so m is capped at
+    # pbr.MAX_QUBITS = 13; quantum is not (test_cli covers m = 100).
+    with pytest.raises(ResourceLimitError, match="steered receiver"):
+        monte_carlo(GameConfig(n=14, m=14,
+                               strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
+                               trials=1, seed=0, k=11, delta=0.05))
+
+
+def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
+    measured = []
+    original = pbr.born_measure
+
+    def recording(state, measurement, rng):
+        measured.append(state)
+        return original(state, measurement, rng)
+
+    monkeypatch.setattr(pbr, "born_measure", recording)
+    config = GameConfig(n=6, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
+                        trials=1, seed=0, k=40, delta=0.05)
+    for seed in range(5):
+        transcript = run_trial(config, make_rng(seed))
+        assert not transcript.aborted and transcript.won
+        truth = restrict(transcript.x, transcript.y)
+        encoding = pbr.product_state(truth, pbr.critical_angle(config.m))
+        overlap = abs(np.vdot(encoding.amplitudes, measured[-1].amplitudes))
+        assert overlap == pytest.approx(1.0, abs=1e-12)
+    assert len(measured) == 5
+
+
+def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
+    monkeypatch.setattr(pbr, "_measurement_cache", {})
+    dense_builds = []
+    monkeypatch.setattr(pbr, "exclusion_measurement", dense_builds.append)
+    states = []
+    original = StateVector.__post_init__
+
+    def counting(self):
+        states.append(self)
+        original(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    stats = monte_carlo(GameConfig(n=12, m=11, strategy=STRATEGY_QUANTUM,
+                                   trials=20, seed=0))
+    assert stats.wins == 20
+    assert dense_builds == [] and states == [] and pbr._measurement_cache == {}
 
 
 def steering_config(**overrides) -> GameConfig:

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exclab import pbr
 from exclab.pbr import (
@@ -13,6 +16,7 @@ from exclab.pbr import (
     IndexSubset,
     bit_state,
     critical_angle,
+    distance_distribution,
     exclusion_measurement,
     exclusion_vector,
     measure_exclusion,
@@ -62,9 +66,10 @@ def test_bitstring_bit_is_one_indexed_msb_first():
 
 def test_bitstring_complement_and_hamming():
     s = BitString.from_string("0110")
-    assert str(s.complement()) == "1001"
+    complement = BitString(tuple(1 - b for b in s))
+    assert str(complement) == "1001"
     assert s.hamming_distance(s) == 0
-    assert s.hamming_distance(s.complement()) == 4
+    assert s.hamming_distance(complement) == 4
     with pytest.raises(ValueError):
         s.hamming_distance(BitString.from_string("01"))
 
@@ -264,29 +269,130 @@ def test_restrict_examples_and_errors():
 
 def test_measure_exclusion_never_returns_preparation():
     m = 2
-    theta = critical_angle(m)
     rng = make_rng(2024)
     for w_index in range(1 << m):
         w = BitString.from_index(w_index, m)
-        state = product_state(w, theta)
         for _ in range(25000):
-            assert measure_exclusion(state, rng) != w
+            assert measure_exclusion(w, rng) != w
 
 
 def test_measure_exclusion_outcome_frequencies():
     # For the all-zeros preparation at theta_2 the three allowed outcomes
-    # have Born weights |<zeta_z|Psi_00>|^2; check them at 3 sigma.
+    # have Born weights |<zeta_z|Psi_00>|^2 from the dense measurement;
+    # check the sampler against them at 3 sigma.
     m = 2
     theta = critical_angle(m)
     w = BitString.from_string("00")
-    state = product_state(w, theta)
     measurement = exclusion_measurement(m)
-    probs = measurement.outcome_probabilities(state)
+    probs = measurement.outcome_probabilities(product_state(w, theta))
     rng = make_rng(99)
     trials = 20000
     counts = {z: 0 for z in measurement.labels}
     for _ in range(trials):
-        counts[measure_exclusion(state, rng)] += 1
+        counts[measure_exclusion(w, rng)] += 1
     for z_index, z in enumerate(measurement.labels):
         sigma = math.sqrt(max(probs[z_index] * (1 - probs[z_index]), 1e-12) / trials)
         assert abs(counts[z] / trials - probs[z_index]) <= 3 * sigma + 1e-9
+
+
+# One-sided tail mass of a normal variate beyond 3 sigma: the significance
+# level of the goodness-of-fit tests below, like the suite's 3-sigma bounds.
+THREE_SIGMA_TAIL = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """P[X >= x] for X chi-square with an integer number of degrees of
+    freedom, from the closed forms of the regularized upper gamma function."""
+    half = 0.5 * x
+    if dof % 2 == 0:
+        terms, total = 1.0, 1.0
+        for i in range(1, dof // 2):
+            terms *= half / i
+            total += terms
+        return math.exp(-half) * total
+    total = math.erfc(math.sqrt(half))
+    term = math.exp(-half) * math.sqrt(half) / math.gamma(1.5)
+    for i in range(1, (dof + 1) // 2):
+        total += term
+        term *= half / (i + 0.5)
+    return total
+
+
+def test_chi2_sf_reference_values():
+    # chi-square quantiles at the 5% and 1% levels from standard tables.
+    for x, dof, tail in ((3.841459, 1, 0.05), (5.991465, 2, 0.05),
+                         (11.070498, 5, 0.05), (23.209251, 10, 0.01),
+                         (24.724970, 11, 0.01)):
+        assert chi2_sf(x, dof) == pytest.approx(tail, rel=1e-6)
+
+
+def shell_sizes(m: int) -> np.ndarray:
+    return np.array([math.comb(m, d) for d in range(m + 1)], dtype=float)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 11), st.integers(0, (1 << 11) - 1))
+@example(11, 0)
+@example(11, (1 << 11) - 1)
+@example(1, 1)
+def test_distance_law_matches_dense_born_probabilities(m, w_index):
+    w = BitString.from_index(w_index % (1 << m), m)
+    dense = exclusion_measurement(m).outcome_probabilities(
+        product_state(w, critical_angle(m)))
+    distance = np.bitwise_count(np.arange(1 << m) ^ w.to_index())
+    per_outcome = distance_distribution(m)[0] / shell_sizes(m)
+    assert np.abs(per_outcome[distance] - dense).max() <= 1e-12
+
+
+def test_distance_law_excludes_the_truth_exactly():
+    for m in range(1, 301):
+        probabilities, cdf = distance_distribution(m)
+        assert probabilities[0] == 0.0 and cdf[0] == 0.0
+        assert cdf[-1] == 1.0
+        assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        assert not probabilities.flags.writeable and not cdf.flags.writeable
+    # m = 1: r = 0, so the single qubit is always flipped.
+    assert distance_distribution(1)[0].tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError):
+        distance_distribution(0)
+
+
+def test_distance_law_normalisation_closed_form():
+    # Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m fixes P(m) = (1 - r**m)**2 / Z.
+    for m in (2, 6, 11, 40):
+        t = 2.0 ** (1.0 / m) - 1.0
+        r = (1.0 - t) / (1.0 + t)
+        z = 2.0**m - 2.0 * (1.0 + r) ** m + (1.0 + r * r) ** m
+        assert distance_distribution(m)[0][m] == pytest.approx(
+            (1.0 - r**m) ** 2 / z, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, trials, seed", [(6, 20000, 6), (11, 40000, 11)])
+def test_sampled_distance_histogram_fits_the_distance_law(m, trials, seed):
+    probabilities = distance_distribution(m)[0]
+    w = BitString.from_index(0b10110101101 % (1 << m), m)
+    rng = make_rng(seed)
+    counts = np.zeros(m + 1)
+    for _ in range(trials):
+        counts[measure_exclusion(w, rng).hamming_distance(w)] += 1
+    assert counts[0] == 0
+    expected = trials * probabilities[1:]
+    assert expected.min() >= 10.0
+    statistic = float(((counts[1:] - expected) ** 2 / expected).sum())
+    assert chi2_sf(statistic, m - 1) >= THREE_SIGMA_TAIL, statistic
+
+
+def test_sampled_outcome_is_uniform_within_its_distance_shell():
+    m, trials = 4, 20000
+    w = BitString.from_string("0110")
+    rng = make_rng(44)
+    counts = Counter(measure_exclusion(w, rng) for _ in range(trials))
+    outcomes = [BitString.from_index(v, m) for v in range(1 << m)]
+    statistic, dof = 0.0, 0
+    for d in range(1, m + 1):
+        shell = [z for z in outcomes if z.hamming_distance(w) == d]
+        expected = sum(counts[z] for z in shell) / len(shell)
+        statistic += sum((counts[z] - expected) ** 2 / expected for z in shell)
+        dof += len(shell) - 1
+    assert dof == 11
+    assert chi2_sf(statistic, dof) >= THREE_SIGMA_TAIL, statistic
