@@ -13,7 +13,7 @@ separation tabulated by ``separation_table``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .pbr import critical_angle
@@ -182,14 +182,7 @@ class BoundsRow:
     quantum_ic_upper: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "gamma_log2": self.gamma_log2,
-            "classical_ic_lower": self.classical_ic_lower,
-            "quantum_entropy_upper": self.quantum_entropy_upper,
-            "quantum_ic_upper": self.quantum_ic_upper,
-        }
+        return asdict(self)
 
 
 def bounds_row(params: GameParameters) -> BoundsRow:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,12 +193,16 @@ def brute_force_min_exclusion(n: int, m: int,
 @dataclass(frozen=True, eq=False)
 class CoverStrategy:
     """Zero-error messaging strategy: a message list plus, for every input x,
-    the index of the message announced on x (always one that serves x)."""
+    the index of the message announced on x (always one that serves x).
+    Validation also keeps both as arrays: ``assignment_array`` (int64) and
+    ``message_bits`` (int8, one row of n bits per message, MSB first)."""
 
     n: int
     m: int
     messages: tuple[BitString, ...]
     assignment: tuple[int, ...]
+    assignment_array: np.ndarray = field(init=False, repr=False)
+    message_bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n:
@@ -219,7 +223,13 @@ class CoverStrategy:
         if distance.min() < self.n - self.m + 1:
             raise ValueError("assignment maps some input to a message that "
                              "does not serve it")
+        shifts = np.arange(self.n - 1, -1, -1)
+        object.__setattr__(self, "assignment_array", indices)
+        object.__setattr__(self, "message_bits",
+                           ((msg_values[:, None] >> shifts) & 1).astype(np.int8))
 
+    # Off the trial path, which indexes the arrays; bound for
+    # perfbench/spans.py's tracer and kept for single-input callers.
     def message_for(self, x: BitString) -> BitString:
         return self.messages[self.assignment[x.to_index()]]
 

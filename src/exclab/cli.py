@@ -17,10 +17,12 @@ environment variable supplies the seed when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -230,15 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit_json({
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
-        "config": {
-            "n": config.n,
-            "m": config.m,
-            "strategy": config.strategy,
-            "trials": config.trials,
-            "seed": config.seed,
-            "delta": config.delta,
-            "k": config.k,
-        },
+        "config": asdict(config),
         "statistics": stats.to_dict(),
     }, args.output)
     # Success means the zero-error invariant held: no non-aborted loss.
@@ -330,6 +324,8 @@ def cmd_choose_k(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: parse_args fills a fresh namespace on every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exclab",
@@ -338,16 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     verify = commands.add_parser(
-        "verify-pbr",
-        help="verify the exclusion measurement for every m up to m_max",
-    )
+        "verify-pbr", help="verify the exclusion measurement up to m_max")
     verify.add_argument("m_max", type=int)
     verify.add_argument("--output", default=None)
     verify.set_defaults(func=cmd_verify_pbr)
 
     bounds_cmd = commands.add_parser(
-        "bounds", help="tabulate classical and quantum information bounds"
-    )
+        "bounds", help="tabulate classical and quantum information bounds")
     bounds_cmd.add_argument("--n", type=int, nargs="*", default=None)
     bounds_cmd.add_argument("--m-rule", default=None,
                             help="power:C for m=floor(n**C), "
@@ -359,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_cmd.set_defaults(func=cmd_bounds)
 
     simulate = commands.add_parser(
-        "simulate", help="run Monte Carlo trials of one strategy"
-    )
+        "simulate", help="run Monte Carlo trials of one strategy")
     simulate.add_argument("--strategy", required=True,
                           choices=game.STRATEGIES)
     simulate.add_argument("--n", type=int, required=True)
@@ -376,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     oracle = commands.add_parser(
-        "oracle", help="exhaustive minimum excluded count vs the closed form"
-    )
+        "oracle", help="exhaustive minimum excluded count vs the closed form")
     oracle.add_argument("n", type=int)
     oracle.add_argument("m", type=int)
     oracle.add_argument("--threads", type=int, default=1)
@@ -385,15 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=cmd_oracle)
 
     steer = commands.add_parser(
-        "steering", help="check the steering identities as residuals"
-    )
+        "steering", help="check the steering identities as residuals")
     steer.add_argument("--m-max", type=int, default=32)
     steer.add_argument("--output", default=None)
     steer.set_defaults(func=cmd_steering)
 
     choose = commands.add_parser(
-        "choose-k", help="smallest set count meeting an abort budget"
-    )
+        "choose-k", help="smallest set count meeting an abort budget")
     choose.add_argument("alpha", type=float)
     choose.add_argument("delta", type=float)
     choose.add_argument("--output", default=None)

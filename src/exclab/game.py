@@ -15,16 +15,20 @@ differs from the true restriction of x on y:
   the receiver holding the product encoding, on whose steered qubits the
   receiver applies the dense exclusion measurement (so m <= MAX_QUBITS).
 
-Trials use independent counter-based substreams (one SeedSequence spawn per
-trial index), so statistics are identical however trials are distributed over
-workers.
+Trials are played in blocks of ``block_size(n)``: block b holds trials
+b * block_size(n) onward and draws only from its own counter-based substream,
+child b of SeedSequence(seed), in a fixed order (the block's inputs, its
+subsets, then the strategy's draws row by row or for the whole block).  Block
+boundaries depend on n alone, so statistics are identical however blocks are
+distributed over workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -44,7 +48,6 @@ from .pbr import product_state  # noqa: F401
 from .qcore import (
     ProbabilityDistribution,
     ResourceLimitError,
-    StateVector,
     conditional_entropy,
     make_rng,
     tensor_product,
@@ -63,9 +66,11 @@ STRATEGIES = (
 # Largest expected number of shared sets an entanglement-assisted run may
 # walk: about 11 minutes at the ~1.5 M sets/s measured at n = 40, m = 4.
 STEERING_SET_BUDGET = 10**9
-# Largest n one trial may draw.  The input costs about 25 bytes per bit (an
-# int64 draw, then a tuple of ints): ~25 MB and ~0.3 s per trial at the cap.
+# Largest n one trial may draw, and the most input bits a block draws.  The
+# draw holds 17 bytes per bit (int8 bits, float64 keys, int64 positions).
 TRIAL_MAX_N = 10**6
+# Trials per block below that budget.
+BLOCK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,8 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
+            raise ValueError(f"strategy must be one of {STRATEGIES}, "
+                             f"got {self.strategy!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.m <= self.n:
@@ -99,24 +103,18 @@ class GameConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
             if self.k is None or self.delta is None:
-                raise ValueError(
-                    "entanglement_assisted needs both k and delta"
-                )
-            if self.k < 1:
-                raise ValueError(f"k must be >= 1, got {self.k}")
-            if not 0.0 < self.delta < 1.0:
-                raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+                raise ValueError("entanglement_assisted needs both k and delta")
+            SteeringParameters(self.n, self.m, self.k, self.delta)  # checks k, delta
         elif self.k is not None or self.delta is not None:
-            raise ValueError(
-                f"k and delta apply only to entanglement_assisted, "
-                f"not {self.strategy!r}"
-            )
+            raise ValueError(f"k and delta apply only to entanglement_assisted, "
+                             f"not {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Record of one trial.  ``answer`` and ``won`` are None exactly when the
-    trial aborted; otherwise ``won`` restates answer != restriction."""
+    """Record of trial ``trial`` of a run.  ``answer`` and ``won`` are None
+    exactly when the trial aborted; otherwise ``won`` restates
+    answer != restriction."""
 
     x: BitString
     y: IndexSubset
@@ -124,6 +122,7 @@ class Transcript:
     answer: BitString | None
     aborted: bool
     won: bool | None
+    trial: int
 
     def __post_init__(self) -> None:
         if self.aborted:
@@ -143,6 +142,7 @@ class Transcript:
             "answer": None if self.answer is None else str(self.answer),
             "aborted": self.aborted,
             "won": self.won,
+            "trial": self.trial,
         }
 
 
@@ -160,25 +160,17 @@ class RunStatistics:
     empirical_conditional_entropy: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "wins": self.wins,
-            "aborts": self.aborts,
-            "win_rate": self.win_rate,
-            "abort_rate": self.abort_rate,
-            "message_bits": self.message_bits,
-            "empirical_conditional_entropy": self.empirical_conditional_entropy,
-        }
+        return asdict(self)
 
 
-def referee_draw(n: int, m: int,
-                 rng: np.random.Generator) -> tuple[BitString, IndexSubset]:
-    """Uniform input string and uniform size-m subset, in that draw order."""
-    bits = rng.integers(0, 2, size=n)
-    x = BitString(tuple(int(b) for b in bits))
-    positions = rng.choice(n, size=m, replace=False)
-    y = IndexSubset(tuple(sorted(int(p) + 1 for p in positions)))
+def referee_draw(n: int, m: int, rng: np.random.Generator,
+                 size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` uniform inputs and uniform size-m subsets, in that draw order:
+    x as a (size, n) int8 array of bits, then y as the (size, m) sorted
+    0-based positions of the m smallest of n uniform keys per row."""
+    x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
+    keys = rng.random((size, n))
+    y = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
     return x, y
 
 
@@ -187,36 +179,81 @@ def _cover(n: int, m: int) -> CoverStrategy:
     return build_cover_strategy(n, m)
 
 
-def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
-    """Play one trial; all randomness is drawn from ``rng`` in a fixed order
-    (input bits, subset, then strategy-internal draws)."""
-    x, y = referee_draw(config.n, config.m, rng)
-    truth = restrict(x, y)
+def block_size(n: int) -> int:
+    """Trials per block: BLOCK_TRIALS, or fewer so that a block draws at most
+    TRIAL_MAX_N input bits (one trial at n = TRIAL_MAX_N)."""
+    return max(1, min(BLOCK_TRIALS, TRIAL_MAX_N // n))
 
-    if config.strategy == STRATEGY_CLASSICAL_COVER:
-        announced = _cover(config.n, config.m).message_for(x)
-        message = {"kind": "classical_message", "bits": str(announced)}
-        answer = restrict(announced, y)
-    elif config.strategy == STRATEGY_QUANTUM:
-        message = {"kind": "quantum_state", "qubits": config.n}
-        answer = measure_exclusion(truth, rng)
-    else:
-        params = SteeringParameters(config.n, config.m, config.k, config.delta)
-        round_result = run_steering_round(params, x, rng)
+
+def _steer_rows(config: GameConfig, x: np.ndarray, y: np.ndarray,
+                rng: np.random.Generator, answer: np.ndarray,
+                aborted: np.ndarray) -> list[dict]:
+    """Steering rounds of a block, row by row from the block's generator:
+    fills ``answer`` and ``aborted``, returns the announced messages."""
+    params = SteeringParameters(config.n, config.m, config.k, config.delta)
+    messages = []
+    for row in range(len(x)):
+        round_result = run_steering_round(params, BitString(x[row]), rng)
+        aborted[row] = round_result.aborted
+        messages.append({"kind": "abort"} if round_result.aborted else
+                        {"kind": "set_index", "value": round_result.set_index})
         if round_result.aborted:
-            return Transcript(x=x, y=y, message={"kind": "abort"},
-                              answer=None, aborted=True, won=None)
-        message = {"kind": "set_index", "value": round_result.set_index}
+            continue
         # The receiver measures the qubits the round steered, not the product
         # encoding they should equal (acceptance criterion 7), so every
         # completed round exercises the steering identities.
-        state: StateVector | None = None
-        for position in y.indices:
-            qubit = round_result.receiver_states[position - 1]
+        state = None
+        for position in y[row]:
+            qubit = round_result.receiver_states[position]
             state = qubit if state is None else tensor_product(state, qubit)
-        answer = measure_exclusion_dense(state, rng)
-    return Transcript(x=x, y=y, message=message, answer=answer,
-                      aborted=False, won=answer != truth)
+        answer[row] = measure_exclusion_dense(state, rng).bits
+    return messages
+
+
+def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
+                first: int = 0,
+                sink: Callable[[Transcript], None] | None = None):
+    """Play trials first .. first + size - 1, drawing only from ``rng``: the
+    referee's inputs and subsets for the whole block, then the strategy's
+    draws.  Returns (wins, aborts, flat joint counts of x and message)."""
+    n, m = config.n, config.m
+    x, y = referee_draw(n, m, rng, size)
+    truth = np.take_along_axis(x, y, axis=1)
+    aborted = np.zeros(size, dtype=bool)
+    counts = None
+    if config.strategy == STRATEGY_QUANTUM:
+        answer = measure_exclusion(truth, rng)
+        messages = ({"kind": "quantum_state", "qubits": n} for _ in x)
+    elif config.strategy == STRATEGY_CLASSICAL_COVER:
+        cover = _cover(n, m)
+        x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+        chosen = cover.assignment_array[x_index]
+        answer = np.take_along_axis(cover.message_bits[chosen], y, axis=1)
+        counts = np.bincount(x_index * len(cover.messages) + chosen,
+                             minlength=len(cover.messages) << n)
+        messages = ({"kind": "classical_message",
+                     "bits": str(cover.messages[c])} for c in chosen)
+    else:
+        answer = np.zeros_like(truth)
+        messages = _steer_rows(config, x, y, rng, answer, aborted)
+    won = (answer != truth).any(axis=1) & ~aborted
+    if sink is not None:
+        for row, message in enumerate(messages):
+            done = not aborted[row]
+            sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
+                            message=message,
+                            answer=BitString(answer[row]) if done else None,
+                            aborted=not done,
+                            won=bool(won[row]) if done else None,
+                            trial=first + row))
+    return int(won.sum()), int(aborted.sum()), counts
+
+
+def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
+    """Play one trial, the block of size 1, drawing only from ``rng``."""
+    transcripts: list[Transcript] = []
+    _play_block(config, rng, 1, sink=transcripts.append)
+    return transcripts[0]
 
 
 def _preflight(config: GameConfig) -> None:
@@ -242,12 +279,6 @@ def _preflight(config: GameConfig) -> None:
                 f" shared sets, past the budget of {STEERING_SET_BUDGET}")
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    # Child i of SeedSequence(seed); constructed directly so workers need not
-    # materialize the whole spawn list.
-    return make_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
-
-
 def _message_bits(config: GameConfig) -> dict:
     if config.strategy == STRATEGY_QUANTUM:
         return {"qubits": float(config.n)}
@@ -262,28 +293,29 @@ def _message_bits(config: GameConfig) -> dict:
     }
 
 
-def _run_range(config: GameConfig, start: int, stop: int,
-               sink: Callable[[Transcript], None] | None = None):
-    """Aggregate trials [start, stop); returns (wins, aborts, joint_counts)."""
-    wins = 0
-    aborts = 0
-    counts = None
-    if config.strategy == STRATEGY_CLASSICAL_COVER:
-        strategy = _cover(config.n, config.m)
-        counts = np.zeros((1 << config.n, len(strategy.messages)),
-                          dtype=np.int64)
-    for index in range(start, stop):
-        transcript = run_trial(config, _trial_rng(config.seed, index))
-        if transcript.aborted:
-            aborts += 1
-        elif transcript.won:
-            wins += 1
-        if counts is not None:
-            x_index = transcript.x.to_index()
-            counts[x_index, strategy.assignment[x_index]] += 1
-        if sink is not None:
-            sink(transcript)
+def _merge(parts) -> tuple:
+    """Sum (wins, aborts, joint counts or None) triples."""
+    wins, aborts, counts = 0, 0, None
+    for w, a, c in parts:
+        wins, aborts = wins + w, aborts + a
+        counts = c if counts is None else counts + c
     return wins, aborts, counts
+
+
+def _run_blocks(config: GameConfig, first: int, stop: int,
+                sink: Callable[[Transcript], None] | None = None):
+    """Aggregate blocks [first, stop); returns (wins, aborts, joint counts).
+    Block b plays trials from b * block_size(n) on, from its own substream,
+    child b of SeedSequence(seed), constructed directly so that workers need
+    not materialize the whole spawn list."""
+    size = block_size(config.n)
+
+    def play(block: int) -> tuple:
+        rng = make_rng(np.random.SeedSequence(config.seed, spawn_key=(block,)))
+        start = block * size
+        return _play_block(config, rng, min(size, config.trials - start),
+                           start, sink)
+    return _merge(map(play, range(first, stop)))
 
 
 def monte_carlo(config: GameConfig, workers: int = 1,
@@ -291,47 +323,34 @@ def monte_carlo(config: GameConfig, workers: int = 1,
                 ) -> RunStatistics:
     """Run ``config.trials`` independent trials and summarize them.
 
-    With ``workers > 1`` trials are split into contiguous chunks over a
-    process pool (one worker at most per usable CPU and per trial); per-trial
-    substreams make the result identical to a serial run.  Streaming
-    transcripts to ``transcript_sink`` forces the serial path so the sink
-    sees trials in order.
+    With ``workers > 1`` the blocks of trials are split into contiguous
+    ranges over a process pool (one worker at most per usable CPU and per
+    block, so a call of one block starts none); per-block substreams make
+    the result identical to a serial run.  Streaming transcripts to
+    ``transcript_sink`` forces the serial path so the sink sees trials in
+    order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _preflight(config)
-    workers = usable_workers(workers, config.trials)
+    blocks = -(-config.trials // block_size(config.n))
+    workers = usable_workers(workers, blocks)
 
     if workers == 1 or transcript_sink is not None:
-        wins, aborts, counts = _run_range(config, 0, config.trials,
-                                          transcript_sink)
+        wins, aborts, counts = _run_blocks(config, 0, blocks, transcript_sink)
     else:
-        bounds = np.linspace(0, config.trials, workers + 1, dtype=np.int64)
-        ranges = [(config, int(a), int(b))
-                  for a, b in zip(bounds, bounds[1:]) if a < b]
-        wins, aborts, counts = 0, 0, None
+        edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for w, a, c in pool.map(_run_range_star, ranges):
-                wins += w
-                aborts += a
-                if c is not None:
-                    counts = c if counts is None else counts + c
+            wins, aborts, counts = _merge(pool.map(
+                _run_blocks, itertools.repeat(config), edges[:-1], edges[1:]))
 
     completed = config.trials - aborts
     entropy = None
     if counts is not None:
-        entropy = conditional_entropy(ProbabilityDistribution.from_counts(counts))
+        joint = counts.reshape(1 << config.n, -1)
+        entropy = conditional_entropy(ProbabilityDistribution.from_counts(joint))
     return RunStatistics(
-        strategy=config.strategy,
-        trials=config.trials,
-        wins=wins,
-        aborts=aborts,
-        win_rate=(wins / completed) if completed else None,
-        abort_rate=aborts / config.trials,
-        message_bits=_message_bits(config),
-        empirical_conditional_entropy=entropy,
-    )
-
-
-def _run_range_star(args) -> tuple:
-    return _run_range(*args)
+        strategy=config.strategy, trials=config.trials, wins=wins,
+        aborts=aborts, win_rate=(wins / completed) if completed else None,
+        abort_rate=aborts / config.trials, message_bits=_message_bits(config),
+        empirical_conditional_entropy=entropy)

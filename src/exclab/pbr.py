@@ -23,9 +23,10 @@ amplitude is proportional to 1 - r**d and vanishes at d = 0 only.  Summing
 C(m, d) (1 - r**d)**2 over d gives Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m,
 so the outcome's distance from the truth has P(d) = C(m, d) (1 - r**d)**2 / Z,
 shared evenly by the C(m, d) outcomes at that distance.  ``measure_exclusion``
-samples this law; the dense ``exclusion_measurement`` is its oracle, and
-``measure_exclusion_dense`` applies it to a state that need not be a product
-encoding, such as the receiver's steered qubits.
+samples this law for a block of truths at once; the dense
+``exclusion_measurement`` is its oracle, and ``measure_exclusion_dense``
+applies it to a state that need not be a product encoding, such as the
+receiver's steered qubits.
 """
 
 from __future__ import annotations
@@ -103,11 +104,6 @@ class BitString:
             value = (value << 1) | b
         return value
 
-    def hamming_distance(self, other: BitString) -> int:
-        if len(other) != len(self):
-            raise ValueError("length mismatch")
-        return sum(a != b for a, b in zip(self.bits, other.bits))
-
 
 @dataclass(frozen=True)
 class IndexSubset:
@@ -122,13 +118,6 @@ class IndexSubset:
         if indices[0] < 1 or any(a >= b for a, b in zip(indices, indices[1:])):
             raise ValueError("indices must be strictly increasing and >= 1")
         object.__setattr__(self, "indices", indices)
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
 
     @classmethod
     def all_subsets(cls, n: int, m: int) -> tuple[IndexSubset, ...]:
@@ -264,21 +253,21 @@ def distance_distribution(m: int) -> tuple[np.ndarray, np.ndarray]:
     return probabilities, cdf
 
 
-def measure_exclusion(truth: BitString, rng: np.random.Generator) -> BitString:
-    """Sample the exclusion measurement on the product encoding of ``truth``
-    at the critical angle; the outcome is never ``truth``.
+def measure_exclusion(truth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample the exclusion measurement on the product encoding of each row of
+    the (rows, m) 0/1 int8 array ``truth`` at the critical angle; returns the
+    outcomes as a like array, no row of which equals its truth row.
 
-    One uniform variate picks the distance d by inverse CDF (side="right"
-    skips every d of probability 0); the first d entries of a random
-    permutation are a uniform set of d positions to flip.
+    One uniform variate per row picks the distance d by inverse CDF
+    (side="right" skips every d of probability 0); then the d smallest of m
+    uniform keys per row, taken by rank, are a uniform set of d positions to
+    flip.
     """
-    m = len(truth)
+    rows, m = truth.shape
     cdf = distance_distribution(m)[1]
-    d = int(np.searchsorted(cdf, rng.random(), side="right"))
-    bits = list(truth.bits)
-    for position in rng.permutation(m)[:d].tolist():
-        bits[position] ^= 1
-    return BitString(tuple(bits))
+    d = np.searchsorted(cdf, rng.random(rows), side="right")
+    ranks = rng.random((rows, m)).argsort(axis=1).argsort(axis=1)
+    return truth ^ (ranks < d[:, None])
 
 
 def measure_exclusion_dense(state: StateVector,

@@ -195,11 +195,16 @@ def test_build_cover_serves_every_input(n, m):
     threshold = n - m + 1
     for value in range(1 << n):
         x = BitString.from_index(value, n)
-        assert strategy.message_for(x).hamming_distance(x) >= threshold
+        served = strategy.message_for(x).to_index() ^ value
+        assert served.bit_count() >= threshold
         # Each input gets the first chosen message that serves it.
         first = min(i for i, message in enumerate(strategy.messages)
-                    if message.hamming_distance(x) >= threshold)
+                    if (message.to_index() ^ value).bit_count() >= threshold)
         assert strategy.assignment[value] == first
+    # The arrays kept for the Monte Carlo blocks restate both tuples.
+    assert strategy.assignment_array.tolist() == list(strategy.assignment)
+    assert [BitString(row) for row in strategy.message_bits] == list(
+        strategy.messages)
 
 
 def test_build_cover_is_deterministic():

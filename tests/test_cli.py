@@ -228,12 +228,14 @@ def test_simulate_quantum_json_and_determinism():
 
 
 def test_simulate_thread_count_does_not_change_output():
-    argv = ("simulate", "--strategy", "quantum", "--n", "3", "--m", "2",
-            "--trials", "60", "--seed", "5")
-    serial = run_cli(*argv, "--threads", "1")
-    parallel = run_cli(*argv, "--threads", "3")
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+    # 10,000 trials are three blocks, so --threads 3 really runs a pool.
+    for strategy in ("quantum", "classical_cover"):
+        argv = ("simulate", "--strategy", strategy, "--n", "6", "--m", "3",
+                "--trials", "10000", "--seed", "5")
+        serial = run_cli(*argv, "--threads", "1")
+        parallel = run_cli(*argv, "--threads", "3")
+        assert serial.returncode == parallel.returncode == 0
+        assert serial.stdout == parallel.stdout
 
 
 def test_simulate_seed_from_environment():
@@ -258,8 +260,10 @@ def test_simulate_transcript_stream(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 40
     records = [json.loads(line) for line in lines]
+    assert [record["trial"] for record in records] == list(range(40))
     for record in records:
-        assert set(record) == {"x", "y", "message", "answer", "aborted", "won"}
+        assert set(record) == {"x", "y", "message", "answer", "aborted", "won",
+                               "trial"}
         assert record["aborted"] == (record["answer"] is None)
     stats = json.loads(result.stdout)["statistics"]
     assert stats["wins"] == sum(1 for r in records if r["won"])
@@ -349,6 +353,24 @@ def test_threads_default_to_one_worker():
     simulate = parser.parse_args(["simulate", "--strategy", "quantum",
                                   "--n", "4", "--m", "2", "--trials", "5"])
     assert simulate.threads == 1
+
+
+def test_cached_parser_gives_fresh_results_after_a_usage_error(capsys):
+    # The parser is built once per process; a usage error (argparse exits 2)
+    # and earlier options must not leak into later calls.
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as usage_error:
+        cli.main(["simulate", "--strategy", "quantum", "--n", "4"])
+    assert usage_error.value.code == 2
+    capsys.readouterr()
+    for argv in (("simulate", "--strategy", "classical_cover", "--n", "5",
+                  "--m", "2", "--trials", "30", "--seed", "4"),
+                 ("bounds", "--n", "100", "1000", "--m-rule", "power:0.75",
+                  "--format", "json"),
+                 ("bounds", "--n", "100", "--m-rule", "linear:0.5"),
+                 ("oracle", "4", "2")):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
 
 
 def test_oracle_small_instance():

@@ -16,13 +16,22 @@ from exclab.game import (
     GameConfig,
     RunStatistics,
     Transcript,
+    block_size,
     monte_carlo,
     referee_draw,
     run_trial,
 )
 from exclab.pbr import BitString, IndexSubset, restrict
-from exclab.qcore import ResourceLimitError, StateVector, make_rng
+from exclab.classical import build_cover_strategy
+from exclab.qcore import (
+    ProbabilityDistribution,
+    ResourceLimitError,
+    StateVector,
+    conditional_entropy,
+    make_rng,
+)
 from exclab.steering import p_abort, p_global_steer
+from test_pbr import THREE_SIGMA_TAIL, chi2_sf, outcome_indices
 
 
 def quantum_config(**overrides) -> GameConfig:
@@ -62,39 +71,60 @@ def test_transcript_consistency_rules():
     truth = restrict(x, y)
     other = BitString.from_string("00")
     assert other != truth
-    Transcript(x=x, y=y, message={}, answer=other, aborted=False, won=True)
+    Transcript(x=x, y=y, message={}, answer=other, aborted=False, won=True,
+               trial=0)
     with pytest.raises(ValueError, match="verdict"):
-        Transcript(x=x, y=y, message={}, answer=truth, aborted=False, won=True)
+        Transcript(x=x, y=y, message={}, answer=truth, aborted=False, won=True,
+                   trial=0)
     with pytest.raises(ValueError):
-        Transcript(x=x, y=y, message={}, answer=None, aborted=False, won=None)
+        Transcript(x=x, y=y, message={}, answer=None, aborted=False, won=None,
+                   trial=0)
     with pytest.raises(ValueError):
-        Transcript(x=x, y=y, message={}, answer=other, aborted=True, won=None)
+        Transcript(x=x, y=y, message={}, answer=other, aborted=True, won=None,
+                   trial=0)
     record = Transcript(x=x, y=y, message={"kind": "abort"}, answer=None,
-                        aborted=True, won=None).to_dict()
+                        aborted=True, won=None, trial=17).to_dict()
     assert record == {
         "x": "1010", "y": [1, 3], "message": {"kind": "abort"},
-        "answer": None, "aborted": True, "won": None,
+        "answer": None, "aborted": True, "won": None, "trial": 17,
     }
 
 
 def test_referee_draw_shapes_and_marginals():
     rng = make_rng(2718)
     n, m, draws = 3, 2, 6000
-    ones = [0] * n
+    x, y = referee_draw(n, m, rng, draws)
+    assert x.shape == (draws, n) and x.dtype == np.int8
+    assert y.shape == (draws, m)
+    assert ((x == 0) | (x == 1)).all()
+    # Positions are 0-based, distinct and sorted within each row.
+    assert (y >= 0).all() and (y < n).all() and (np.diff(y, axis=1) > 0).all()
+    ones = x.sum(axis=0)
     subset_hits = {s.indices: 0 for s in IndexSubset.all_subsets(n, m)}
-    for _ in range(draws):
-        x, y = referee_draw(n, m, rng)
-        assert len(x) == n and y.size == m
-        assert all(1 <= p <= n for p in y.indices)
-        subset_hits[y.indices] += 1
-        for i in range(n):
-            ones[i] += x.bit(i + 1)
+    for row in y:
+        subset_hits[tuple(int(p) + 1 for p in row)] += 1
     sigma_bit = math.sqrt(0.25 / draws)
     for count in ones:
         assert count / draws == pytest.approx(0.5, abs=3 * sigma_bit)
     sigma_set = math.sqrt((1 / 3) * (2 / 3) / draws)
     for count in subset_hits.values():
         assert count / draws == pytest.approx(1 / 3, abs=3 * sigma_set)
+
+
+def test_referee_draw_is_uniform_over_inputs_and_subsets():
+    # Chi-square goodness of fit at the suite's one-sided 3-sigma level: the
+    # C(6, 3) = 20 subsets and the 2**6 = 64 inputs, each against uniform.
+    n, m, draws = 6, 3, 20000
+    x, y = referee_draw(n, m, make_rng(1618), draws)
+    subsets = {s.indices: i for i, s in enumerate(IndexSubset.all_subsets(n, m))}
+    subset_counts = np.bincount(
+        [subsets[tuple(int(p) + 1 for p in row)] for row in y],
+        minlength=len(subsets))
+    input_counts = np.bincount(outcome_indices(x), minlength=1 << n)
+    for counts in (subset_counts, input_counts):
+        expected = draws / len(counts)
+        statistic = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2_sf(statistic, len(counts) - 1) >= THREE_SIGMA_TAIL, statistic
 
 
 def test_run_trial_quantum_wins_and_reproduces():
@@ -176,28 +206,43 @@ def test_monte_carlo_entanglement_assisted_zero_loss_and_abort_rate():
 
 
 def test_monte_carlo_parallel_matches_serial():
-    config = quantum_config(n=3, m=2, trials=80)
-    assert monte_carlo(config, workers=3) == monte_carlo(config, workers=1)
-    cover = quantum_config(strategy=STRATEGY_CLASSICAL_COVER, n=3, m=2,
-                           trials=60)
-    serial = monte_carlo(cover, workers=1)
-    parallel = monte_carlo(cover, workers=2)
-    assert parallel.wins == serial.wins
-    assert parallel.empirical_conditional_entropy == pytest.approx(
-        serial.empirical_conditional_entropy, abs=1e-12
-    )
-    # More workers than trials: the pool gets one worker per trial.
-    tiny = quantum_config(trials=2)
-    assert monte_carlo(tiny, workers=8) == monte_carlo(tiny, workers=1)
+    # Three full blocks and a partial fourth, so that the pool's contiguous
+    # block ranges and the merge of their counts are both exercised.
+    trials = 3 * block_size(3) + 7
+    for strategy, extra in ((STRATEGY_QUANTUM, {}),
+                            (STRATEGY_CLASSICAL_COVER, {}),
+                            (STRATEGY_ENTANGLEMENT_ASSISTED,
+                             {"k": 2, "delta": 0.5})):
+        config = GameConfig(n=3, m=2, strategy=strategy, trials=trials,
+                            seed=7, **extra)
+        serial = monte_carlo(config, workers=1)
+        assert monte_carlo(config, workers=2) == serial
+        assert monte_carlo(config, workers=3) == serial
+        assert serial.wins == trials - serial.aborts
+        if strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
+            assert serial.aborts > 0
 
 
 def test_monte_carlo_caps_workers_at_cpus_and_trials(pool_sizes):
-    many = quantum_config(trials=50)
+    # A call of one block runs serially, however many workers it asks for.
+    one_block = quantum_config(trials=50)
+    assert monte_carlo(one_block, workers=10**6) == monte_carlo(one_block)
+    assert pool_sizes == []
+    size = block_size(one_block.n)
+    many = quantum_config(trials=5 * size)
     assert monte_carlo(many, workers=10**6) == monte_carlo(many, workers=1)
-    few = quantum_config(trials=2)
+    few = quantum_config(trials=size + 1)
     assert monte_carlo(few, workers=10**6) == monte_carlo(few, workers=1)
-    # Three usable CPUs cap the first pool, two trials the second.
+    # Three usable CPUs cap the first pool, two blocks the second.
     assert pool_sizes == [3, 2]
+
+
+def test_block_size_keeps_a_block_within_the_trial_budget():
+    assert block_size(1) == block_size(12) == block_size(244) == 4096
+    # Past n = 244 a block of 4096 would draw more than TRIAL_MAX_N bits.
+    assert block_size(245) == 4081 == TRIAL_MAX_N // 245
+    assert block_size(TRIAL_MAX_N // 2) == 2
+    assert block_size(TRIAL_MAX_N // 2 + 1) == block_size(TRIAL_MAX_N) == 1
 
 
 def test_monte_carlo_transcript_sink_sees_ordered_trials():
@@ -205,9 +250,44 @@ def test_monte_carlo_transcript_sink_sees_ordered_trials():
     seen: list[Transcript] = []
     stats = monte_carlo(config, workers=4, transcript_sink=seen.append)
     assert len(seen) == 25
+    assert [t.trial for t in seen] == list(range(25))
     assert stats.wins == sum(1 for t in seen if t.won)
     replay = monte_carlo(config, transcript_sink=None)
     assert replay.wins == stats.wins
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    (STRATEGY_QUANTUM, {}),
+    (STRATEGY_CLASSICAL_COVER, {}),
+    (STRATEGY_ENTANGLEMENT_ASSISTED, {"k": 1, "delta": 0.5}),
+])
+def test_two_block_transcripts_arrive_in_trial_order(strategy, extra):
+    size = block_size(3)
+    config = GameConfig(n=3, m=2, strategy=strategy, trials=size + 5, seed=3,
+                        **extra)
+    seen: list[Transcript] = []
+    stats = monte_carlo(config, workers=2, transcript_sink=seen.append)
+    assert [t.trial for t in seen] == list(range(size + 5))
+    assert [t.to_dict()["trial"] for t in seen[size - 1:size + 1]] == [
+        size - 1, size]
+    assert stats.wins == sum(1 for t in seen if t.won)
+    assert stats.aborts == sum(1 for t in seen if t.aborted)
+    assert stats == monte_carlo(config)
+    if strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
+        assert 0 < stats.aborts < stats.trials
+    if strategy == STRATEGY_CLASSICAL_COVER:
+        # Per-trial reference for the block kernel: message_for on each input,
+        # and the joint (x, message) counts tallied one transcript at a time.
+        cover = build_cover_strategy(3, 2)
+        counts = np.zeros((1 << 3, len(cover.messages)))
+        for t in seen:
+            announced = cover.message_for(t.x)
+            assert t.message["bits"] == str(announced)
+            assert t.answer == restrict(announced, t.y)
+            counts[t.x.to_index(), cover.messages.index(announced)] += 1
+        assert stats.empirical_conditional_entropy == pytest.approx(
+            conditional_entropy(ProbabilityDistribution.from_counts(counts)),
+            abs=1e-12)
 
 
 def test_monte_carlo_preflight_rejects_oversized_games():

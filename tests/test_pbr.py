@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -68,10 +67,7 @@ def test_bitstring_complement_and_hamming():
     s = BitString.from_string("0110")
     complement = BitString(tuple(1 - b for b in s))
     assert str(complement) == "1001"
-    assert s.hamming_distance(s) == 0
-    assert s.hamming_distance(complement) == 4
-    with pytest.raises(ValueError):
-        s.hamming_distance(BitString.from_string("01"))
+    assert complement.to_index() ^ s.to_index() == 0b1111
 
 
 def test_index_subset_validation():
@@ -267,13 +263,27 @@ def test_restrict_examples_and_errors():
         restrict(x, IndexSubset((4, 6)))
 
 
+def truth_rows(w: BitString, rows: int) -> np.ndarray:
+    """``rows`` copies of ``w`` as the (rows, m) int8 block measure_exclusion
+    takes."""
+    return np.tile(np.array(w.bits, dtype=np.int8), (rows, 1))
+
+
+def outcome_indices(outcomes: np.ndarray) -> np.ndarray:
+    """Integer value (MSB first) of every row of a block of bit rows."""
+    m = outcomes.shape[1]
+    return outcomes @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+
+
 def test_measure_exclusion_never_returns_preparation():
     m = 2
     rng = make_rng(2024)
     for w_index in range(1 << m):
         w = BitString.from_index(w_index, m)
-        for _ in range(25000):
-            assert measure_exclusion(w, rng) != w
+        outcomes = measure_exclusion(truth_rows(w, 25000), rng)
+        assert outcomes.shape == (25000, m) and outcomes.dtype == np.int8
+        assert set(np.unique(outcomes).tolist()) <= {0, 1}
+        assert (outcome_indices(outcomes) != w_index).all()
 
 
 def test_measure_exclusion_outcome_frequencies():
@@ -287,12 +297,12 @@ def test_measure_exclusion_outcome_frequencies():
     probs = measurement.outcome_probabilities(product_state(w, theta))
     rng = make_rng(99)
     trials = 20000
-    counts = {z: 0 for z in measurement.labels}
-    for _ in range(trials):
-        counts[measure_exclusion(w, rng)] += 1
-    for z_index, z in enumerate(measurement.labels):
+    counts = np.bincount(
+        outcome_indices(measure_exclusion(truth_rows(w, trials), rng)),
+        minlength=1 << m)
+    for z_index in range(1 << m):
         sigma = math.sqrt(max(probs[z_index] * (1 - probs[z_index]), 1e-12) / trials)
-        assert abs(counts[z] / trials - probs[z_index]) <= 3 * sigma + 1e-9
+        assert abs(counts[z_index] / trials - probs[z_index]) <= 3 * sigma + 1e-9
 
 
 # One-sided tail mass of a normal variate beyond 3 sigma: the significance
@@ -372,9 +382,9 @@ def test_sampled_distance_histogram_fits_the_distance_law(m, trials, seed):
     probabilities = distance_distribution(m)[0]
     w = BitString.from_index(0b10110101101 % (1 << m), m)
     rng = make_rng(seed)
-    counts = np.zeros(m + 1)
-    for _ in range(trials):
-        counts[measure_exclusion(w, rng).hamming_distance(w)] += 1
+    truth = truth_rows(w, trials)
+    distances = (measure_exclusion(truth, rng) != truth).sum(axis=1)
+    counts = np.bincount(distances, minlength=m + 1)
     assert counts[0] == 0
     expected = trials * probabilities[1:]
     assert expected.min() >= 10.0
@@ -386,11 +396,13 @@ def test_sampled_outcome_is_uniform_within_its_distance_shell():
     m, trials = 4, 20000
     w = BitString.from_string("0110")
     rng = make_rng(44)
-    counts = Counter(measure_exclusion(w, rng) for _ in range(trials))
-    outcomes = [BitString.from_index(v, m) for v in range(1 << m)]
+    counts = np.bincount(
+        outcome_indices(measure_exclusion(truth_rows(w, trials), rng)),
+        minlength=1 << m)
     statistic, dof = 0.0, 0
     for d in range(1, m + 1):
-        shell = [z for z in outcomes if z.hamming_distance(w) == d]
+        shell = [z for z in range(1 << m)
+                 if (z ^ w.to_index()).bit_count() == d]
         expected = sum(counts[z] for z in shell) / len(shell)
         statistic += sum((counts[z] - expected) ** 2 / expected for z in shell)
         dof += len(shell) - 1
