@@ -12,8 +12,8 @@ differs from the true restriction of x on y:
 * ``classical_cover``: the sender announces a covering message; the receiver
   answers with its restriction, which by construction never equals the truth.
 * ``entanglement_assisted``: the steering protocol either aborts or leaves
-  the receiver holding the product encoding, on whose steered qubits the
-  receiver applies the dense exclusion measurement (so m <= MAX_QUBITS).
+  the receiver holding the product encoding, whose steered qubits it
+  measures through the Hadamard transform of 2**m amplitudes (m <= MAX_QUBITS).
 
 Trials are played in blocks of ``block_size(n)``: block b holds trials
 b * block_size(n) onward and draws only from its own counter-based substream,
@@ -40,19 +40,19 @@ from .pbr import (
     BitString,
     IndexSubset,
     measure_exclusion,
-    measure_exclusion_dense,
+    measure_exclusion_product,
     restrict,
 )
-# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
-from .pbr import product_state  # noqa: F401
 from .qcore import (
     ProbabilityDistribution,
     ResourceLimitError,
     conditional_entropy,
     make_rng,
-    tensor_product,
     usable_workers,
 )
+# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
+from .pbr import product_state  # noqa: F401
+from .qcore import tensor_product  # noqa: F401
 from .steering import SteeringParameters, p_global_steer, run_steering_round
 
 STRATEGY_QUANTUM = "quantum"
@@ -202,11 +202,8 @@ def _steer_rows(config: GameConfig, x: np.ndarray, y: np.ndarray,
         # The receiver measures the qubits the round steered, not the product
         # encoding they should equal (acceptance criterion 7), so every
         # completed round exercises the steering identities.
-        state = None
-        for position in y[row]:
-            qubit = round_result.receiver_states[position]
-            state = qubit if state is None else tensor_product(state, qubit)
-        answer[row] = measure_exclusion_dense(state, rng).bits
+        answer[row] = measure_exclusion_product(
+            [round_result.receiver_states[p] for p in y[row]], rng)
     return messages
 
 
@@ -347,7 +344,9 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     completed = config.trials - aborts
     entropy = None
     if counts is not None:
+        # A call fills at most `trials` rows; H(X | M) ignores empty ones.
         joint = counts.reshape(1 << config.n, -1)
+        joint = joint[joint.any(axis=1)]
         entropy = conditional_entropy(ProbabilityDistribution.from_counts(joint))
     return RunStatistics(
         strategy=config.strategy, trials=config.trials, wins=wins,

@@ -23,33 +23,34 @@ amplitude is proportional to 1 - r**d and vanishes at d = 0 only.  Summing
 C(m, d) (1 - r**d)**2 over d gives Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m,
 so the outcome's distance from the truth has P(d) = C(m, d) (1 - r**d)**2 / Z,
 shared evenly by the C(m, d) outcomes at that distance.  ``measure_exclusion``
-samples this law for a block of truths at once; the dense
-``exclusion_measurement`` is its oracle, and ``measure_exclusion_dense``
-applies it to a state that need not be a product encoding, such as the
-receiver's steered qubits.
+samples this law for a block of truths at once.  On any product psi of
+qubits q_i, such as the receiver's steered qubits, sqrt(2**m) <zeta_z|psi> =
+2 prod_i q_i0 - h_z, where h = H psi = (x)_i (q_i0 + q_i1, q_i0 - q_i1) under
+the Sylvester Hadamard matrix H; ``measure_exclusion_product`` samples that.
+The dense ``exclusion_measurement`` is the oracle of both samplers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .qcore import (
     RankOneMeasurement,
     ResourceLimitError,
     StateVector,
-    born_measure,
+    born_index,
 )
+# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
+from .qcore import born_measure  # noqa: F401
 
-# Hard cap on qubits handled by dense product states and measurements.  The
-# measurement's 16 * 4**m bytes of kets are 1 GiB at 13 qubits, 4 GiB at 14.
+# Hard cap on qubits of 2**m-amplitude states and the dense measurement,
+# whose 16 * 4**m bytes of kets are 1 GiB at 13 qubits, 4 GiB at 14.
 MAX_QUBITS = 13
 
 
@@ -132,6 +133,13 @@ class IndexSubset:
                      for combo in itertools.combinations(range(1, n + 1), m))
 
 
+def _check_qubits(m: int, what: str) -> None:
+    """Refuse work on 2**m amplitudes unless 1 <= m <= MAX_QUBITS."""
+    if not 1 <= m <= MAX_QUBITS:
+        raise ResourceLimitError(
+            f"{what} on {m} qubits is outside the cap of 1..{MAX_QUBITS}")
+
+
 def critical_angle(m: int) -> float:
     """Angle at which the length-m exclusion measurement becomes perfect.
 
@@ -155,10 +163,7 @@ def bit_state(bit: int, angle: float) -> StateVector:
 
 def product_state(x: BitString, angle: float) -> StateVector:
     """Tensor product of the bit states of ``x``, bit 1 most significant."""
-    if len(x) > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"product state on {len(x)} qubits exceeds the cap of {MAX_QUBITS}"
-        )
+    _check_qubits(len(x), "product state")
     amps = np.array([1.0])
     for b in x.bits:
         amps = np.kron(amps, bit_state(b, angle).amplitudes.real)
@@ -173,10 +178,7 @@ def exclusion_vector(z: BitString) -> StateVector:
     z.s is the parity of the bitwise AND.
     """
     m = len(z)
-    if m > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"exclusion vector on {m} qubits exceeds the cap of {MAX_QUBITS}"
-        )
+    _check_qubits(m, "exclusion vector")
     dim = 1 << m
     z_index = z.to_index()
     s_values = np.arange(dim)
@@ -186,36 +188,27 @@ def exclusion_vector(z: BitString) -> StateVector:
     return StateVector(amps / math.sqrt(dim), m)
 
 
-_measurement_cache: dict[int, RankOneMeasurement] = {}
-_measurement_lock = threading.Lock()
-
-
 def exclusion_measurement(m: int) -> RankOneMeasurement:
     """Complete m-qubit measurement whose outcome z excludes preparation z.
 
     All 2**m outcome kets in one closed form: the rows of the Sylvester
-    Hadamard matrix give the parities (-1)**(z.s), so the complex128 ket
-    matrix is -H/sqrt(2**m) with the s=0 column flipped back to +1/sqrt(2**m);
-    H is built as int8 so that the kets are the only large array.  Rows are
-    orthonormal, which the RankOneMeasurement constructor re-verifies for
-    dimensions up to its completeness-check cap.  Instances are cached per m.
+    Hadamard matrix H (the m-th Kronecker power of [[1, 1], [1, -1]]) give
+    the parities (-1)**(z.s), so the complex128 ket matrix is -H/sqrt(2**m)
+    with the s=0 column flipped back to +1/sqrt(2**m); H is built as int8 so
+    that the kets are the only large array.  Rows are orthonormal, which the
+    RankOneMeasurement constructor re-verifies for dimensions up to its
+    completeness-check cap.  Uncached: the oracle, off the trial path.
     """
-    if not 1 <= m <= MAX_QUBITS:
-        raise ResourceLimitError(
-            f"exclusion measurement needs 1 <= m <= {MAX_QUBITS}, got {m}"
-        )
-    with _measurement_lock:
-        cached = _measurement_cache.get(m)
-        if cached is not None:
-            return cached
-        dim = 1 << m
-        kets = np.empty((dim, dim), dtype=np.complex128)
-        np.divide(hadamard(dim, dtype=np.int8), -math.sqrt(dim), out=kets)
-        kets[:, 0] = 1.0 / math.sqrt(dim)
-        labels = tuple(BitString.from_index(z, m) for z in range(dim))
-        measurement = RankOneMeasurement(kets, labels)
-        _measurement_cache[m] = measurement
-        return measurement
+    _check_qubits(m, "exclusion measurement")
+    dim = 1 << m
+    sylvester = np.ones((1, 1), dtype=np.int8)
+    for _ in range(m):
+        sylvester = np.kron(sylvester, np.array([[1, 1], [1, -1]], np.int8))
+    kets = np.empty((dim, dim), dtype=np.complex128)
+    np.divide(sylvester, -math.sqrt(dim), out=kets)
+    kets[:, 0] = 1.0 / math.sqrt(dim)
+    labels = tuple(BitString.from_index(z, m) for z in range(dim))
+    return RankOneMeasurement(kets, labels)
 
 
 def restrict(x: BitString, y: IndexSubset) -> BitString:
@@ -270,8 +263,23 @@ def measure_exclusion(truth: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return truth ^ (ranks < d[:, None])
 
 
-def measure_exclusion_dense(state: StateVector,
-                            rng: np.random.Generator) -> BitString:
-    """Born-sample the dense exclusion measurement on ``state`` itself, for up
-    to MAX_QUBITS qubits; the label rules out one preparation string."""
-    return born_measure(state, exclusion_measurement(state.qubit_count), rng)
+def product_exclusion_probabilities(qubits) -> np.ndarray:
+    """Born probabilities |2 psi_0 - h_z|**2 / 2**m of the exclusion outcomes
+    z = 0 .. 2**m - 1 (module docstring) on the product of the m <= MAX_QUBITS
+    single-qubit states ``qubits``, qubit 1 most significant."""
+    m = len(qubits)
+    _check_qubits(m, "exclusion measurement")
+    psi_0, h = 1.0, np.ones(1, dtype=np.complex128)
+    for qubit in qubits:
+        a_0, a_1 = qubit.amplitudes  # two amplitudes, or ValueError
+        psi_0 *= a_0
+        h = np.multiply.outer(h, (a_0 + a_1, a_0 - a_1)).ravel()
+    return np.abs(2.0 * psi_0 - h) ** 2 / (1 << m)
+
+
+def measure_exclusion_product(qubits, rng: np.random.Generator) -> np.ndarray:
+    """The bits, as a 0/1 int8 array, of the exclusion outcome on the product
+    of ``qubits``, drawn from one variate as ``born_measure`` draws it from
+    the dense measurement on that product."""
+    z = born_index(product_exclusion_probabilities(qubits), rng)
+    return ((z >> np.arange(len(qubits) - 1, -1, -1)) & 1).astype(np.int8)

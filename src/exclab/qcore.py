@@ -77,15 +77,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def of(cls, amplitudes) -> StateVector:
-        """Construct from amplitudes alone, inferring the qubit count."""
-        amps = np.asarray(amplitudes)
-        size = amps.shape[0] if amps.ndim == 1 else 0
-        if size <= 0 or size & (size - 1):
-            raise ValueError("amplitude length must be a power of two")
-        return cls(amps, size.bit_length() - 1)
-
     @property
     def dim(self) -> int:
         return 1 << self.qubit_count
@@ -148,22 +139,23 @@ class RankOneMeasurement:
         return np.abs(self.kets @ state.amplitudes.conj()) ** 2
 
 
-def born_measure(state: StateVector, measurement: RankOneMeasurement,
-                 rng: np.random.Generator):
-    """Sample the label of one outcome of ``measurement`` on ``state``.
-
-    Sampling draws a single uniform variate against the cumulative Born
-    distribution, so one call consumes exactly one variate.
-    """
-    probs = measurement.outcome_probabilities(state)
-    cumulative = np.cumsum(probs)
+def born_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of one outcome drawn from ``probabilities``, which must sum to 1
+    within MATRIX_TOL, by one uniform variate against their cumulative sum."""
+    cumulative = np.cumsum(probabilities)
     total = cumulative[-1]
     if abs(total - 1.0) > MATRIX_TOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
     draw = rng.random() * total
     index = int(np.searchsorted(cumulative, draw, side="right"))
-    index = min(index, len(probs) - 1)
-    return measurement.labels[index]
+    return min(index, len(cumulative) - 1)
+
+
+def born_measure(state: StateVector, measurement: RankOneMeasurement,
+                 rng: np.random.Generator):
+    """Label of one outcome of ``measurement`` on ``state``; see born_index."""
+    probs = measurement.outcome_probabilities(state)
+    return measurement.labels[born_index(probs, rng)]
 
 
 @dataclass(frozen=True, eq=False)

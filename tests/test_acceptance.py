@@ -292,8 +292,8 @@ def test_criterion_07_steering_branches_exact():
     worst_probability_gap = 0.0
     root_half = 1.0 / math.sqrt(2.0)
     # Outcome 1 leaves |-> under the S basis (bit 0) and |+> under R (bit 1).
-    conjugate_states = (StateVector.of([root_half, -root_half]),
-                        StateVector.of([root_half, root_half]))
+    conjugate_states = (StateVector([root_half, -root_half], 1),
+                        StateVector([root_half, root_half], 1))
     for m in range(1, 33):
         kit = build_kit(m)
         theta = critical_angle(m)

@@ -355,6 +355,18 @@ def test_threads_default_to_one_worker():
     assert simulate.threads == 1
 
 
+def test_importing_the_cli_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import exclab.cli, sys; print(sorted(name for name in sys.modules "
+         "if name == 'scipy' or name.startswith('scipy.')))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_cached_parser_gives_fresh_results_after_a_usage_error(capsys):
     # The parser is built once per process; a usage error (argparse exits 2)
     # and earlier options must not leak into later calls.

@@ -1,11 +1,13 @@
 """Referee, single trials, and the Monte Carlo harness."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exclab import pbr
+from exclab import game, pbr, qcore
 from exclab.game import (
     STEERING_SET_BUDGET,
     STRATEGIES,
@@ -317,13 +319,13 @@ def test_steering_runs_past_the_dense_qubit_cap_are_refused():
 
 def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
     measured = []
-    original = pbr.born_measure
+    original = game.measure_exclusion_product
 
-    def recording(state, measurement, rng):
-        measured.append(state)
-        return original(state, measurement, rng)
+    def recording(qubits, rng):
+        measured.append(qubits)
+        return original(qubits, rng)
 
-    monkeypatch.setattr(pbr, "born_measure", recording)
+    monkeypatch.setattr(game, "measure_exclusion_product", recording)
     config = GameConfig(n=6, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
                         trials=1, seed=0, k=40, delta=0.05)
     for seed in range(5):
@@ -331,13 +333,15 @@ def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
         assert not transcript.aborted and transcript.won
         truth = restrict(transcript.x, transcript.y)
         encoding = pbr.product_state(truth, pbr.critical_angle(config.m))
-        overlap = abs(np.vdot(encoding.amplitudes, measured[-1].amplitudes))
+        assert len(measured[-1]) == config.m
+        steered = functools.reduce(np.kron,
+                                   [q.amplitudes for q in measured[-1]])
+        overlap = abs(np.vdot(encoding.amplitudes, steered))
         assert overlap == pytest.approx(1.0, abs=1e-12)
     assert len(measured) == 5
 
 
 def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
-    monkeypatch.setattr(pbr, "_measurement_cache", {})
     dense_builds = []
     monkeypatch.setattr(pbr, "exclusion_measurement", dense_builds.append)
     states = []
@@ -351,7 +355,45 @@ def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
     stats = monte_carlo(GameConfig(n=12, m=11, strategy=STRATEGY_QUANTUM,
                                    trials=20, seed=0))
     assert stats.wins == 20
-    assert dense_builds == [] and states == [] and pbr._measurement_cache == {}
+    assert dense_builds == [] and states == []
+
+
+def test_steering_trials_build_no_dense_measurement_or_state_chain(monkeypatch):
+    # At m = MAX_QUBITS the dense kets alone would take 1 GiB; the steered
+    # qubits are measured through 2**13 amplitudes instead.
+    dense_builds, chains = [], []
+    monkeypatch.setattr(pbr, "exclusion_measurement", dense_builds.append)
+    monkeypatch.setattr(qcore, "tensor_product", chains.append)
+    monkeypatch.setattr(game, "tensor_product", chains.append)
+    config = GameConfig(n=pbr.MAX_QUBITS, m=pbr.MAX_QUBITS,
+                        strategy=STRATEGY_ENTANGLEMENT_ASSISTED, trials=3,
+                        seed=0, k=50, delta=0.05)
+    tracemalloc.start()
+    try:
+        stats = monte_carlo(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.aborts < stats.trials
+    assert stats.wins == stats.trials - stats.aborts
+    assert dense_builds == [] and chains == []
+    assert peak < 8 << 20
+
+
+def test_cover_entropy_keeps_only_the_observed_inputs():
+    # 400 trials fill at most 400 of the 2**16 input rows; dropping the empty
+    # rows leaves H(X | M) as the full joint matrix gives it.
+    config = GameConfig(n=16, m=8, strategy=STRATEGY_CLASSICAL_COVER,
+                        trials=400, seed=3)
+    stats = monte_carlo(config)
+    cover = build_cover_strategy(16, 8)
+    block_rng = make_rng(np.random.SeedSequence(3, spawn_key=(0,)))
+    x, _ = referee_draw(16, 8, block_rng, 400)
+    x_index = x @ (1 << np.arange(15, -1, -1, dtype=np.int64))
+    joint = np.zeros((1 << 16, len(cover.messages)))
+    np.add.at(joint, (x_index, cover.assignment_array[x_index]), 1.0)
+    full = conditional_entropy(ProbabilityDistribution.from_counts(joint))
+    assert stats.empirical_conditional_entropy == pytest.approx(full, abs=1e-12)
 
 
 def steering_config(**overrides) -> GameConfig:

@@ -12,6 +12,7 @@ from exclab.qcore import (
     RankOneMeasurement,
     StateVector,
     binary_entropy,
+    born_index,
     born_measure,
     conditional_entropy,
     inner_product,
@@ -37,25 +38,27 @@ def test_state_vector_rejects_bad_shapes():
         StateVector(np.array([1.0, 0.0, 0.0]), 1)
     with pytest.raises(ValueError):
         StateVector(np.eye(2), 1)
+    with pytest.raises(ValueError, match="does not match"):
+        StateVector(np.array([0.0, 0.0, 0.0, 1.0]), 1)
     with pytest.raises(ValueError):
-        StateVector.of([1.0, 0.0, 0.0])
+        StateVector(np.array([1.0]), -1)
 
 
-def test_state_vector_of_infers_qubits():
-    state = StateVector.of([0.0, 0.0, 0.0, 1.0])
+def test_state_vector_dim_follows_qubit_count():
+    state = StateVector([0.0, 0.0, 0.0, 1.0], 2)
     assert state.qubit_count == 2
     assert state.dim == 4
 
 
 def test_state_vector_amplitudes_immutable():
-    state = StateVector.of([1.0, 0.0])
+    state = StateVector([1.0, 0.0], 1)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.5
 
 
 def test_tensor_product_index_layout():
-    a = StateVector.of([0.6, 0.8])
-    b = StateVector.of([0.0, 1.0])
+    a = StateVector([0.6, 0.8], 1)
+    b = StateVector([0.0, 1.0], 1)
     combined = tensor_product(a, b)
     assert combined.qubit_count == 2
     # amplitude at i * dim(b) + j is a[i] * b[j]
@@ -64,17 +67,17 @@ def test_tensor_product_index_layout():
 
 
 def test_inner_product_conjugate_linear_in_first_argument():
-    a = StateVector.of([1.0 / math.sqrt(2), 1j / math.sqrt(2)])
-    b = StateVector.of([1.0, 0.0])
+    a = StateVector([1.0 / math.sqrt(2), 1j / math.sqrt(2)], 1)
+    b = StateVector([1.0, 0.0], 1)
     assert inner_product(a, b) == pytest.approx(1.0 / math.sqrt(2))
     assert inner_product(b, a) == pytest.approx(1.0 / math.sqrt(2))
-    c = StateVector.of([0.0, 1.0])
+    c = StateVector([0.0, 1.0], 1)
     assert inner_product(a, c) == pytest.approx(-1j / math.sqrt(2))
 
 
 def test_inner_product_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        inner_product(StateVector.of([1.0, 0.0]), StateVector.of([1.0, 0, 0, 0]))
+        inner_product(StateVector([1.0, 0.0], 1), StateVector([1.0, 0, 0, 0], 2))
 
 
 def test_inner_product_bounded_for_unit_vectors():
@@ -82,8 +85,8 @@ def test_inner_product_bounded_for_unit_vectors():
     for _ in range(50):
         raw_a = rng.normal(size=8) + 1j * rng.normal(size=8)
         raw_b = rng.normal(size=8) + 1j * rng.normal(size=8)
-        a = StateVector.of(raw_a / np.linalg.norm(raw_a))
-        b = StateVector.of(raw_b / np.linalg.norm(raw_b))
+        a = StateVector(raw_a / np.linalg.norm(raw_a), 3)
+        b = StateVector(raw_b / np.linalg.norm(raw_b), 3)
         assert abs(inner_product(a, b)) <= 1.0 + VECTOR_TOL
 
 
@@ -119,7 +122,7 @@ def test_measurement_probabilities_match_overlaps_for_complex_kets():
     measurement = RankOneMeasurement(unitary, tuple(range(8)))
     assert measurement.kets.dtype == np.complex128
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector.of(amps / np.linalg.norm(amps))
+    state = StateVector(amps / np.linalg.norm(amps), 3)
     expected = [abs(np.vdot(ket, state.amplitudes)) ** 2 for ket in unitary]
     assert np.allclose(measurement.outcome_probabilities(state), expected,
                        rtol=0.0, atol=VECTOR_TOL)
@@ -127,7 +130,7 @@ def test_measurement_probabilities_match_overlaps_for_complex_kets():
 
 def test_born_measure_deterministic_on_eigenstate():
     measurement = basis_measurement(2)
-    state = StateVector.of([0.0, 1.0])
+    state = StateVector([0.0, 1.0], 1)
     rng = make_rng(0)
     for _ in range(100):
         assert born_measure(state, measurement, rng) == 1
@@ -135,7 +138,7 @@ def test_born_measure_deterministic_on_eigenstate():
 
 def test_born_measure_frequencies_match_born_rule():
     p = 0.3
-    state = StateVector.of([math.sqrt(p), math.sqrt(1 - p)])
+    state = StateVector([math.sqrt(p), math.sqrt(1 - p)], 1)
     measurement = basis_measurement(2)
     rng = make_rng(42)
     trials = 20000
@@ -145,7 +148,7 @@ def test_born_measure_frequencies_match_born_rule():
 
 
 def test_born_measure_reproducible_per_seed():
-    state = StateVector.of(np.full(4, 0.5))
+    state = StateVector(np.full(4, 0.5), 2)
     measurement = basis_measurement(4)
     runs = [
         [born_measure(state, measurement, make_rng(7)) for _ in range(64)]
@@ -154,9 +157,19 @@ def test_born_measure_reproducible_per_seed():
     assert runs[0] == runs[1]
 
 
+def test_born_index_checks_the_total_and_draws_one_variate():
+    with pytest.raises(ValueError, match="sum to"):
+        born_index(np.array([0.5, 0.25]), make_rng(0))
+    probs = np.array([0.2, 0.0, 0.8])
+    rng, twin = make_rng(3), make_rng(3)
+    for _ in range(200):
+        # side="right" never picks the zero-probability outcome.
+        assert born_index(probs, rng) == (0 if twin.random() < 0.2 else 2)
+
+
 def test_born_measure_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        born_measure(StateVector.of([1.0, 0.0]), basis_measurement(4), make_rng(0))
+        born_measure(StateVector([1.0, 0.0], 1), basis_measurement(4), make_rng(0))
 
 
 def test_probability_distribution_validation():

@@ -38,8 +38,8 @@ def test_steering_branches_hit_their_targets(m):
     kit = build_kit(m)
     theta = critical_angle(m)
     minus_plus = {
-        (0, 1): StateVector.of([1 / math.sqrt(2), -1 / math.sqrt(2)]),
-        (1, 1): StateVector.of([1 / math.sqrt(2), 1 / math.sqrt(2)]),
+        (0, 1): StateVector([1 / math.sqrt(2), -1 / math.sqrt(2)], 1),
+        (1, 1): StateVector([1 / math.sqrt(2), 1 / math.sqrt(2)], 1),
     }
     for bit in (0, 1):
         # Outcome 0 lands exactly on the bit state at the critical angle.
@@ -60,8 +60,8 @@ def test_branch_posts_match_declared_targets():
     root_half = 1.0 / math.sqrt(2.0)
     # Branch order: bit 0 outcome 0, bit 0 outcome 1, bit 1 outcome 0,
     # bit 1 outcome 1.
-    targets = (bit_state(0, kit.theta), StateVector.of([root_half, -root_half]),
-               bit_state(1, kit.theta), StateVector.of([root_half, root_half]))
+    targets = (bit_state(0, kit.theta), StateVector([root_half, -root_half], 1),
+               bit_state(1, kit.theta), StateVector([root_half, root_half], 1))
     ordered = (kit.branch_posts[0][0], kit.branch_posts[0][1],
                kit.branch_posts[1][0], kit.branch_posts[1][1])
     for post, target in zip(ordered, targets):
