@@ -97,8 +97,7 @@ def gamma_log2(n: int, m: int) -> float:
     GameParameters(n, m)
     if n <= EXACT_GAMMA_MAX_N:
         return math.log2(gamma(n, m))
-    _refuse_past_cap((n,))
-    return _gamma_log2_series(n, m)
+    return _series_log2(n, m)[0]
 
 
 def _refuse_past_cap(n_values: Sequence[int]) -> None:
@@ -107,14 +106,16 @@ def _refuse_past_cap(n_values: Sequence[int]) -> None:
             raise ResourceLimitError(f"bounds support n <= {BOUNDS_MAX_N}, got {n}")
 
 
-def _gamma_log2_series(n: int, m: int) -> float:
-    """Sum C(n, i), i < m, down from C(n, m-1) in steps rho = i/(n-i+1).
+def _series_log2(n: int, m: int) -> tuple[float, float]:
+    """(log2 gamma, n - log2 gamma) for 64 < n <= BOUNDS_MAX_N: sum C(n, i),
+    i < m, down from C(n, m-1) in steps rho = i/(n-i+1).
 
     rho shrinks as i falls, so term*rho/(1-rho) bounds the rest (criterion
     4b's bracket); the sum stops when that is below 2**-60 of it, after 8-15
     terms under power:0.75 and ~4.6*sqrt(n) near m = n/2.  Past m - 1 = n/2
     the terms would grow first, so 2**n - gamma(n, n-m+1) is summed instead.
     """
+    _refuse_past_cap((n,))
     complement = 2 * (m - 1) > n
     j = n - m if complement else m - 1
     series = term = 1.0
@@ -124,10 +125,13 @@ def _gamma_log2_series(n: int, m: int) -> float:
         series += term
         if term * rho < 2.0**-60 * series * (1.0 - rho):
             break
-    log2_sum = (_log_comb(n, j) + math.log(series)) / math.log(2.0)
+    log_series = math.log(series)
+    # ln(C(n, j) series / 2**n): n - log2 gamma would keep only ulp(n).
+    fraction = _log_comb_fraction(n, j) + log_series
     if complement:
-        return n + math.log1p(-(2.0 ** (log2_sum - n))) / math.log(2.0)
-    return log2_sum
+        rest = -math.log1p(-math.exp(fraction)) / math.log(2.0)
+        return n - rest, rest
+    return (_log_comb(n, j) + log_series) / math.log(2.0), -fraction / math.log(2.0)
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -142,6 +146,19 @@ def _log_comb(n: int, k: int) -> float:
             - _stirling_remainder(n - k) - math.lgamma(k + 1))
 
 
+def _log_comb_fraction(n: int, k: int) -> float:
+    """ln(C(n, k) / 2**n) for 2k <= n, n > 64; from k = 32 on, Stirling's
+    -n D(k/n) - ln(2 pi k(n-k)/n)/2 + remainders, with the divergence from
+    1/2, D(p) = p ln 2p + (1-p) ln 2(1-p), formed by log1p(+-(2k-n)/n)."""
+    if k < 32:
+        return _log_comb(n, k) - n * math.log(2.0)
+    p, delta = k / n, (2 * k - n) / n
+    divergence = p * math.log1p(delta) + (1.0 - p) * math.log1p(-delta)
+    return (-n * divergence - 0.5 * math.log(2.0 * math.pi * (k * (n - k) / n))
+            + _stirling_remainder(n) - _stirling_remainder(k)
+            - _stirling_remainder(n - k))
+
+
 def _stirling_remainder(x: int) -> float:
     # ln x! - (x ln x - x + ln(2 pi x)/2); the next term is < 2.4e-17 at x >= 32.
     y = 1.0 / (x * x)
@@ -150,7 +167,9 @@ def _stirling_remainder(x: int) -> float:
 
 def classical_ic_lower_bound(params: GameParameters) -> float:
     """n - log2(gamma): information any zero-error classical message carries."""
-    return max(0.0, params.n - gamma_log2(params.n, params.m))
+    if params.n <= EXACT_GAMMA_MAX_N:
+        return max(0.0, params.n - gamma_log2(params.n, params.m))
+    return _series_log2(params.n, params.m)[1]
 
 
 def quantum_message_entropy_upper(params: GameParameters) -> float:

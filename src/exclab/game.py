@@ -11,15 +11,15 @@ differs from the true restriction of x on y:
   distance law of ``pbr.measure_exclusion``.
 * ``classical_cover``: the sender announces a covering message; the receiver
   answers with its restriction, which by construction never equals the truth.
-* ``entanglement_assisted``: the steering protocol either aborts or leaves
-  the receiver holding the product encoding, whose steered qubits it
-  measures through the Hadamard transform of 2**m amplitudes (m <= MAX_QUBITS).
+* ``entanglement_assisted``: the sender announces the first shared set that
+  steered (``steering.draw_rounds``) or aborts; a completed round leaves the
+  receiver holding the product encoding (criterion 7), measured as above.
 
 Trials are played in blocks of ``block_size(n)``: block b holds trials
 b * block_size(n) onward and draws only from its own counter-based substream,
 child b of SeedSequence(seed), in a fixed order (the block's inputs, its
-subsets, then the strategy's draws row by row or for the whole block).  Block
-boundaries depend on n alone, so statistics are identical however blocks are
+subsets, then the strategy's draws for the whole block).  Block boundaries
+depend on n alone, so statistics are identical however blocks are
 distributed over workers.
 """
 
@@ -35,14 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import CoverStrategy, build_cover_strategy
-from .pbr import (
-    MAX_QUBITS,
-    BitString,
-    IndexSubset,
-    measure_exclusion,
-    measure_exclusion_product,
-    restrict,
-)
+from .pbr import BitString, IndexSubset, measure_exclusion, restrict
 from .qcore import (
     ProbabilityDistribution,
     ResourceLimitError,
@@ -53,7 +46,8 @@ from .qcore import (
 # Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
 from .pbr import product_state  # noqa: F401
 from .qcore import tensor_product  # noqa: F401
-from .steering import SteeringParameters, p_global_steer, run_steering_round
+from .steering import run_steering_round  # noqa: F401
+from .steering import SteeringParameters, draw_rounds
 
 STRATEGY_QUANTUM = "quantum"
 STRATEGY_CLASSICAL_COVER = "classical_cover"
@@ -63,9 +57,6 @@ STRATEGIES = (
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
 )
-# Largest expected number of shared sets an entanglement-assisted run may
-# walk: about 11 minutes at the ~1.5 M sets/s measured at n = 40, m = 4.
-STEERING_SET_BUDGET = 10**9
 # Largest n one trial may draw, and the most input bits a block draws.  The
 # draw holds 17 bytes per bit (int8 bits, float64 keys, int64 positions).
 TRIAL_MAX_N = 10**6
@@ -185,28 +176,6 @@ def block_size(n: int) -> int:
     return max(1, min(BLOCK_TRIALS, TRIAL_MAX_N // n))
 
 
-def _steer_rows(config: GameConfig, x: np.ndarray, y: np.ndarray,
-                rng: np.random.Generator, answer: np.ndarray,
-                aborted: np.ndarray) -> list[dict]:
-    """Steering rounds of a block, row by row from the block's generator:
-    fills ``answer`` and ``aborted``, returns the announced messages."""
-    params = SteeringParameters(config.n, config.m, config.k, config.delta)
-    messages = []
-    for row in range(len(x)):
-        round_result = run_steering_round(params, BitString(x[row]), rng)
-        aborted[row] = round_result.aborted
-        messages.append({"kind": "abort"} if round_result.aborted else
-                        {"kind": "set_index", "value": round_result.set_index})
-        if round_result.aborted:
-            continue
-        # The receiver measures the qubits the round steered, not the product
-        # encoding they should equal (acceptance criterion 7), so every
-        # completed round exercises the steering identities.
-        answer[row] = measure_exclusion_product(
-            [round_result.receiver_states[p] for p in y[row]], rng)
-    return messages
-
-
 def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
                 first: int = 0,
                 sink: Callable[[Transcript], None] | None = None):
@@ -231,8 +200,12 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
         messages = ({"kind": "classical_message",
                      "bits": str(cover.messages[c])} for c in chosen)
     else:
-        answer = np.zeros_like(truth)
-        messages = _steer_rows(config, x, y, rng, answer, aborted)
+        aborted, set_index = draw_rounds(
+            SteeringParameters(n, m, config.k, config.delta), rng, size)
+        answer = measure_exclusion(truth, rng)
+        messages = ({"kind": "abort"} if a else
+                    {"kind": "set_index", "value": int(j)}
+                    for a, j in zip(aborted, set_index))
     won = (answer != truth).any(axis=1) & ~aborted
     if sink is not None:
         for row, message in enumerate(messages):
@@ -261,19 +234,6 @@ def _preflight(config: GameConfig) -> None:
             f"{TRIAL_MAX_N}")
     if config.strategy == STRATEGY_CLASSICAL_COVER:
         _cover(config.n, config.m)
-    if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
-        if config.m > MAX_QUBITS:
-            raise ResourceLimitError(
-                f"steered receiver measurement needs m <= {MAX_QUBITS}, "
-                f"got {config.m}")
-        # A round walks (1 - p_abort)/p_g sets on average, k once p_g
-        # underflows; capping k at 2**64 moves that mean only past any budget.
-        p_g, k = p_global_steer(config.n, config.m), min(config.k, 2**64)
-        sets = k if p_g == 0.0 else -math.expm1(k * math.log1p(-p_g)) / p_g
-        if config.trials * sets > STEERING_SET_BUDGET:
-            raise ResourceLimitError(
-                f"{config.trials} steering trials walk ~{config.trials * sets:.3g}"
-                f" shared sets, past the budget of {STEERING_SET_BUDGET}")
 
 
 def _message_bits(config: GameConfig) -> dict:

@@ -1,4 +1,4 @@
-"""Conjugate-code preparation states and the product exclusion measurement.
+"""Conjugate-code preparation states and the exclusion measurement.
 
 A bit b is encoded at angle theta as the qubit state
 
@@ -23,11 +23,9 @@ amplitude is proportional to 1 - r**d and vanishes at d = 0 only.  Summing
 C(m, d) (1 - r**d)**2 over d gives Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m,
 so the outcome's distance from the truth has P(d) = C(m, d) (1 - r**d)**2 / Z,
 shared evenly by the C(m, d) outcomes at that distance.  ``measure_exclusion``
-samples this law for a block of truths at once.  On any product psi of
-qubits q_i, such as the receiver's steered qubits, sqrt(2**m) <zeta_z|psi> =
-2 prod_i q_i0 - h_z, where h = H psi = (x)_i (q_i0 + q_i1, q_i0 - q_i1) under
-the Sylvester Hadamard matrix H; ``measure_exclusion_product`` samples that.
-The dense ``exclusion_measurement`` is the oracle of both samplers.
+samples this law for a block of truths at once, for quantum trials and
+completed steering rounds alike; the dense ``exclusion_measurement`` is its
+oracle.
 """
 
 from __future__ import annotations
@@ -40,12 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qcore import (
-    RankOneMeasurement,
-    ResourceLimitError,
-    StateVector,
-    born_index,
-)
+from .qcore import RankOneMeasurement, ResourceLimitError, StateVector
 # Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
 from .qcore import born_measure  # noqa: F401
 
@@ -262,24 +255,3 @@ def measure_exclusion(truth: np.ndarray, rng: np.random.Generator) -> np.ndarray
     ranks = rng.random((rows, m)).argsort(axis=1).argsort(axis=1)
     return truth ^ (ranks < d[:, None])
 
-
-def product_exclusion_probabilities(qubits) -> np.ndarray:
-    """Born probabilities |2 psi_0 - h_z|**2 / 2**m of the exclusion outcomes
-    z = 0 .. 2**m - 1 (module docstring) on the product of the m <= MAX_QUBITS
-    single-qubit states ``qubits``, qubit 1 most significant."""
-    m = len(qubits)
-    _check_qubits(m, "exclusion measurement")
-    psi_0, h = 1.0, np.ones(1, dtype=np.complex128)
-    for qubit in qubits:
-        a_0, a_1 = qubit.amplitudes  # two amplitudes, or ValueError
-        psi_0 *= a_0
-        h = np.multiply.outer(h, (a_0 + a_1, a_0 - a_1)).ravel()
-    return np.abs(2.0 * psi_0 - h) ** 2 / (1 << m)
-
-
-def measure_exclusion_product(qubits, rng: np.random.Generator) -> np.ndarray:
-    """The bits, as a 0/1 int8 array, of the exclusion outcome on the product
-    of ``qubits``, drawn from one variate as ``born_measure`` draws it from
-    the dense measurement on that product."""
-    z = born_index(product_exclusion_probabilities(qubits), rng)
-    return ((z >> np.arange(len(qubits) - 1, -1, -1)) & 1).astype(np.int8)

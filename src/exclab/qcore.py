@@ -139,23 +139,16 @@ class RankOneMeasurement:
         return np.abs(self.kets @ state.amplitudes.conj()) ** 2
 
 
-def born_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of one outcome drawn from ``probabilities``, which must sum to 1
-    within MATRIX_TOL, by one uniform variate against their cumulative sum."""
-    cumulative = np.cumsum(probabilities)
+def born_measure(state: StateVector, measurement: RankOneMeasurement,
+                 rng: np.random.Generator):
+    """Label of one outcome of ``measurement`` on ``state``: one variate against
+    the cumulative Born probabilities, whose total must be 1 within MATRIX_TOL."""
+    cumulative = np.cumsum(measurement.outcome_probabilities(state))
     total = cumulative[-1]
     if abs(total - 1.0) > MATRIX_TOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    draw = rng.random() * total
-    index = int(np.searchsorted(cumulative, draw, side="right"))
-    return min(index, len(cumulative) - 1)
-
-
-def born_measure(state: StateVector, measurement: RankOneMeasurement,
-                 rng: np.random.Generator):
-    """Label of one outcome of ``measurement`` on ``state``; see born_index."""
-    probs = measurement.outcome_probabilities(state)
-    return measurement.labels[born_index(probs, rng)]
+    index = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+    return measurement.labels[min(index, len(cumulative) - 1)]
 
 
 @dataclass(frozen=True, eq=False)

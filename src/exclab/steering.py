@@ -7,8 +7,10 @@ the critical angle; outcome 1 steers it onto a fixed conjugate state
 (|-> under S, |+> under R) carrying no usable signal.  A round succeeds when
 all n pairs of one shared set give outcome 0; the parties burn through at
 most k sets before aborting.  The per-pair success probability p_steer and
-its n-fold product fix the abort budget, and ``choose_k`` inverts that budget
-into the smallest workable k.
+its n-fold product p_g fix the abort budget, and ``choose_k`` inverts that
+budget into the smallest workable k.  ``draw_rounds`` draws the first
+steered set of each round in closed form; ``run_steering_round``, pair by
+pair, is its reference.
 """
 
 from __future__ import annotations
@@ -177,12 +179,10 @@ class SteeringParameters:
 
 @dataclass(frozen=True, eq=False)
 class SteeringRoundResult:
-    """Outcome of one protocol round: either the index of the first fully
-    steered set plus the receiver's n post-states, or an abort."""
+    """Outcome of one round: the first fully steered set's index, or abort."""
 
     aborted: bool
     set_index: int | None
-    receiver_states: tuple[StateVector, ...] | None
 
 
 def run_steering_round(params: SteeringParameters, x: BitString,
@@ -191,18 +191,31 @@ def run_steering_round(params: SteeringParameters, x: BitString,
 
     Within a set, pairs are measured in bit order and the set is abandoned at
     the first non-steering outcome, so failed sets consume only as many
-    variates as pairs actually measured.
+    variates as pairs actually measured.  The reference of ``draw_rounds``.
     """
     if len(x) != params.n:
         raise ValueError(f"x has length {len(x)}, expected n={params.n}")
     kit = build_kit(params.m)
     for set_index in range(params.k):
-        states: list[StateVector] = []
-        for bit in x:
-            outcome, state = steer_one(kit, bit, rng)
-            if outcome != 0:
-                break
-            states.append(state)
-        else:
-            return SteeringRoundResult(False, set_index, tuple(states))
-    return SteeringRoundResult(True, None, None)
+        if all(steer_one(kit, bit, rng)[0] == 0 for bit in x):
+            return SteeringRoundResult(False, set_index)
+    return SteeringRoundResult(True, None)
+
+
+def draw_rounds(params: SteeringParameters, rng: np.random.Generator,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abort flags and first steered set indices J of ``size`` rounds.
+
+    Sets steer independently with p_g = p_global_steer(n, m), so one uniform
+    U per round gives the geometric J = floor(ln(1 - U) / ln(1 - p_g)) by
+    inversion (Devroye 1986, ch. X).  A round aborts iff J >= k, for any int
+    k; J is float64 and counts as >= k past 2**1023.  When p_g underflows
+    to 0.0 every round aborts.
+    """
+    log_fail = math.log1p(-p_global_steer(params.n, params.m))
+    u = rng.random(size)
+    if log_fail == 0.0:
+        return np.ones(size, dtype=bool), np.full(size, math.inf)
+    with np.errstate(over="ignore"):
+        set_index = np.floor(np.log1p(-u) / log_fail)
+    return set_index >= min(params.k, 2**1023), set_index

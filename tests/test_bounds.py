@@ -14,7 +14,7 @@ from exclab.bounds import (
     BoundsRow,
     GameParameters,
     MRule,
-    _gamma_log2_series,
+    _series_log2,
     bounds_row,
     classical_ic_lower_bound,
     gamma,
@@ -55,8 +55,9 @@ def test_gamma_log2_exact_and_series_paths_agree():
     for n in (10, 32, 64):
         for m in (1, 2, n // 2, n):
             exact = gamma_log2(n, m)
-            series = _gamma_log2_series(n, m)
+            series, rest = _series_log2(n, m)
             assert series == pytest.approx(exact, rel=1e-9)
+            assert rest == pytest.approx(n - exact, rel=1e-9, abs=1e-12)
 
 
 def test_gamma_log2_large_n_against_exact_big_integers():
@@ -181,6 +182,23 @@ def test_gamma_log2_near_half_against_closed_forms():
     assert MRule.parse("linear:0.5").apply(n) == n // 2
     assert math.isclose(gamma_log2(n, n // 2), float(below), rel_tol=1e-12)
     assert math.isclose(gamma_log2(n, n // 2 + 2), float(above), rel_tol=1e-12)
+
+
+def test_classical_lower_bound_near_half_against_decimal_reference():
+    # At n = 2k, m = k the bound is 1 - log2(1 - c) with c = C(2k, k)/4**k =
+    # (pi k)**-1/2 (1 - 1/(8k) + 1/(128k**2) + 5/(1024k**3) - ...), about one
+    # bit: n - gamma_log2 kept only ulp(n) of it (1.00244140625 at 10**12).
+    for n in (10**5, 10**10, 10**12):
+        k = MRule.parse("linear:0.5").apply(n)
+        assert 2 * k == n
+        with localcontext() as ctx:
+            ctx.prec = 40
+            k_dec = Decimal(k)
+            c = (1 - 1 / (8 * k_dec) + 1 / (128 * k_dec**2)
+                 + 5 / (1024 * k_dec**3)) / (_PI * k_dec).sqrt()
+            reference = 1 - (1 - c).ln() / Decimal(2).ln()
+        assert math.isclose(classical_ic_lower_bound(GameParameters(n, k)),
+                            float(reference), rel_tol=1e-10)
 
 
 def test_bounds_refuse_past_the_cap_before_any_row(monkeypatch):

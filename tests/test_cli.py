@@ -14,6 +14,7 @@ import pytest
 from exclab import cli
 from exclab.bounds import GameParameters, classical_ic_lower_bound, gamma_log2
 from exclab.game import TRIAL_MAX_N
+from exclab.steering import choose_k
 
 CSV_HEADER = ("n,m,gamma_log2,classical_ic_lower,"
               "quantum_entropy_upper,quantum_ic_upper")
@@ -281,21 +282,6 @@ def test_simulate_usage_errors():
     assert "resource" in too_big.stderr
 
 
-def test_simulate_past_the_qubit_cap_exits_2_before_allocating(capsys):
-    # Completed steering rounds measure the steered qubits densely.
-    tracemalloc.start()
-    try:
-        code = cli.main(["simulate", "--strategy", "entanglement_assisted",
-                         "--n", "14", "--m", "14", "--k", "11",
-                         "--delta", "0.05", "--trials", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert "resource limit" in capsys.readouterr().err
-    assert peak < 1 << 20
-
-
 def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
     # The 13-qubit cap guards the dense measurement, which only verification
     # builds; verify-pbr itself stops at m = 10.
@@ -308,6 +294,19 @@ def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
     assert code == 2
     assert "m_max" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+def test_simulate_steering_past_the_qubit_cap_runs_with_zero_loss():
+    # The 13-qubit cap guards dense verification only; completed steering
+    # rounds are measured through the distance law, as quantum trials are.
+    for m in ("14", "100"):
+        result = run_cli("simulate", "--strategy", "entanglement_assisted",
+                         "--n", m, "--m", m, "--k", "11", "--delta", "0.05",
+                         "--trials", "200", "--seed", "1")
+        assert result.returncode == 0, result.stderr
+        stats = json.loads(result.stdout)["statistics"]
+        assert stats["trials"] == 200 and stats["aborts"] < 200
+        assert stats["wins"] == stats["trials"] - stats["aborts"]
 
 
 def test_simulate_past_the_qubit_cap_runs_with_zero_loss():
@@ -336,15 +335,19 @@ def test_simulate_past_the_trial_budget_exits_2_under_an_address_space_limit():
     assert at_budget.returncode == 0, at_budget.stderr
 
 
-def test_simulate_refuses_a_steering_run_past_the_set_budget():
-    # k = choose_k(0.05, 0.05): one trial walks ~1/p_g = 2e10 sets.
-    start = time.perf_counter()
-    result = run_cli("simulate", "--strategy", "entanglement_assisted",
-                     "--n", "60", "--m", "3", "--k", "3293842468475",
-                     "--delta", "0.05", "--trials", "1")
-    assert time.perf_counter() - start < 5.0
-    assert result.returncode == 2
-    assert "shared sets" in result.stderr
+def test_simulate_plays_steering_runs_at_constant_communication_k():
+    # k = choose_k(alpha, 0.05) at alpha = m/n = 0.05 and 0.01: pair by pair
+    # a round would walk ~1/p_g = 2e10 and 5e51 sets.
+    for n, alpha in ((60, 0.05), (300, 0.01)):
+        start = time.perf_counter()
+        result = run_cli("simulate", "--strategy", "entanglement_assisted",
+                         "--n", str(n), "--m", "3",
+                         "--k", str(choose_k(alpha, 0.05)), "--delta", "0.05",
+                         "--trials", "1000")
+        assert time.perf_counter() - start < 5.0
+        assert result.returncode == 0, result.stderr
+        stats = json.loads(result.stdout)["statistics"]
+        assert stats["wins"] == stats["trials"] - stats["aborts"] == 1000
 
 
 def test_threads_default_to_one_worker():

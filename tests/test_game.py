@@ -1,15 +1,15 @@
 """Referee, single trials, and the Monte Carlo harness."""
 
-import functools
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from exclab import game, pbr, qcore
 from exclab.game import (
-    STEERING_SET_BUDGET,
     STRATEGIES,
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
@@ -32,7 +32,7 @@ from exclab.qcore import (
     conditional_entropy,
     make_rng,
 )
-from exclab.steering import p_abort, p_global_steer
+from exclab.steering import choose_k, p_abort, p_global_steer
 from test_pbr import THREE_SIGMA_TAIL, chi2_sf, outcome_indices
 
 
@@ -308,37 +308,49 @@ def test_monte_carlo_preflight_rejects_oversized_games():
         monte_carlo(quantum_config(), workers=0)
 
 
-def test_steering_runs_past_the_dense_qubit_cap_are_refused():
-    # Completed rounds measure the steered qubits densely, so m is capped at
-    # pbr.MAX_QUBITS = 13; quantum is not (test_cli covers m = 100).
-    with pytest.raises(ResourceLimitError, match="steered receiver"):
-        monte_carlo(GameConfig(n=14, m=14,
-                               strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
-                               trials=1, seed=0, k=11, delta=0.05))
+def test_steering_runs_past_the_dense_qubit_cap_play_with_zero_loss():
+    # Completed rounds are measured as quantum trials are, so m is not capped
+    # at pbr.MAX_QUBITS = 13; aborts stay within 3 sigma of p_abort.
+    for n, m, k in ((14, 14, 11), (100, 100, 11), (120, 60, 40)):
+        config = GameConfig(n=n, m=m, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
+                            trials=2000, seed=1, k=k, delta=0.05)
+        stats = monte_carlo(config)
+        assert stats.wins == stats.trials - stats.aborts
+        expected = p_abort(n, m, k)
+        sigma = math.sqrt(expected * (1.0 - expected) / config.trials)
+        assert stats.abort_rate == pytest.approx(expected, abs=3 * sigma)
 
 
 def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
+    # A completed round leaves the receiver holding the product encoding of
+    # its truth (criterion 7), so a block's truths go to the sampler of the
+    # quantum strategy; the outcomes of aborted rows are dropped.
     measured = []
-    original = game.measure_exclusion_product
+    original = game.measure_exclusion
 
-    def recording(qubits, rng):
-        measured.append(qubits)
-        return original(qubits, rng)
+    def recording(truth, rng):
+        outcomes = original(truth, rng)
+        measured.append((truth.copy(), outcomes))
+        return outcomes
 
-    monkeypatch.setattr(game, "measure_exclusion_product", recording)
+    monkeypatch.setattr(game, "measure_exclusion", recording)
     config = GameConfig(n=6, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
-                        trials=1, seed=0, k=40, delta=0.05)
-    for seed in range(5):
-        transcript = run_trial(config, make_rng(seed))
-        assert not transcript.aborted and transcript.won
-        truth = restrict(transcript.x, transcript.y)
-        encoding = pbr.product_state(truth, pbr.critical_angle(config.m))
-        assert len(measured[-1]) == config.m
-        steered = functools.reduce(np.kron,
-                                   [q.amplitudes for q in measured[-1]])
-        overlap = abs(np.vdot(encoding.amplitudes, steered))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-    assert len(measured) == 5
+                        trials=200, seed=0, k=3, delta=0.05)
+    seen: list[Transcript] = []
+    stats = monte_carlo(config, transcript_sink=seen.append)
+    assert 0 < stats.aborts < stats.trials
+    assert stats.wins == stats.trials - stats.aborts
+    assert len(measured) == 1
+    truth, outcomes = measured[0]
+    assert len(truth) == len(seen) == config.trials
+    for transcript, row_truth, row_outcome in zip(seen, truth, outcomes):
+        assert BitString(row_truth) == restrict(transcript.x, transcript.y)
+        if transcript.aborted:
+            assert transcript.answer is None
+        else:
+            assert transcript.answer == BitString(row_outcome)
+            assert transcript.message["kind"] == "set_index"
+            assert 0 <= transcript.message["value"] < config.k
 
 
 def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
@@ -359,25 +371,32 @@ def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
 
 
 def test_steering_trials_build_no_dense_measurement_or_state_chain(monkeypatch):
-    # At m = MAX_QUBITS the dense kets alone would take 1 GiB; the steered
-    # qubits are measured through 2**13 amplitudes instead.
-    dense_builds, chains = [], []
+    # Completed rounds are measured through the distance law, so m has no
+    # qubit cap: at m = 14 the dense kets alone would take 4 GiB.
+    dense_builds, chains, states = [], [], []
     monkeypatch.setattr(pbr, "exclusion_measurement", dense_builds.append)
     monkeypatch.setattr(qcore, "tensor_product", chains.append)
     monkeypatch.setattr(game, "tensor_product", chains.append)
-    config = GameConfig(n=pbr.MAX_QUBITS, m=pbr.MAX_QUBITS,
-                        strategy=STRATEGY_ENTANGLEMENT_ASSISTED, trials=3,
-                        seed=0, k=50, delta=0.05)
-    tracemalloc.start()
-    try:
-        stats = monte_carlo(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stats.aborts < stats.trials
-    assert stats.wins == stats.trials - stats.aborts
-    assert dense_builds == [] and chains == []
-    assert peak < 8 << 20
+    original = StateVector.__post_init__
+
+    def counting(self):
+        states.append(self)
+        original(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    for m in (pbr.MAX_QUBITS + 1, 100):
+        config = GameConfig(n=m, m=m, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
+                            trials=200, seed=0, k=50, delta=0.05)
+        tracemalloc.start()
+        try:
+            stats = monte_carlo(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.aborts < stats.trials
+        assert stats.wins == stats.trials - stats.aborts
+        assert peak < 8 << 20
+    assert dense_builds == [] and chains == [] and states == []
 
 
 def test_cover_entropy_keeps_only_the_observed_inputs():
@@ -403,19 +422,23 @@ def steering_config(**overrides) -> GameConfig:
     return GameConfig(**base)
 
 
-def test_monte_carlo_refuses_steering_runs_past_the_set_budget():
-    p_g = p_global_steer(60, 3)
-    assert 1.0 / p_g > STEERING_SET_BUDGET
-    with pytest.raises(ResourceLimitError, match="shared sets"):
-        monte_carlo(steering_config())
-    # With k * p_g small, nearly every round walks all k sets.
-    with pytest.raises(ResourceLimitError):
-        monte_carlo(steering_config(k=10**6, trials=1001))
-    # p_g underflows at n = 2000: every set fails, so a round walks all k.
+def test_monte_carlo_plays_steering_rounds_at_any_k():
+    # k = choose_k(alpha, 0.05) at alpha = m/n = 0.05 and 0.01: pair by pair
+    # a round would walk ~1/p_g = 2e10 and 5e51 sets.
+    for n, alpha in ((60, 0.05), (300, 0.01)):
+        config = steering_config(n=n, k=choose_k(alpha, 0.05), trials=1000)
+        assert p_abort(n, 3, config.k) < 1e-9
+        start = time.perf_counter()
+        stats = monte_carlo(config)
+        assert time.perf_counter() - start < 5.0
+        assert stats.aborts == 0 and stats.wins == config.trials
+    # p_g underflows at n = 2000: every set fails, so every round aborts.
     assert p_global_steer(2000, 3) == 0.0
-    with pytest.raises(ResourceLimitError):
-        monte_carlo(steering_config(n=2000, k=STEERING_SET_BUDGET + 1))
-    # A k far past 2**64 with a tiny expected round still runs.
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        stats = monte_carlo(steering_config(n=2000, k=10**6, trials=50))
+    assert stats.aborts == 50 and stats.wins == 0 and stats.win_rate is None
+    # A k far past 2**64 and the float range still runs.
     stats = monte_carlo(steering_config(n=4, m=2, k=10**400, trials=3))
     assert stats.aborts == 0
 

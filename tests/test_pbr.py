@@ -18,8 +18,6 @@ from exclab.pbr import (
     exclusion_measurement,
     exclusion_vector,
     measure_exclusion,
-    measure_exclusion_product,
-    product_exclusion_probabilities,
     product_state,
     restrict,
 )
@@ -28,10 +26,8 @@ from exclab.qcore import (
     VECTOR_TOL,
     ResourceLimitError,
     StateVector,
-    born_measure,
     inner_product,
     make_rng,
-    tensor_product,
 )
 
 
@@ -406,65 +402,3 @@ def test_sampled_outcome_is_uniform_within_its_distance_shell():
         dof += len(shell) - 1
     assert dof == 11
     assert chi2_sf(statistic, dof) >= THREE_SIGMA_TAIL, statistic
-
-
-def unit_qubit(polar: float, phase: float, global_phase: float) -> StateVector:
-    """(cos a, e^{i phase} sin a) times a global phase: every unit qubit."""
-    return StateVector(np.exp(1j * global_phase) * np.array(
-        [math.cos(polar), np.exp(1j * phase) * math.sin(polar)]), 1)
-
-
-def dense_product(qubits) -> StateVector:
-    state = qubits[0]
-    for qubit in qubits[1:]:
-        state = tensor_product(state, qubit)
-    return state
-
-
-qubit_angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi),
-                         st.floats(0.0, 2 * math.pi))
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.lists(qubit_angles, min_size=1, max_size=11))
-def test_product_probabilities_match_the_dense_oracle(angles):
-    qubits = [unit_qubit(*a) for a in angles]
-    dense = exclusion_measurement(len(qubits)).outcome_probabilities(
-        dense_product(qubits))
-    assert np.abs(product_exclusion_probabilities(qubits) - dense).max() <= 1e-12
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 10])
-def test_product_sampler_draws_as_dense_born_measure(m):
-    # Random complex qubits and the critical-angle encoding of a string, whose
-    # own outcome has probability 0: the same outcomes and the same number of
-    # variates as born_measure on the dense chain, draw for draw.
-    measurement = exclusion_measurement(m)
-    source = make_rng(100 + m)
-    truth = BitString.from_index(int(source.integers(1 << m)), m)
-    encoding = [bit_state(b, critical_angle(m)) for b in truth.bits]
-    qubit_sets = [encoding] + [
-        [unit_qubit(*source.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi]))
-         for _ in range(m)]
-        for _ in range(3)]
-    fast, dense = make_rng(m), make_rng(m)
-    for qubits in qubit_sets:
-        state = dense_product(qubits)
-        for _ in range(500):
-            expected = born_measure(state, measurement, dense)
-            outcome = measure_exclusion_product(qubits, fast)
-            assert outcome.dtype == np.int8 and outcome.shape == (m,)
-            assert tuple(outcome.tolist()) == expected.bits
-        # Philox's state holds small arrays, so compare the full reprs.
-        assert repr(fast.bit_generator.state) == repr(dense.bit_generator.state)
-    assert fast.random() == dense.random()
-
-
-def test_product_sampler_validates_its_qubits():
-    qubit = bit_state(0, critical_angle(1))
-    with pytest.raises(ResourceLimitError):
-        product_exclusion_probabilities([])
-    with pytest.raises(ResourceLimitError):
-        product_exclusion_probabilities([qubit] * (MAX_QUBITS + 1))
-    with pytest.raises(ValueError):
-        product_exclusion_probabilities([tensor_product(qubit, qubit)])

@@ -46,3 +46,14 @@ def test_one_checked_traced_call_of_every_op(tmp_path):
         tracer.uninstall()
     assert runner.checker.attempted == len(workload.OPS)
     assert runner.checker.failed == 0, runner.checker.problems
+
+
+@pytest.mark.parametrize("name", sorted(workload.WORKLOADS))
+def test_fixed_seed_abort_check_passes_for_every_workload(name, tmp_path):
+    # The benchmark tests one fixed-seed steering call's abort count against
+    # p_abort; a change to the steering draws that fails it fails here first.
+    runner = workload.Runner(workload.WORKLOADS[name], seed=0, pool=1,
+                             tmp=tmp_path)
+    runner.check_abort_rate()
+    assert runner.checker.attempted == 1
+    assert runner.checker.failed == 0, runner.checker.problems

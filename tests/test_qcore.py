@@ -12,7 +12,6 @@ from exclab.qcore import (
     RankOneMeasurement,
     StateVector,
     binary_entropy,
-    born_index,
     born_measure,
     conditional_entropy,
     inner_product,
@@ -157,14 +156,20 @@ def test_born_measure_reproducible_per_seed():
     assert runs[0] == runs[1]
 
 
-def test_born_index_checks_the_total_and_draws_one_variate():
-    with pytest.raises(ValueError, match="sum to"):
-        born_index(np.array([0.5, 0.25]), make_rng(0))
-    probs = np.array([0.2, 0.0, 0.8])
+def test_born_measure_checks_the_total_and_draws_one_variate(monkeypatch):
+    # Born probabilities (0.2, 0, 0.8, 0): one variate against their
+    # cumulative sum, and side="right" never picks a zero-probability outcome.
+    state = StateVector([math.sqrt(0.2), 0.0, math.sqrt(0.8), 0.0], 2)
+    measurement = basis_measurement(4)
     rng, twin = make_rng(3), make_rng(3)
     for _ in range(200):
-        # side="right" never picks the zero-probability outcome.
-        assert born_index(probs, rng) == (0 if twin.random() < 0.2 else 2)
+        assert born_measure(state, measurement, rng) == (
+            0 if twin.random() < 0.2 else 2)
+    monkeypatch.setattr(RankOneMeasurement, "outcome_probabilities",
+                        lambda self, state: np.array([0.5, 0.25]))
+    with pytest.raises(ValueError, match="sum to"):
+        born_measure(StateVector([1.0, 0.0], 1), basis_measurement(2),
+                     make_rng(0))
 
 
 def test_born_measure_dimension_mismatch():

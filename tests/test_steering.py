@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from exclab.pbr import BitString, bit_state, critical_angle
@@ -13,12 +15,14 @@ from exclab.steering import (
     SteeringRoundResult,
     build_kit,
     choose_k,
+    draw_rounds,
     p_abort,
     p_global_steer,
     p_steer,
     run_steering_round,
     steer_one,
 )
+from test_pbr import THREE_SIGMA_TAIL, chi2_sf
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -199,11 +203,11 @@ def test_run_steering_round_success_states_match_input_bits():
     # k=50 makes abort essentially impossible at this seed.
     assert not result.aborted
     assert 0 <= result.set_index < 50
-    assert len(result.receiver_states) == 3
-    for bit, state in zip(x, result.receiver_states):
-        assert fidelity(state, bit_state(bit, theta)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+    # A steered set left every pair in its outcome-0 post-state.
+    kit = build_kit(2)
+    for bit in x:
+        assert fidelity(kit.branch_posts[bit][0],
+                        bit_state(bit, theta)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_steering_round_abort_shape_and_rate():
@@ -216,7 +220,6 @@ def test_run_steering_round_abort_shape_and_rate():
         result = run_steering_round(params, x, rng)
         if result.aborted:
             assert result.set_index is None
-            assert result.receiver_states is None
             aborts += 1
     expected = p_abort(2, 2, 3)
     sigma = math.sqrt(expected * (1.0 - expected) / trials)
@@ -236,7 +239,74 @@ def test_run_steering_round_reproducible():
     second = run_steering_round(params, x, make_rng(99))
     assert first.aborted == second.aborted
     assert first.set_index == second.set_index
-    if not first.aborted:
-        for a, b in zip(first.receiver_states, second.receiver_states):
-            assert fidelity(a, b) == pytest.approx(1.0, abs=1e-15)
     assert isinstance(first, SteeringRoundResult)
+
+
+def capped_histogram(aborted: np.ndarray, set_index: np.ndarray,
+                     k: int) -> np.ndarray:
+    """Counts of J = 0 .. k-1, then of aborts, in k + 1 bins."""
+    assert (set_index[~aborted] < k).all() and (set_index[aborted] >= k).all()
+    return np.bincount(np.where(aborted, k, set_index).astype(np.int64),
+                       minlength=k + 1)
+
+
+def test_draw_rounds_histogram_fits_the_truncated_geometric():
+    # P(J = j) = p_g (1 - p_g)**j for j < k, and P(abort) = p_abort.
+    n, m, k, rounds = 3, 2, 8, 20000
+    aborted, set_index = draw_rounds(SteeringParameters(n, m, k, 0.05),
+                                     make_rng(8), rounds)
+    assert aborted.shape == set_index.shape == (rounds,)
+    counts = capped_histogram(aborted, set_index, k)
+    p_g = p_global_steer(n, m)
+    expected = rounds * np.array([p_g * (1.0 - p_g) ** j for j in range(k)]
+                                 + [p_abort(n, m, k)])
+    assert expected.sum() == pytest.approx(rounds, rel=1e-12)
+    assert expected.min() >= 10.0
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2_sf(statistic, k) >= THREE_SIGMA_TAIL, statistic
+
+
+def test_draw_rounds_matches_the_per_pair_round():
+    # Two-sample chi-square on the k + 1 bins of J: the closed-form draw and
+    # the per-pair reference, each from its own fixed seed.
+    params, rounds = SteeringParameters(3, 2, 5, 0.05), 4000
+    closed = capped_histogram(*draw_rounds(params, make_rng(30), rounds),
+                              params.k)
+    rng, x = make_rng(31), BitString.from_string("101")
+    per_pair = np.zeros(params.k + 1, dtype=np.int64)
+    for _ in range(rounds):
+        result = run_steering_round(params, x, rng)
+        per_pair[params.k if result.aborted else result.set_index] += 1
+    pooled = (closed + per_pair) / 2.0
+    assert pooled.min() >= 10.0
+    statistic = float((((closed - pooled) ** 2 + (per_pair - pooled) ** 2)
+                       / pooled).sum())
+    assert chi2_sf(statistic, params.k) >= THREE_SIGMA_TAIL, statistic
+
+
+def test_draw_rounds_aborts_every_round_once_p_g_underflows():
+    assert p_global_steer(2000, 3) == 0.0
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        aborted, set_index = draw_rounds(SteeringParameters(2000, 3, 10**6, 0.05),
+                                         make_rng(0), 1000)
+    assert aborted.all()
+    assert not np.isnan(set_index).any()
+
+
+def test_draw_rounds_takes_any_int_k():
+    # float(10**400) overflows; p_g ~ 0.12 keeps every J far below 2**53.
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        aborted, set_index = draw_rounds(SteeringParameters(4, 2, 10**400, 0.05),
+                                         make_rng(4), 5000)
+    assert not aborted.any()
+    assert (set_index >= 0).all() and (set_index < 2**53).all()
+    assert (set_index == np.floor(set_index)).all()
+
+
+def test_draw_rounds_takes_one_variate_per_round():
+    rng, twin = make_rng(12), make_rng(12)
+    draw_rounds(SteeringParameters(5, 3, 7, 0.05), rng, 100)
+    twin.random(100)
+    assert rng.random() == twin.random()
