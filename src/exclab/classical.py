@@ -6,8 +6,10 @@ the one that rules out the fewest strings, entirely by enumeration, so it can
 serve as an independent check on the closed-form count.  ``build_cover_
 strategy`` constructs a concrete zero-error protocol: a small set of message
 strings such that every input has a message at Hamming distance at least
-n - m + 1, found greedily with coverage counts evaluated through a
-Walsh-Hadamard transform.
+n - m + 1, found greedily with coverage counts evaluated through
+``qcore.fwht``, the transform that also gives the exclusion measurement's
+overlaps.  Each input has one message, so ``exact_information_cost`` needs
+only the 2**n preimage sizes, not an (input, message) joint.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from .pbr import BitString, IndexSubset, restrict
 from .qcore import (
-    ProbabilityDistribution,
     ResourceLimitError,
     conditional_entropy,
+    fwht,
     usable_workers,
 )
 
@@ -234,20 +236,6 @@ class CoverStrategy:
         return self.messages[self.assignment[x.to_index()]]
 
 
-def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform (unnormalized, self-inverse up to 1/size)."""
-    v = vec.astype(np.float64)
-    size = v.size
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h]
-        right = v[:, h:]
-        v = np.hstack((left + right, left - right))
-        h *= 2
-    return v.ravel()
-
-
 def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     """Greedy message cover for the exclusion game on (n, m).
 
@@ -270,14 +258,13 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     threshold = n - m + 1
     inputs = np.arange(size, dtype=np.int64)
     popcounts = np.bitwise_count(inputs)
-    kernel_transform = _fwht((popcounts >= threshold).astype(np.float64))
+    kernel_transform = fwht(popcounts >= threshold)
 
     uncovered = np.ones(size, dtype=bool)
     assignment = np.full(size, -1, dtype=np.int64)
     message_values: list[int] = []
     while uncovered.any():
-        correlation = _fwht(_fwht(uncovered.astype(np.float64))
-                            * kernel_transform) / size
+        correlation = fwht(fwht(uncovered) * kernel_transform) / size
         candidate = int(np.argmax(np.rint(correlation)))
         served = popcounts[inputs ^ candidate] >= threshold
         # An input is first served in the round that covers it.
@@ -294,8 +281,7 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
 
 
 def exact_information_cost(strategy: CoverStrategy) -> float:
-    """n - H(X | M) for uniform inputs under the strategy's assignment."""
-    size = 1 << strategy.n
-    joint = np.zeros((size, len(strategy.messages)), dtype=np.float64)
-    joint[np.arange(size), np.asarray(strategy.assignment)] = 1.0 / size
-    return strategy.n - conditional_entropy(ProbabilityDistribution(joint))
+    """n - H(X | M) for uniform inputs under the strategy's assignment, where
+    H(X | M) = sum over messages of (c / 2**n) log2 c for preimage sizes c."""
+    return strategy.n - conditional_entropy(np.ones(1 << strategy.n),
+                                            strategy.assignment_array)

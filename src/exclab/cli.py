@@ -30,11 +30,12 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import classical, game, steering
 from .pbr import (
+    MAX_QUBITS,
     BitString,
     bit_state,
     critical_angle,
-    exclusion_measurement,
-    exclusion_vector,
+    distance_distribution,
+    exclusion_overlaps,
     product_state,
 )
 from .qcore import (
@@ -51,15 +52,11 @@ CSV_COLUMNS = ("n", "m", "gamma_log2", "classical_ic_lower",
                "quantum_entropy_upper", "quantum_ic_upper")
 
 
-def _sig12(value: float) -> float:
-    return float(f"{value:.12g}")
-
-
 def _round_floats(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _sig12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {key: _round_floats(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -74,42 +71,47 @@ def _emit_text(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, output: str | None) -> None:
+def _emit_report(command: str, fields: dict, output: str | None) -> None:
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
     _emit_text(json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n",
                output)
 
 
 SUBCRITICAL_FACTOR = 0.9
 SUBCRITICAL_MARGIN = 1e-6
+# steering builds and caches one kit per row; 1,024 rows take about 0.4 s.
+STEERING_MAX_M = 1024
 
 
 def cmd_verify_pbr(args: argparse.Namespace) -> int:
-    if not 1 <= args.m_max <= 10:
-        raise ValueError(f"m_max must lie in 1..10, got {args.m_max}")
+    if not 1 <= args.m_max <= MAX_QUBITS:
+        raise ValueError(f"m_max must lie in 1..{MAX_QUBITS}, got {args.m_max}")
     rows = []
     all_pass = True
     for m in range(1, args.m_max + 1):
         theta = critical_angle(m)
-        measurement = exclusion_measurement(m)
-        kets = measurement.kets
-        gram_residual = float(
-            np.abs(kets @ kets.conj().T - np.eye(1 << m)).max()
-        )
-        overlap = 0.0
-        subcritical_overlap = 0.0
-        formula_residual = 0.0
-        for ket, z in zip(kets, measurement.labels):
-            overlap = max(overlap, abs(complex(np.vdot(
-                ket, product_state(z, theta).amplitudes))))
-            # Below the critical angle exclusion must demonstrably fail.
-            subcritical_overlap = max(subcritical_overlap, abs(complex(np.vdot(
-                ket, product_state(z, SUBCRITICAL_FACTOR * theta).amplitudes))))
-            formula_residual = max(formula_residual, float(np.abs(
-                exclusion_vector(z).amplitudes - ket
-            ).max()))
+        overlap = subcritical_overlap = parseval_residual = law_residual = 0.0
+        # Z**w maps zeta_z to zeta_{z xor w}, so truth 0 would do; all-ones
+        # and 1010... check the implementation.
+        for truth in sorted({0, (1 << m) - 1, int(("10" * m)[:m], 2)}):
+            x = BitString.from_index(truth, m)
+            # Row 1 is below the critical angle: exclusion must fail there.
+            overlaps = exclusion_overlaps([
+                product_state(x, factor * theta).amplitudes.real
+                for factor in (1.0, SUBCRITICAL_FACTOR)])
+            probabilities = overlaps**2
+            overlap = max(overlap, float(abs(overlaps[0, truth])))
+            subcritical_overlap = max(subcritical_overlap,
+                                      float(abs(overlaps[1, truth])))
+            parseval_residual = max(parseval_residual, float(
+                np.abs(probabilities.sum(axis=1) - 1.0).max()))
+            shells = np.bincount(np.bitwise_count(np.arange(1 << m) ^ truth),
+                                 weights=probabilities[0], minlength=m + 1)
+            law_residual = max(law_residual, float(
+                np.abs(shells - distance_distribution(m)[0]).max()))
         row_pass = (overlap <= VECTOR_TOL
-                    and gram_residual <= MATRIX_TOL
-                    and formula_residual <= VECTOR_TOL
+                    and parseval_residual <= MATRIX_TOL
+                    and law_residual <= MATRIX_TOL
                     and subcritical_overlap > SUBCRITICAL_MARGIN)
         all_pass = all_pass and row_pass
         rows.append({
@@ -117,17 +119,13 @@ def cmd_verify_pbr(args: argparse.Namespace) -> int:
             "theta": theta,
             "max_exclusion_overlap": overlap,
             "subcritical_overlap": subcritical_overlap,
-            "gram_residual": gram_residual,
-            "formula_residual": formula_residual,
+            "parseval_residual": parseval_residual,
+            "distance_law_residual": law_residual,
             "pass": row_pass,
         })
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-pbr",
-        "m_max": args.m_max,
-        "rows": rows,
-        "pass": all_pass,
-    }, args.output)
+    _emit_report("verify-pbr",
+                 {"m_max": args.m_max, "rows": rows, "pass": all_pass},
+                 args.output)
     return 0 if all_pass else 1
 
 
@@ -180,12 +178,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             lines.append(",".join(cells))
         _emit_text("\n".join(lines) + "\n", args.output)
     else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "bounds",
-            "m_rule": rule_text,
-            "rows": [row.to_dict() for row in rows],
-        }, args.output)
+        _emit_report("bounds", {"m_rule": rule_text,
+                                "rows": [row.to_dict() for row in rows]},
+                     args.output)
     return 0
 
 
@@ -229,12 +224,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if transcript_file is not None:
             transcript_file.close()
 
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": asdict(config),
-        "statistics": stats.to_dict(),
-    }, args.output)
+    _emit_report("simulate", {"config": asdict(config),
+                              "statistics": stats.to_dict()}, args.output)
     # Success means the zero-error invariant held: no non-aborted loss.
     return 0 if stats.wins == stats.trials - stats.aborts else 1
 
@@ -251,9 +242,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     )
     recount = classical.excluded_count(witness)
     ok = count == closed_form and witness_consistent and recount == count
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
+    _emit_report("oracle", {
         "n": args.n,
         "m": args.m,
         "min_excluded": count,
@@ -270,6 +259,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_steering(args: argparse.Namespace) -> int:
     if args.m_max < 1:
         raise ValueError(f"m-max must be >= 1, got {args.m_max}")
+    if args.m_max > STEERING_MAX_M:
+        raise ResourceLimitError(
+            f"m-max {args.m_max} is past the cap of {STEERING_MAX_M} rows")
     root_half = 1.0 / math.sqrt(2.0)
     minus = StateVector(np.array([root_half, -root_half]), 1)
     plus = StateVector(np.array([root_half, root_half]), 1)
@@ -308,13 +300,9 @@ def cmd_steering(args: argparse.Namespace) -> int:
             "fidelity_residual": fidelity_residual,
             "pass": row_pass,
         })
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "steering",
-        "m_max": args.m_max,
-        "rows": rows,
-        "pass": all_pass,
-    }, args.output)
+    _emit_report("steering",
+                 {"m_max": args.m_max, "rows": rows, "pass": all_pass},
+                 args.output)
     return 0 if all_pass else 1
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from .classical import CoverStrategy, build_cover_strategy
 from .pbr import BitString, IndexSubset, measure_exclusion, restrict
 from .qcore import (
-    ProbabilityDistribution,
     ResourceLimitError,
     conditional_entropy,
     make_rng,
@@ -181,7 +180,8 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
                 sink: Callable[[Transcript], None] | None = None):
     """Play trials first .. first + size - 1, drawing only from ``rng``: the
     referee's inputs and subsets for the whole block, then the strategy's
-    draws.  Returns (wins, aborts, flat joint counts of x and message)."""
+    draws.  Returns (wins, aborts, counts of x or None); the message is a
+    function of x, so the counts of x fix H(X | M)."""
     n, m = config.n, config.m
     x, y = referee_draw(n, m, rng, size)
     truth = np.take_along_axis(x, y, axis=1)
@@ -195,8 +195,7 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
         x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         chosen = cover.assignment_array[x_index]
         answer = np.take_along_axis(cover.message_bits[chosen], y, axis=1)
-        counts = np.bincount(x_index * len(cover.messages) + chosen,
-                             minlength=len(cover.messages) << n)
+        counts = np.bincount(x_index, minlength=1 << n)
         messages = ({"kind": "classical_message",
                      "bits": str(cover.messages[c])} for c in chosen)
     else:
@@ -251,7 +250,7 @@ def _message_bits(config: GameConfig) -> dict:
 
 
 def _merge(parts) -> tuple:
-    """Sum (wins, aborts, joint counts or None) triples."""
+    """Sum (wins, aborts, counts of x or None) triples."""
     wins, aborts, counts = 0, 0, None
     for w, a, c in parts:
         wins, aborts = wins + w, aborts + a
@@ -261,7 +260,7 @@ def _merge(parts) -> tuple:
 
 def _run_blocks(config: GameConfig, first: int, stop: int,
                 sink: Callable[[Transcript], None] | None = None):
-    """Aggregate blocks [first, stop); returns (wins, aborts, joint counts).
+    """Aggregate blocks [first, stop); returns (wins, aborts, counts of x).
     Block b plays trials from b * block_size(n) on, from its own substream,
     child b of SeedSequence(seed), constructed directly so that workers need
     not materialize the whole spawn list."""
@@ -302,12 +301,8 @@ def monte_carlo(config: GameConfig, workers: int = 1,
                 _run_blocks, itertools.repeat(config), edges[:-1], edges[1:]))
 
     completed = config.trials - aborts
-    entropy = None
-    if counts is not None:
-        # A call fills at most `trials` rows; H(X | M) ignores empty ones.
-        joint = counts.reshape(1 << config.n, -1)
-        joint = joint[joint.any(axis=1)]
-        entropy = conditional_entropy(ProbabilityDistribution.from_counts(joint))
+    entropy = None if counts is None else conditional_entropy(
+        counts, _cover(config.n, config.m).assignment_array)
     return RunStatistics(
         strategy=config.strategy, trials=config.trials, wins=wins,
         aborts=aborts, win_rate=(wins / completed) if completed else None,

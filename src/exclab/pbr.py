@@ -11,9 +11,13 @@ built so that observing z certifies the preparation was not z.  Perfect
 exclusion (<zeta_z|Psi_z> = 0 for every z) happens exactly at the critical
 angle returned by ``critical_angle``.
 
-The Born law in closed form (Pusey, Barrett and Rudolph, Nat. Phys. 8, 475
-(2012)).  zeta_z has amplitude (2[s = 0] - (-1)**(z.s))/sqrt(2**m) at basis
-string s, so with c = cos(theta/2), t = tan(theta/2) and d = |z xor w|,
+The measurement is one Walsh-Hadamard transform (Pusey, Barrett and
+Rudolph, Nat. Phys. 8, 475 (2012)).  zeta_z has amplitude
+(2[s = 0] - (-1)**(z.s))/sqrt(2**m) at basis string s, and (-1)**(z.s) is
+entry (z, s) of the Sylvester matrix H, so for real amplitudes Psi all 2**m
+overlaps sqrt(2**m) <zeta_z|Psi> = 2 Psi(0) - (H Psi)_z come from one
+``qcore.fwht``.  On the product encoding Psi_w, with c = cos(theta/2),
+t = tan(theta/2) and d = |z xor w|,
 
     sqrt(2**m) <zeta_z|Psi_w> = 2 c**m - c**m (1 + t)**(m - d) (1 - t)**d
                               = c**m (1 + t)**m (2 (1 + t)**-m - r**d),
@@ -24,8 +28,9 @@ C(m, d) (1 - r**d)**2 over d gives Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m,
 so the outcome's distance from the truth has P(d) = C(m, d) (1 - r**d)**2 / Z,
 shared evenly by the C(m, d) outcomes at that distance.  ``measure_exclusion``
 samples this law for a block of truths at once, for quantum trials and
-completed steering rounds alike; the dense ``exclusion_measurement`` is its
-oracle.
+completed steering rounds alike; ``verify-pbr`` checks it against the
+transform, and the tests check the transform against the dense
+``exclusion_measurement``.
 """
 
 from __future__ import annotations
@@ -38,13 +43,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .qcore import RankOneMeasurement, ResourceLimitError, StateVector
+from .qcore import ResourceLimitError, StateVector, fwht
 # Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
 from .qcore import born_measure  # noqa: F401
 
-# Hard cap on qubits of 2**m-amplitude states and the dense measurement,
-# whose 16 * 4**m bytes of kets are 1 GiB at 13 qubits, 4 GiB at 14.
-MAX_QUBITS = 13
+# Cap on qubits of 2**m-amplitude states: 16 MiB of complex128 at 20 qubits.
+MAX_QUBITS = 20
+# Cap on the dense measurement, whose 8 * 4**m bytes of kets are 512 MiB at
+# 13 qubits and 2 GiB at 14.
+DENSE_MAX_QUBITS = 13
 
 
 @dataclass(frozen=True)
@@ -126,11 +133,11 @@ class IndexSubset:
                      for combo in itertools.combinations(range(1, n + 1), m))
 
 
-def _check_qubits(m: int, what: str) -> None:
-    """Refuse work on 2**m amplitudes unless 1 <= m <= MAX_QUBITS."""
-    if not 1 <= m <= MAX_QUBITS:
+def _check_qubits(m: int, what: str, cap: int = MAX_QUBITS) -> None:
+    """Refuse work on 2**m amplitudes unless 1 <= m <= cap."""
+    if not 1 <= m <= cap:
         raise ResourceLimitError(
-            f"{what} on {m} qubits is outside the cap of 1..{MAX_QUBITS}")
+            f"{what} on {m} qubits is outside the cap of 1..{cap}")
 
 
 def critical_angle(m: int) -> float:
@@ -163,45 +170,28 @@ def product_state(x: BitString, angle: float) -> StateVector:
     return StateVector(amps, len(x))
 
 
-def exclusion_vector(z: BitString) -> StateVector:
-    """Outcome vector zeta_z of the m-qubit exclusion measurement.
+def exclusion_overlaps(amplitudes) -> np.ndarray:
+    """<zeta_z|Psi> for every outcome z, along the last axis of the real
+    amplitudes Psi: (2 Psi(0) - (H Psi)_z) / sqrt(2**m) (module docstring)."""
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    return (2.0 * amps[..., :1] - fwht(amps)) / math.sqrt(amps.shape[-1])
 
-    In the computational basis indexed by strings s, the amplitude is
-    +1/sqrt(2**m) at s = 0...0 and -(-1)**(z.s)/sqrt(2**m) elsewhere, where
-    z.s is the parity of the bitwise AND.
+
+def exclusion_measurement(m: int) -> np.ndarray:
+    """Read-only float64 (2**m, 2**m) matrix whose row z is zeta_z:
+    -H/sqrt(2**m) for the Sylvester matrix H, built as int8 so that the kets
+    are the only large array, with the s=0 column flipped back to positive.
+    Uncached: the dense oracle of ``exclusion_overlaps``, off the trial path.
     """
-    m = len(z)
-    _check_qubits(m, "exclusion vector")
-    dim = 1 << m
-    z_index = z.to_index()
-    s_values = np.arange(dim)
-    parities = np.bitwise_count(s_values & z_index) & 1
-    amps = -np.where(parities == 1, -1.0, 1.0)
-    amps[0] = 1.0
-    return StateVector(amps / math.sqrt(dim), m)
-
-
-def exclusion_measurement(m: int) -> RankOneMeasurement:
-    """Complete m-qubit measurement whose outcome z excludes preparation z.
-
-    All 2**m outcome kets in one closed form: the rows of the Sylvester
-    Hadamard matrix H (the m-th Kronecker power of [[1, 1], [1, -1]]) give
-    the parities (-1)**(z.s), so the complex128 ket matrix is -H/sqrt(2**m)
-    with the s=0 column flipped back to +1/sqrt(2**m); H is built as int8 so
-    that the kets are the only large array.  Rows are orthonormal, which the
-    RankOneMeasurement constructor re-verifies for dimensions up to its
-    completeness-check cap.  Uncached: the oracle, off the trial path.
-    """
-    _check_qubits(m, "exclusion measurement")
+    _check_qubits(m, "exclusion measurement", DENSE_MAX_QUBITS)
     dim = 1 << m
     sylvester = np.ones((1, 1), dtype=np.int8)
     for _ in range(m):
         sylvester = np.kron(sylvester, np.array([[1, 1], [1, -1]], np.int8))
-    kets = np.empty((dim, dim), dtype=np.complex128)
-    np.divide(sylvester, -math.sqrt(dim), out=kets)
+    kets = sylvester / -math.sqrt(dim)
     kets[:, 0] = 1.0 / math.sqrt(dim)
-    labels = tuple(BitString.from_index(z, m) for z in range(dim))
-    return RankOneMeasurement(kets, labels)
+    kets.setflags(write=False)
+    return kets
 
 
 def restrict(x: BitString, y: IndexSubset) -> BitString:

@@ -1,10 +1,11 @@
-"""Shared primitives: state vectors, rank-one measurements, entropies, RNG.
+"""Shared primitives: the Walsh-Hadamard transform, state vectors, Born
+sampling, entropies, RNG.
 
-Everything downstream (state preparation, exclusion measurements, steering,
-the Monte Carlo harness) is built on the small set of objects defined here.
-Numerical contracts are pinned by two tolerances: VECTOR_TOL for quantities
-formed from a single vector (norms, overlaps) and MATRIX_TOL for quantities
-that accumulate over a full matrix (completeness sums, entropy identities).
+``fwht`` is the one transform of the package: the greedy classical cover
+counts coverage with it, and ``pbr.exclusion_overlaps`` gets a state's
+overlap with every exclusion outcome from it.  A measurement is a plain
+array whose rows are its outcome kets.  VECTOR_TOL bounds quantities formed
+from one vector (norms, overlaps), MATRIX_TOL those summed over many entries.
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Single-vector checks (norms, overlaps, probabilities from one amplitude).
 VECTOR_TOL = 1e-12
-# Accumulated checks (completeness sums, Gram matrices, distribution totals
-# built from many entries).
 MATRIX_TOL = 1e-10
-
-# Completeness of a measurement is verified eagerly only up to this dimension;
-# above it the quadratic-memory Gram check is skipped.
-COMPLETENESS_CHECK_MAX_DIM = 1024
 
 
 class ResourceLimitError(RuntimeError):
@@ -48,6 +42,26 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))
+
+
+def fwht(vec) -> np.ndarray:
+    """H @ v along the last axis, as float64, for the Sylvester matrix H (a
+    Kronecker power of [[1, 1], [1, -1]]): unnormalized, self-inverse up to
+    1/size.  In place on a copy, one butterfly per stage on a (-1, 2, h)
+    view (Fino and Algazi, IEEE Trans. Comput. C-25 (1976))."""
+    v = np.array(vec, dtype=np.float64)
+    size = v.shape[-1]
+    if size & (size - 1):
+        raise ValueError(f"length {size} is not a power of two")
+    diff = np.empty(v.size // 2)
+    h = 1
+    while h < size:
+        pairs = v.reshape(-1, 2, h)
+        np.subtract(pairs[:, 0], pairs[:, 1], out=diff.reshape(-1, h))
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = diff.reshape(-1, h)
+        h *= 2
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,87 +109,21 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
-class RankOneMeasurement:
-    """Projective measurement given by an orthonormal family of unit kets.
-
-    Row i of the complex128 matrix ``kets`` is the ket of outcome
-    ``labels[i]``; a complex128 input is frozen in place, not copied.  The
-    matrix must be 2-D with a power-of-two width, unit rows within VECTOR_TOL
-    and one label per row; up to COMPLETENESS_CHECK_MAX_DIM the outcome
-    projectors must also sum to the identity within MATRIX_TOL entrywise.
-    """
-
-    kets: np.ndarray
-    labels: tuple
-
-    def __post_init__(self) -> None:
-        kets = np.asarray(self.kets, dtype=np.complex128)
-        if kets.ndim != 2 or kets.shape[0] == 0:
-            raise ValueError("kets must be a nonempty two-dimensional array")
-        dim = kets.shape[1]
-        if dim == 0 or dim & (dim - 1):
-            raise ValueError(f"ket dimension {dim} is not a power of two")
-        if len(self.labels) != kets.shape[0]:
-            raise ValueError("labels and kets differ in length")
-        # Row norms via the real and imaginary views: no matrix-sized temporary.
-        norms = np.sqrt(np.einsum("ij,ij->i", kets.real, kets.real)
-                        + np.einsum("ij,ij->i", kets.imag, kets.imag))
-        if not np.abs(norms - 1.0).max() <= VECTOR_TOL:  # NaN fails too
-            raise ValueError("kets must have unit norm")
-        if dim <= COMPLETENESS_CHECK_MAX_DIM:
-            gram = kets.T @ kets.conj()
-            if not np.allclose(gram, np.eye(dim), rtol=0.0, atol=MATRIX_TOL):
-                raise ValueError("outcome projectors do not sum to identity")
-        kets.setflags(write=False)
-        object.__setattr__(self, "kets", kets)
-
-    def outcome_probabilities(self, state: StateVector) -> np.ndarray:
-        """Born probabilities |<k_i|state>|**2 for every outcome at once."""
-        dim = self.kets.shape[1]
-        if state.dim != dim:
-            raise ValueError(f"dimension mismatch: {state.dim} vs {dim}")
-        # <k_i|state> = conj((kets @ conj(state))_i): no conjugated matrix.
-        return np.abs(self.kets @ state.amplitudes.conj()) ** 2
-
-
-def born_measure(state: StateVector, measurement: RankOneMeasurement,
-                 rng: np.random.Generator):
-    """Label of one outcome of ``measurement`` on ``state``: one variate against
-    the cumulative Born probabilities, whose total must be 1 within MATRIX_TOL."""
-    cumulative = np.cumsum(measurement.outcome_probabilities(state))
+def born_measure(state: StateVector, kets: np.ndarray,
+                 rng: np.random.Generator) -> int:
+    """Index of one outcome of the measurement whose kets are the rows of
+    ``kets``: one variate against the cumulative Born probabilities, whose
+    total must be 1 within MATRIX_TOL (so kets that are not unit or not
+    complete on ``state`` are refused)."""
+    if kets.shape[-1] != state.dim:
+        raise ValueError(f"dimension mismatch: {state.dim} vs {kets.shape[-1]}")
+    # <k_i|state> = conj((kets @ conj(state))_i): no conjugated matrix.
+    cumulative = np.cumsum(np.abs(kets @ state.amplitudes.conj()) ** 2)
     total = cumulative[-1]
-    if abs(total - 1.0) > MATRIX_TOL:
+    if not abs(total - 1.0) <= MATRIX_TOL:  # NaN fails too
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
     index = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-    return measurement.labels[min(index, len(cumulative) - 1)]
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityDistribution:
-    """Validated probability weights; may be any shape (1-D, joint 2-D, ...)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        if w.size == 0:
-            raise ValueError("distribution needs at least one weight")
-        if float(w.min()) < 0.0 or float(w.max()) > 1.0:
-            raise ValueError("weights must lie in [0, 1]")
-        total = float(w.sum())
-        if abs(total - 1.0) > MATRIX_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_counts(cls, counts) -> ProbabilityDistribution:
-        c = np.asarray(counts, dtype=np.float64)
-        total = c.sum()
-        if total <= 0:
-            raise ValueError("counts must have positive total")
-        return cls(c / total)
+    return min(index, len(cumulative) - 1)
 
 
 def binary_entropy(p: float) -> float:
@@ -188,26 +136,21 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + q * math.log2(q))
 
 
-def shannon_entropy(dist: ProbabilityDistribution) -> float:
-    """Entropy in bits of the flattened distribution."""
-    w = dist.weights.ravel()
-    positive = w[w > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
-
-
-def conditional_entropy(joint: ProbabilityDistribution) -> float:
-    """H(X | M) in bits for a joint 2-D distribution with X rows, M columns.
-
-    Computed as -sum_{x,m} p(x,m) log2( p(x,m) / p(m) ), skipping zero cells,
-    which is exactly sum_m p(m) H(X | M=m) but in one numerically tame pass.
-    """
-    w = joint.weights
-    if w.ndim != 2:
-        raise ValueError("joint distribution must be two-dimensional")
-    marginal = w.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w > 0.0, w / marginal, 1.0)
-        terms = np.where(w > 0.0, w * np.log2(ratio), 0.0)
-    value = float(-terms.sum())
+def conditional_entropy(counts, labels) -> float:
+    """H(X | f(X)) in bits, where x_i was seen c_i = ``counts[i]`` times and
+    f(x_i) = ``labels[i]`` >= 0: -sum_i (c_i / N) log2(c_i / C_f(x_i)), with
+    C_f the total count of label f.  No (x, f(x)) joint is formed."""
+    counts, labels = np.asarray(counts, dtype=np.float64), np.asarray(labels)
+    if counts.ndim != 1 or counts.shape != labels.shape:
+        raise ValueError("need one label per count, both one-dimensional")
+    if not counts.min(initial=0.0) >= 0.0:
+        raise ValueError("counts must be nonnegative")
+    seen = counts > 0.0
+    if not seen.any():
+        raise ValueError("counts must have positive total")
+    counts, labels = counts[seen], labels[seen]
+    per_label = np.bincount(labels, weights=counts)
+    value = float(-(counts / counts.sum()
+                    * np.log2(counts / per_label[labels])).sum())
     # Roundoff can leave a tiny negative residue when H(X|M) is exactly 0.
     return 0.0 if abs(value) < MATRIX_TOL else value

@@ -23,11 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from .pbr import BitString, critical_angle
-from .qcore import RankOneMeasurement, ResourceLimitError, StateVector
+from .qcore import ResourceLimitError, StateVector
 
 # choose_k refuses a k of more decimal digits than this; it keeps every
 # alpha above about 0.006 at delta = 0.05.
 CHOOSE_K_MAX_DIGITS = 100
+# A float64 set index J counts as >= any k past this one.
+FLOAT_K_MAX = 2**1023
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,37 +54,31 @@ def _project_sender(phi: StateVector, sender: np.ndarray) -> tuple[float, StateV
     return probability, StateVector(receiver / math.sqrt(probability), 1)
 
 
-@lru_cache(maxsize=None)
-def build_kit(m: int) -> SteeringKit:
-    """Steering kit at the critical angle for subset size m.
-
-    The pair amplitudes a0, a1 and both bases are fixed by theta alone;
-    construction verifies nothing beyond the checks built into StateVector
-    and RankOneMeasurement, leaving the steering identities to callers (the
-    CLI recomputes them as residuals).
-    """
+def sender_bases(m: int) -> np.ndarray:
+    """(2, 2, 2) array of the sender's bases at the critical angle: row o of
+    ``bases[bit]`` is outcome o's ket in S (bit 0) or R (bit 1).  Row 0 of S
+    is the pair amplitudes (a0, a1), which theta alone fixes."""
     theta = critical_angle(m)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     a0 = math.sqrt(0.5 * (1.0 + cos_t / (1.0 + sin_t)))
     a1 = math.sqrt(0.5 * (1.0 - cos_t / (1.0 + sin_t)))
+    return np.array([[[a0, a1], [a1, -a0]], [[a0, -a1], [a1, a0]]])
 
+
+@lru_cache(maxsize=None)
+def build_kit(m: int) -> SteeringKit:
+    """Steering kit at the critical angle for subset size m.  Construction
+    verifies nothing beyond the checks built into StateVector, leaving the
+    steering identities to callers (the CLI recomputes them as residuals).
+    """
+    bases = sender_bases(m)
+    a0, a1 = bases[0, 0]
     phi = StateVector(np.array([a0, 0.0, 0.0, a1]), 2)
-    meas_s = RankOneMeasurement(np.array([[a0, a1], [a1, -a0]]), (0, 1))
-    meas_r = RankOneMeasurement(np.array([[a0, -a1], [a1, a0]]), (0, 1))
-
-    probs = []
-    posts = []
-    for measurement in (meas_s, meas_r):
-        branch = [_project_sender(phi, ket) for ket in measurement.kets]
-        probs.append(tuple(p for p, _ in branch))
-        posts.append(tuple(state for _, state in branch))
-
+    branches = [[_project_sender(phi, ket) for ket in basis] for basis in bases]
     return SteeringKit(
-        theta=theta,
-        phi_ab=phi,
-        branch_probs=(probs[0], probs[1]),
-        branch_posts=(posts[0], posts[1]),
-    )
+        theta=critical_angle(m), phi_ab=phi,
+        branch_probs=tuple(tuple(p for p, _ in b) for b in branches),
+        branch_posts=tuple(tuple(post for _, post in b) for b in branches))
 
 
 def steer_one(kit: SteeringKit, bit: int,
@@ -111,10 +107,12 @@ def p_global_steer(n: int, m: int) -> float:
 
 
 def p_abort(n: int, m: int, k: int) -> float:
-    """Probability every one of the k sets fails, (1 - p_global)**k."""
+    """Probability every one of the k sets fails, (1 - p_global)**k, under
+    the abort rule of ``draw_rounds``: a k past FLOAT_K_MAX counts as
+    FLOAT_K_MAX, so such a k gives 0.0, or 1.0 when p_g underflows."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return math.exp(k * math.log1p(-p_global_steer(n, m)))
+    return math.exp(min(k, FLOAT_K_MAX) * math.log1p(-p_global_steer(n, m)))
 
 
 def choose_k(alpha: float, delta: float) -> int:
@@ -209,8 +207,8 @@ def draw_rounds(params: SteeringParameters, rng: np.random.Generator,
     Sets steer independently with p_g = p_global_steer(n, m), so one uniform
     U per round gives the geometric J = floor(ln(1 - U) / ln(1 - p_g)) by
     inversion (Devroye 1986, ch. X).  A round aborts iff J >= k, for any int
-    k; J is float64 and counts as >= k past 2**1023.  When p_g underflows
-    to 0.0 every round aborts.
+    k; J is float64 and counts as >= k past FLOAT_K_MAX.  When p_g
+    underflows to 0.0 every round aborts.
     """
     log_fail = math.log1p(-p_global_steer(params.n, params.m))
     u = rng.random(size)
@@ -218,4 +216,4 @@ def draw_rounds(params: SteeringParameters, rng: np.random.Generator,
         return np.ones(size, dtype=bool), np.full(size, math.inf)
     with np.errstate(over="ignore"):
         set_index = np.floor(np.log1p(-u) / log_fail)
-    return set_index >= min(params.k, 2**1023), set_index
+    return set_index >= min(params.k, FLOAT_K_MAX), set_index

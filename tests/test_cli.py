@@ -44,8 +44,11 @@ def test_verify_pbr_reports_and_passes():
     first = doc["rows"][0]
     assert first["theta"] == pytest.approx(math.pi / 2, rel=1e-11)
     assert first["max_exclusion_overlap"] <= 1e-12
-    assert first["gram_residual"] <= 1e-10
-    assert first["formula_residual"] <= 1e-12
+    assert first["parseval_residual"] <= 1e-10
+    assert first["distance_law_residual"] <= 1e-10
+    assert set(first) == {"m", "theta", "max_exclusion_overlap",
+                          "subcritical_overlap", "parseval_residual",
+                          "distance_law_residual", "pass"}
     # The same measurement must demonstrably fail below the critical angle.
     assert first["subcritical_overlap"] > 1e-6
     assert first["pass"] is True
@@ -59,8 +62,26 @@ def test_verify_pbr_is_byte_deterministic():
 
 
 def test_verify_pbr_rejects_out_of_range_m_max():
-    assert run_cli("verify-pbr", "11").returncode == 2
+    assert run_cli("verify-pbr", "21").returncode == 2
     assert run_cli("verify-pbr", "0").returncode == 2
+
+
+def test_verify_pbr_reaches_twenty_qubits_through_the_transform(tmp_path):
+    report = tmp_path / "verify.json"
+    start = time.perf_counter()
+    code = cli.main(["verify-pbr", "20", "--output", str(report)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["pass"] is True and len(doc["rows"]) == 20
+    last = doc["rows"][-1]
+    assert last["max_exclusion_overlap"] <= 1e-12
+    assert last["parseval_residual"] <= 1e-10
+    assert last["distance_law_residual"] <= 1e-10
+    # 0.9 theta_20 still fails to exclude, by about 1.3e-4.
+    assert last["subcritical_overlap"] > 1e-6
+    # About a second on a 2-CPU host; the dense path would need 8 TiB.
+    assert elapsed < 5.0
 
 
 def test_bounds_csv_values_match_library():
@@ -283,11 +304,10 @@ def test_simulate_usage_errors():
 
 
 def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
-    # The 13-qubit cap guards the dense measurement, which only verification
-    # builds; verify-pbr itself stops at m = 10.
+    # verify-pbr transforms 2**m amplitudes up to pbr.MAX_QUBITS = 20.
     tracemalloc.start()
     try:
-        code = cli.main(["verify-pbr", "14"])
+        code = cli.main(["verify-pbr", "21"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,6 +452,17 @@ def test_steering_report():
 
 def test_steering_rejects_bad_m_max():
     assert run_cli("steering", "--m-max", "0").returncode == 2
+
+
+def test_steering_past_the_row_cap_exits_2_before_any_row(capsys):
+    assert cli.main(["steering", "--m-max", str(cli.STEERING_MAX_M)]) == 0
+    capsys.readouterr()
+    for m_max in (cli.STEERING_MAX_M + 1, 10**12):
+        start = time.perf_counter()
+        assert cli.main(["steering", "--m-max", str(m_max)]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "resource limit" in err
 
 
 def test_choose_k_prints_bare_integer():

@@ -1,6 +1,9 @@
 """Referee, single trials, and the Monte Carlo harness."""
 
 import math
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -25,15 +28,18 @@ from exclab.game import (
 )
 from exclab.pbr import BitString, IndexSubset, restrict
 from exclab.classical import build_cover_strategy
-from exclab.qcore import (
-    ProbabilityDistribution,
-    ResourceLimitError,
-    StateVector,
-    conditional_entropy,
-    make_rng,
-)
+from exclab.qcore import ResourceLimitError, StateVector, make_rng
 from exclab.steering import choose_k, p_abort, p_global_steer
 from test_pbr import THREE_SIGMA_TAIL, chi2_sf, outcome_indices
+
+
+def joint_conditional_entropy(joint: np.ndarray) -> float:
+    """H(X | M) in bits from a dense 2-D count matrix with X rows and M
+    columns: the reference for the per-input counts the harness keeps."""
+    p = joint / joint.sum()
+    marginal = np.broadcast_to(p.sum(axis=0), p.shape)
+    cells = p > 0
+    return float(-(p[cells] * np.log2(p[cells] / marginal[cells])).sum())
 
 
 def quantum_config(**overrides) -> GameConfig:
@@ -288,8 +294,7 @@ def test_two_block_transcripts_arrive_in_trial_order(strategy, extra):
             assert t.answer == restrict(announced, t.y)
             counts[t.x.to_index(), cover.messages.index(announced)] += 1
         assert stats.empirical_conditional_entropy == pytest.approx(
-            conditional_entropy(ProbabilityDistribution.from_counts(counts)),
-            abs=1e-12)
+            joint_conditional_entropy(counts), abs=1e-12)
 
 
 def test_monte_carlo_preflight_rejects_oversized_games():
@@ -310,7 +315,7 @@ def test_monte_carlo_preflight_rejects_oversized_games():
 
 def test_steering_runs_past_the_dense_qubit_cap_play_with_zero_loss():
     # Completed rounds are measured as quantum trials are, so m is not capped
-    # at pbr.MAX_QUBITS = 13; aborts stay within 3 sigma of p_abort.
+    # at pbr.DENSE_MAX_QUBITS = 13; aborts stay within 3 sigma of p_abort.
     for n, m, k in ((14, 14, 11), (100, 100, 11), (120, 60, 40)):
         config = GameConfig(n=n, m=m, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
                             trials=2000, seed=1, k=k, delta=0.05)
@@ -372,7 +377,7 @@ def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
 
 def test_steering_trials_build_no_dense_measurement_or_state_chain(monkeypatch):
     # Completed rounds are measured through the distance law, so m has no
-    # qubit cap: at m = 14 the dense kets alone would take 4 GiB.
+    # qubit cap: at m = 14 the dense kets alone would take 2 GiB.
     dense_builds, chains, states = [], [], []
     monkeypatch.setattr(pbr, "exclusion_measurement", dense_builds.append)
     monkeypatch.setattr(qcore, "tensor_product", chains.append)
@@ -384,7 +389,7 @@ def test_steering_trials_build_no_dense_measurement_or_state_chain(monkeypatch):
         original(self)
 
     monkeypatch.setattr(StateVector, "__post_init__", counting)
-    for m in (pbr.MAX_QUBITS + 1, 100):
+    for m in (pbr.DENSE_MAX_QUBITS + 1, 100):
         config = GameConfig(n=m, m=m, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
                             trials=200, seed=0, k=50, delta=0.05)
         tracemalloc.start()
@@ -411,8 +416,41 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
     x_index = x @ (1 << np.arange(15, -1, -1, dtype=np.int64))
     joint = np.zeros((1 << 16, len(cover.messages)))
     np.add.at(joint, (x_index, cover.assignment_array[x_index]), 1.0)
-    full = conditional_entropy(ProbabilityDistribution.from_counts(joint))
+    full = joint_conditional_entropy(joint)
     assert stats.empirical_conditional_entropy == pytest.approx(full, abs=1e-12)
+
+
+# One message per input: message not-x serves x at distance n = 16.
+DENSE_COUNT_CHILD = """
+import numpy as np
+from exclab import classical, game
+from exclab.pbr import BitString
+
+n = 16
+cover = classical.CoverStrategy(
+    n, 2, tuple(BitString.from_index(v, n) for v in range(1 << n)),
+    tuple(int(v) for v in ((1 << n) - 1) ^ np.arange(1 << n)))
+game._cover = lambda n, m: cover
+stats = game.monte_carlo(game.GameConfig(
+    n, 2, "classical_cover", trials=2 * game.block_size(n), seed=0))
+print(stats.empirical_conditional_entropy,
+      classical.exact_information_cost(cover))
+"""
+
+
+def _limit_address_space_to_2_gib():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_cover_entropy_and_cost_count_inputs_not_input_message_pairs():
+    # With 65,536 messages at n = 16, a dense (x, message) count is 2**32
+    # cells (32 GiB); two blocks and the exact cost must fit in 2 GiB.
+    result = subprocess.run([sys.executable, "-c", DENSE_COUNT_CHILD],
+                            capture_output=True, text=True,
+                            preexec_fn=_limit_address_space_to_2_gib)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0.0", "16.0"]
 
 
 def steering_config(**overrides) -> GameConfig:

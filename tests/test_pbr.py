@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclab.pbr import (
+    DENSE_MAX_QUBITS,
     MAX_QUBITS,
     BitString,
     IndexSubset,
@@ -16,7 +17,7 @@ from exclab.pbr import (
     critical_angle,
     distance_distribution,
     exclusion_measurement,
-    exclusion_vector,
+    exclusion_overlaps,
     measure_exclusion,
     product_state,
     restrict,
@@ -147,53 +148,58 @@ def test_product_state_refuses_past_the_cap():
 def test_exclusion_vector_single_qubit_hand_values():
     # m=1: the two outcome vectors are |-> and |+>.
     root_half = 1.0 / math.sqrt(2)
-    minus = exclusion_vector(BitString.from_string("0"))
-    plus = exclusion_vector(BitString.from_string("1"))
-    assert np.allclose(minus.amplitudes, [root_half, -root_half], atol=VECTOR_TOL)
-    assert np.allclose(plus.amplitudes, [root_half, root_half], atol=VECTOR_TOL)
+    minus, plus = exclusion_measurement(1)
+    assert np.allclose(minus, [root_half, -root_half], atol=VECTOR_TOL)
+    assert np.allclose(plus, [root_half, root_half], atol=VECTOR_TOL)
 
 
 def test_exclusion_vector_amplitude_pattern():
-    zeta = exclusion_vector(BitString.from_string("11"))
+    zeta = exclusion_measurement(2)[0b11]
     scale = 0.5
     # s=00 -> +; s in {01, 10} -> odd parity with z=11 -> +; s=11 -> even -> -.
-    assert np.allclose(zeta.amplitudes, [scale, scale, scale, -scale],
-                       atol=VECTOR_TOL)
+    assert np.allclose(zeta, [scale, scale, scale, -scale], atol=VECTOR_TOL)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_exclusion_vector_matches_measurement_rows(m):
-    measurement = exclusion_measurement(m)
-    for z_index, z in enumerate(measurement.labels):
-        assert np.allclose(
-            exclusion_vector(z).amplitudes,
-            measurement.kets[z_index],
-            atol=VECTOR_TOL,
-        )
+    # Row z is zeta_z: +1/sqrt(2**m) at s = 0, -(-1)**(z.s)/sqrt(2**m) elsewhere.
+    kets = exclusion_measurement(m)
+    s_values = np.arange(1 << m)
+    for z in range(1 << m):
+        parities = np.array([(z & s).bit_count() & 1 for s in s_values])
+        zeta = -np.where(parities == 1, -1.0, 1.0) / math.sqrt(1 << m)
+        zeta[0] = 1.0 / math.sqrt(1 << m)
+        assert np.allclose(zeta, kets[z], rtol=0.0, atol=VECTOR_TOL)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_exclusion_measurement_orthonormal(m):
-    kets = exclusion_measurement(m).kets
-    gram = kets @ kets.conj().T
+    kets = exclusion_measurement(m)
+    gram = kets @ kets.T
     assert np.abs(gram - np.eye(1 << m)).max() <= MATRIX_TOL
 
 
 def test_exclusion_measurement_labels_ascending():
-    labels = exclusion_measurement(3).labels
-    assert [z.to_index() for z in labels] == list(range(8))
+    # Outcome z is row z, in ascending order: row z alone excludes Psi_z.
+    m = 3
+    kets = exclusion_measurement(m)
+    for z in range(1 << m):
+        state = product_state(BitString.from_index(z, m), critical_angle(m))
+        overlaps = np.abs(kets @ state.amplitudes.real)
+        assert overlaps[z] < VECTOR_TOL
+        assert np.delete(overlaps, z).min() > 1e-3
 
 
 def test_exclusion_measurement_cap():
     with pytest.raises(ResourceLimitError):
-        exclusion_measurement(MAX_QUBITS + 1)
+        exclusion_measurement(DENSE_MAX_QUBITS + 1)
     with pytest.raises(ResourceLimitError):
         exclusion_measurement(0)
 
 
 def test_cap_of_13_qubits_refuses_before_allocating():
-    # 16 * 4**14 bytes = 4 GiB of kets at m = 14 would exhaust the host.
-    assert MAX_QUBITS == 13
+    # 8 * 4**14 bytes = 2 GiB of kets at m = 14 would exhaust the host.
+    assert DENSE_MAX_QUBITS == 13
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
@@ -215,24 +221,43 @@ def test_exclusion_measurement_holds_one_matrix_and_no_state_vectors(monkeypatch
 
     monkeypatch.setattr(StateVector, "__post_init__", counting)
     m = 8
-    measurement = exclusion_measurement(m)
+    kets = exclusion_measurement(m)
     assert built == []
-    assert set(vars(measurement)) == {"kets", "labels"}
-    kets = measurement.kets
-    assert kets.dtype == np.complex128
+    assert kets.dtype == np.float64
     assert kets.shape == (1 << m, 1 << m)
-    assert kets.nbytes == 16 * 4**m
+    assert kets.nbytes == 8 * 4**m
     assert kets.base is None and not kets.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exclusion_overlaps_match_the_dense_measurement(m):
+    # Every truth at once: row w of the batch is Psi_w, for the critical
+    # angle and one below it.
+    kets = exclusion_measurement(m)
+    for angle in (critical_angle(m), 0.9 * critical_angle(m)):
+        states = np.array([
+            product_state(BitString.from_index(w, m), angle).amplitudes.real
+            for w in range(1 << m)])
+        assert np.abs(exclusion_overlaps(states) - states @ kets.T).max() <= (
+            VECTOR_TOL)
+
+
+def test_product_states_reach_the_qubit_cap():
+    x = BitString.from_index(0b1011, MAX_QUBITS)
+    state = product_state(x, critical_angle(MAX_QUBITS))
+    overlaps = exclusion_overlaps(state.amplitudes.real)
+    assert abs(overlaps[x.to_index()]) <= VECTOR_TOL
+    assert abs((overlaps**2).sum() - 1.0) <= MATRIX_TOL
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_perfect_exclusion_at_critical_angle(m):
     theta = critical_angle(m)
-    measurement = exclusion_measurement(m)
+    kets = exclusion_measurement(m)
     worst = max(
-        abs(np.vdot(measurement.kets[z.to_index()],
-                    product_state(z, theta).amplitudes))
-        for z in measurement.labels
+        abs(kets[z] @ product_state(BitString.from_index(z, m),
+                                    theta).amplitudes)
+        for z in range(1 << m)
     )
     assert worst < VECTOR_TOL
 
@@ -240,11 +265,11 @@ def test_perfect_exclusion_at_critical_angle(m):
 @pytest.mark.parametrize("m", range(2, 7))
 def test_exclusion_fails_below_critical_angle(m):
     theta = 0.9 * critical_angle(m)
-    measurement = exclusion_measurement(m)
+    kets = exclusion_measurement(m)
     worst = max(
-        abs(np.vdot(measurement.kets[z.to_index()],
-                    product_state(z, theta).amplitudes))
-        for z in measurement.labels
+        abs(kets[z] @ product_state(BitString.from_index(z, m),
+                                    theta).amplitudes)
+        for z in range(1 << m)
     )
     assert worst > 1e-6
 
@@ -287,8 +312,8 @@ def test_measure_exclusion_outcome_frequencies():
     m = 2
     theta = critical_angle(m)
     w = BitString.from_string("00")
-    measurement = exclusion_measurement(m)
-    probs = measurement.outcome_probabilities(product_state(w, theta))
+    probs = np.abs(exclusion_measurement(m)
+                   @ product_state(w, theta).amplitudes) ** 2
     rng = make_rng(99)
     trials = 20000
     counts = np.bincount(
@@ -341,8 +366,8 @@ def shell_sizes(m: int) -> np.ndarray:
 @example(1, 1)
 def test_distance_law_matches_dense_born_probabilities(m, w_index):
     w = BitString.from_index(w_index % (1 << m), m)
-    dense = exclusion_measurement(m).outcome_probabilities(
-        product_state(w, critical_angle(m)))
+    dense = np.abs(exclusion_measurement(m)
+                   @ product_state(w, critical_angle(m)).amplitudes) ** 2
     distance = np.bitwise_count(np.arange(1 << m) ^ w.to_index())
     per_outcome = distance_distribution(m)[0] / shell_sizes(m)
     assert np.abs(per_outcome[distance] - dense).max() <= 1e-12

@@ -1,28 +1,53 @@
-"""State vectors, measurements, sampling, and entropy primitives."""
+"""The transform, state vectors, measurements, sampling, and entropies."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exclab.qcore import (
     MATRIX_TOL,
     VECTOR_TOL,
-    ProbabilityDistribution,
-    RankOneMeasurement,
     StateVector,
     binary_entropy,
     born_measure,
     conditional_entropy,
+    fwht,
     inner_product,
     make_rng,
-    shannon_entropy,
     tensor_product,
 )
 
 
-def basis_measurement(dim: int) -> RankOneMeasurement:
-    return RankOneMeasurement(np.eye(dim), tuple(range(dim)))
+def sylvester(m: int) -> np.ndarray:
+    """The m-th Kronecker power of [[1, 1], [1, -1]], built densely."""
+    matrix = np.ones((1, 1))
+    for _ in range(m):
+        matrix = np.kron(matrix, [[1.0, 1.0], [1.0, -1.0]])
+    return matrix
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_fwht_is_the_sylvester_product_and_self_inverse(m, rows, seed):
+    vectors = make_rng(seed).normal(size=(rows, 1 << m))
+    transformed = fwht(vectors)
+    assert transformed.shape == vectors.shape
+    scale = 1 << m
+    assert np.allclose(transformed, vectors @ sylvester(m).T,
+                       rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(fwht(transformed) / scale, vectors,
+                       rtol=0.0, atol=1e-12 * scale)
+    # One row transforms as it does inside a batch, and the input is kept.
+    assert np.array_equal(fwht(vectors[0]), transformed[0])
+    assert np.array_equal(vectors, make_rng(seed).normal(size=(rows, 1 << m)))
+
+
+def test_fwht_refuses_a_length_that_is_not_a_power_of_two():
+    with pytest.raises(ValueError, match="power of two"):
+        fwht(np.ones(6))
 
 
 def test_state_vector_requires_unit_norm():
@@ -90,45 +115,42 @@ def test_inner_product_bounded_for_unit_vectors():
 
 
 def test_measurement_rejects_incomplete_family():
-    with pytest.raises(ValueError, match="identity"):
-        RankOneMeasurement(np.array([[1.0, 0.0]]), (0,))
-
-
-def test_measurement_rejects_mismatched_labels_and_dims():
-    with pytest.raises(ValueError, match="length"):
-        RankOneMeasurement(np.array([[1.0, 0.0]]), (0, 1))
-    with pytest.raises(ValueError, match="dimension"):
-        RankOneMeasurement(np.eye(3), (0, 1, 2))
-    with pytest.raises(ValueError, match="two-dimensional"):
-        RankOneMeasurement(np.array([1.0, 0.0]), (0,))
+    # A single ket leaves |1> with no outcome: the Born total is 0, not 1.
+    with pytest.raises(ValueError, match="sum to"):
+        born_measure(StateVector([0.0, 1.0], 1), np.array([[1.0, 0.0]]),
+                     make_rng(0))
 
 
 def test_measurement_rejects_non_unit_kets():
-    with pytest.raises(ValueError, match="unit norm"):
-        RankOneMeasurement(np.array([[1.0, 1.0], [1.0, -1.0]]), (0, 1))
-    with pytest.raises(ValueError, match="unit norm"):
-        RankOneMeasurement(np.array([[np.nan, 0.0], [0.0, 1.0]]), (0, 1))
+    state = StateVector([1.0, 0.0], 1)
+    with pytest.raises(ValueError, match="sum to"):
+        born_measure(state, np.array([[1.0, 1.0], [1.0, -1.0]]), make_rng(0))
+    with pytest.raises(ValueError, match="sum to"):
+        born_measure(state, np.array([[np.nan, 0.0], [0.0, 1.0]]), make_rng(0))
     # Norm errors inside the tolerance are accepted.
-    RankOneMeasurement(np.array([[1.0 + 4e-13, 0.0], [0.0, 1.0]]), (0, 1))
+    assert born_measure(state, np.array([[1.0 + 4e-13, 0.0], [0.0, 1.0]]),
+                        make_rng(0)) == 0
 
 
 def test_measurement_probabilities_match_overlaps_for_complex_kets():
-    # The stored kets and the state both have nonzero imaginary parts, so a
-    # missing or misplaced conjugation would change the probabilities.
+    # The kets and the state both have nonzero imaginary parts, so a missing
+    # or misplaced conjugation would change the outcome frequencies.
     rng = make_rng(23)
-    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     unitary, _ = np.linalg.qr(raw)
-    measurement = RankOneMeasurement(unitary, tuple(range(8)))
-    assert measurement.kets.dtype == np.complex128
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector(amps / np.linalg.norm(amps), 3)
-    expected = [abs(np.vdot(ket, state.amplitudes)) ** 2 for ket in unitary]
-    assert np.allclose(measurement.outcome_probabilities(state), expected,
-                       rtol=0.0, atol=VECTOR_TOL)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    state = StateVector(amps / np.linalg.norm(amps), 2)
+    expected = np.array([abs(np.vdot(ket, state.amplitudes)) ** 2
+                         for ket in unitary])
+    trials = 20000
+    counts = np.bincount([born_measure(state, unitary, rng)
+                          for _ in range(trials)], minlength=4)
+    sigma = np.sqrt(expected * (1.0 - expected) / trials)
+    assert (np.abs(counts / trials - expected) <= 3 * sigma).all()
 
 
 def test_born_measure_deterministic_on_eigenstate():
-    measurement = basis_measurement(2)
+    measurement = np.eye(2)
     state = StateVector([0.0, 1.0], 1)
     rng = make_rng(0)
     for _ in range(100):
@@ -138,7 +160,7 @@ def test_born_measure_deterministic_on_eigenstate():
 def test_born_measure_frequencies_match_born_rule():
     p = 0.3
     state = StateVector([math.sqrt(p), math.sqrt(1 - p)], 1)
-    measurement = basis_measurement(2)
+    measurement = np.eye(2)
     rng = make_rng(42)
     trials = 20000
     ones = sum(born_measure(state, measurement, rng) for _ in range(trials))
@@ -148,7 +170,7 @@ def test_born_measure_frequencies_match_born_rule():
 
 def test_born_measure_reproducible_per_seed():
     state = StateVector(np.full(4, 0.5), 2)
-    measurement = basis_measurement(4)
+    measurement = np.eye(4)
     runs = [
         [born_measure(state, measurement, make_rng(7)) for _ in range(64)]
         for _ in range(2)
@@ -156,36 +178,23 @@ def test_born_measure_reproducible_per_seed():
     assert runs[0] == runs[1]
 
 
-def test_born_measure_checks_the_total_and_draws_one_variate(monkeypatch):
+def test_born_measure_checks_the_total_and_draws_one_variate():
     # Born probabilities (0.2, 0, 0.8, 0): one variate against their
     # cumulative sum, and side="right" never picks a zero-probability outcome.
     state = StateVector([math.sqrt(0.2), 0.0, math.sqrt(0.8), 0.0], 2)
-    measurement = basis_measurement(4)
+    measurement = np.eye(4)
     rng, twin = make_rng(3), make_rng(3)
     for _ in range(200):
         assert born_measure(state, measurement, rng) == (
             0 if twin.random() < 0.2 else 2)
-    monkeypatch.setattr(RankOneMeasurement, "outcome_probabilities",
-                        lambda self, state: np.array([0.5, 0.25]))
     with pytest.raises(ValueError, match="sum to"):
-        born_measure(StateVector([1.0, 0.0], 1), basis_measurement(2),
-                     make_rng(0))
+        born_measure(StateVector([1.0, 0.0], 1),
+                     np.diag([math.sqrt(0.5), 0.5]), make_rng(0))
 
 
 def test_born_measure_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        born_measure(StateVector([1.0, 0.0], 1), basis_measurement(4), make_rng(0))
-
-
-def test_probability_distribution_validation():
-    with pytest.raises(ValueError, match="sum"):
-        ProbabilityDistribution(np.array([0.5, 0.4]))
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        ProbabilityDistribution(np.array([-0.1, 1.1]))
-    dist = ProbabilityDistribution.from_counts([1, 3])
-    assert dist.weights.tolist() == [0.25, 0.75]
-    with pytest.raises(ValueError, match="positive"):
-        ProbabilityDistribution.from_counts([0, 0])
+        born_measure(StateVector([1.0, 0.0], 1), np.eye(4), make_rng(0))
 
 
 def test_binary_entropy_endpoints_and_symmetry():
@@ -202,34 +211,53 @@ def test_binary_entropy_domain():
             binary_entropy(bad)
 
 
+def shannon_entropy(counts) -> float:
+    """Entropy in bits of the distribution proportional to ``counts``."""
+    p = np.asarray(counts, dtype=float) / np.sum(counts)
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
 def test_shannon_entropy_uniform_and_point_mass():
-    uniform = ProbabilityDistribution(np.full(8, 0.125))
-    assert shannon_entropy(uniform) == pytest.approx(3.0, abs=1e-12)
-    point = ProbabilityDistribution(np.array([1.0, 0.0, 0.0]))
-    assert shannon_entropy(point) == 0.0
+    # Under one label, H(X | f(X)) is the Shannon entropy of X.
+    assert conditional_entropy(np.full(8, 3.0), np.zeros(8, int)) == (
+        pytest.approx(3.0, abs=1e-12))
+    assert conditional_entropy([5, 0, 0], [0, 0, 0]) == 0.0
+    assert shannon_entropy([1, 1, 2]) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_conditional_entropy_independent_and_deterministic():
-    # Independent: H(X|M) = H(X).
-    joint = ProbabilityDistribution(np.full((4, 2), 0.125))
-    assert conditional_entropy(joint) == pytest.approx(2.0, abs=1e-12)
-    # Deterministic X given M: H(X|M) = 0.
-    deterministic = ProbabilityDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    assert conditional_entropy(deterministic) == 0.0
+    # Labels that split X into two equal halves of uniform weight leave
+    # H(X|M) = H(X) - 1.
+    assert conditional_entropy(np.ones(4), [0, 1, 0, 1]) == pytest.approx(
+        1.0, abs=1e-12)
+    # Deterministic X given M: H(X|M) = 0, returned as +0.0.
+    value = conditional_entropy([2, 6], [1, 0])
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # Unseen values carry no weight.
+    assert conditional_entropy([1, 0, 1, 0], [0, 0, 1, 1]) == 0.0
 
 
-def test_conditional_entropy_requires_two_dims():
-    with pytest.raises(ValueError, match="two-dimensional"):
-        conditional_entropy(ProbabilityDistribution(np.array([0.5, 0.5])))
+def test_conditional_entropy_requires_one_label_per_count():
+    with pytest.raises(ValueError, match="one label per count"):
+        conditional_entropy(np.full((2, 2), 0.25), np.zeros((2, 2), int))
+    with pytest.raises(ValueError, match="one label per count"):
+        conditional_entropy([1, 1, 1], [0, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        conditional_entropy([1, -1], [0, 1])
+    with pytest.raises(ValueError, match="positive total"):
+        conditional_entropy([0, 0], [0, 1])
 
 
 def test_conditional_entropy_chain_rule_spot_check():
+    # M = f(X), so H(X|M) = H(X, M) - H(M) = H(X) - H(M).
     rng = make_rng(5)
-    raw = rng.random((5, 3))
-    joint = ProbabilityDistribution(raw / raw.sum())
-    marginal = ProbabilityDistribution(joint.weights.sum(axis=0))
-    chain = shannon_entropy(joint) - shannon_entropy(marginal)
-    assert conditional_entropy(joint) == pytest.approx(chain, abs=MATRIX_TOL)
+    counts = rng.random(12)
+    labels = rng.integers(0, 4, size=12)
+    chain = (shannon_entropy(counts)
+             - shannon_entropy(np.bincount(labels, weights=counts)))
+    assert conditional_entropy(counts, labels) == pytest.approx(
+        chain, abs=MATRIX_TOL)
 
 
 def test_make_rng_accepts_seed_sequence_and_splits():

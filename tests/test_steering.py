@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from exclab.pbr import BitString, bit_state, critical_angle
-from exclab.qcore import ResourceLimitError, StateVector, inner_product, make_rng
+from exclab.qcore import (
+    VECTOR_TOL,
+    ResourceLimitError,
+    StateVector,
+    inner_product,
+    make_rng,
+)
 from exclab.steering import (
+    FLOAT_K_MAX,
     SteeringKit,
     SteeringParameters,
     SteeringRoundResult,
@@ -20,6 +27,7 @@ from exclab.steering import (
     p_global_steer,
     p_steer,
     run_steering_round,
+    sender_bases,
     steer_one,
 )
 from test_pbr import THREE_SIGMA_TAIL, chi2_sf
@@ -72,6 +80,17 @@ def test_branch_posts_match_declared_targets():
         assert fidelity(post, target) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sender_bases_are_orthonormal():
+    for m in range(1, 65):
+        bases = sender_bases(m)
+        assert bases.shape == (2, 2, 2)
+        gram = bases @ bases.transpose(0, 2, 1)
+        assert np.abs(gram - np.eye(2)).max() <= VECTOR_TOL, m
+        # Row 0 of S holds the pair amplitudes of the kit's shared state.
+        assert bases[0, 0].tolist() == build_kit(m).phi_ab.amplitudes.real[
+            [0, 3]].tolist()
+
+
 def test_steering_kit_holds_only_what_sampling_reads():
     assert [f.name for f in dataclasses.fields(SteeringKit)] == [
         "theta", "phi_ab", "branch_probs", "branch_posts"]
@@ -109,6 +128,24 @@ def test_p_abort_frozen_values():
     assert p_abort(2, 2, 3) == pytest.approx(single ** 3, rel=1e-12)
     with pytest.raises(ValueError):
         p_abort(2, 2, 0)
+
+
+def test_p_abort_takes_any_int_k():
+    # float(10**400) overflows.  As in draw_rounds, a k past FLOAT_K_MAX
+    # counts as FLOAT_K_MAX: 0.0 for p_g ~ 0.12, 1.0 once p_g underflows.
+    assert p_abort(4, 2, 10**400) == 0.0
+    assert p_global_steer(2000, 3) == 0.0
+    assert p_abort(2000, 3, 10**400) == 1.0
+    assert p_abort(4, 2, 2**1100) == p_abort(4, 2, FLOAT_K_MAX)
+    # At p_g ~ 1.3e-308, FLOAT_K_MAX sets are about 1/p_g: the abort rate of
+    # draw_rounds at k = 10**400 is p_abort's, within 3 sigma.
+    params = SteeringParameters(1787, 3, 10**400, 0.05)
+    expected = p_abort(params.n, params.m, params.k)
+    assert 0.2 < expected < 0.5
+    trials = 4000
+    aborted, _ = draw_rounds(params, make_rng(0), trials)
+    sigma = math.sqrt(expected * (1.0 - expected) / trials)
+    assert abs(aborted.mean() - expected) <= 3 * sigma
 
 
 def test_choose_k_golden_and_minimality():
