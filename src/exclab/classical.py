@@ -6,10 +6,9 @@ the one that rules out the fewest strings, entirely by enumeration, so it can
 serve as an independent check on the closed-form count.  ``build_cover_
 strategy`` constructs a concrete zero-error protocol: a small set of message
 strings such that every input has a message at Hamming distance at least
-n - m + 1, found greedily with coverage counts evaluated through
-``qcore.fwht``, the transform that also gives the exclusion measurement's
-overlaps.  Each input has one message, so ``exact_information_cost`` needs
-only the 2**n preimage sizes, not an (input, message) joint.
+n - m + 1, chosen greedily by coverage counts from ``qcore.fwht``.  Its
+``assignment``, one read-only int64 array of each input's message index,
+gives ``exact_information_cost`` the 2**n preimage sizes directly.
 """
 
 from __future__ import annotations
@@ -194,16 +193,15 @@ def brute_force_min_exclusion(n: int, m: int,
 
 @dataclass(frozen=True, eq=False)
 class CoverStrategy:
-    """Zero-error messaging strategy: a message list plus, for every input x,
-    the index of the message announced on x (always one that serves x).
-    Validation also keeps both as arrays: ``assignment_array`` (int64) and
-    ``message_bits`` (int8, one row of n bits per message, MSB first)."""
+    """Zero-error messaging strategy: a message list and ``assignment``, the
+    index of the message announced on each input x (always one that serves
+    x) as an int64 array, plus ``message_bits``, one int8 row of n bits per
+    message, MSB first.  Both arrays are read-only, as callers share them."""
 
     n: int
     m: int
     messages: tuple[BitString, ...]
-    assignment: tuple[int, ...]
-    assignment_array: np.ndarray = field(init=False, repr=False)
+    assignment: np.ndarray
     message_bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -213,22 +211,26 @@ class CoverStrategy:
             raise ValueError("strategy needs at least one message")
         if any(len(msg) != self.n for msg in self.messages):
             raise ValueError("messages must have length n")
-        if len(self.assignment) != 1 << self.n:
+        given = np.asarray(self.assignment)
+        if given.shape != (1 << self.n,):
             raise ValueError("assignment must cover all 2**n inputs")
-        indices = np.asarray(self.assignment, dtype=np.int64)
-        if indices.min() < 0 or indices.max() >= len(self.messages):
+        # numpy reads a bool among ints as 0 or 1, so look at the entries.
+        if given.dtype.kind not in "iu" or given is not self.assignment and (
+                any(isinstance(i, (bool, np.bool_)) for i in self.assignment)):
+            raise ValueError("assignment entries must be integers")
+        if given.min() < 0 or given.max() >= len(self.messages):
             raise ValueError("assignment indexes outside the message list")
-        msg_values = np.array([msg.to_index() for msg in self.messages],
-                              dtype=np.int64)
-        x_all = np.arange(1 << self.n, dtype=np.int64)
-        distance = np.bitwise_count(x_all ^ msg_values[indices])
-        if distance.min() < self.n - self.m + 1:
+        indices = given.astype(np.int64)  # a copy, so no caller can write it
+        bits = np.array([msg.bits for msg in self.messages], dtype=np.int8)
+        msg_values = bits @ (1 << np.arange(self.n - 1, -1, -1))
+        dist = np.bitwise_count(msg_values[indices] ^ np.arange(1 << self.n))
+        if dist.min() < self.n - self.m + 1:
             raise ValueError("assignment maps some input to a message that "
                              "does not serve it")
-        shifts = np.arange(self.n - 1, -1, -1)
-        object.__setattr__(self, "assignment_array", indices)
-        object.__setattr__(self, "message_bits",
-                           ((msg_values[:, None] >> shifts) & 1).astype(np.int8))
+        indices.setflags(write=False)
+        bits.setflags(write=False)
+        object.__setattr__(self, "assignment", indices)
+        object.__setattr__(self, "message_bits", bits)
 
     # Off the trial path, which indexes the arrays; bound for
     # perfbench/spans.py's tracer and kept for single-input callers.
@@ -242,8 +244,8 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     Message a serves input x iff their Hamming distance is at least
     t = n - m + 1, an XOR-invariant relation, so the number of still-unserved
     inputs each candidate message would cover is the XOR correlation of the
-    uncovered indicator with the distance->=t kernel; one Walsh-Hadamard
-    transform per round evaluates it for all 2**n candidates at once.  Ties
+    uncovered indicator with the distance->=t kernel; two Walsh-Hadamard
+    transforms per round evaluate it for all 2**n candidates at once.  Ties
     go to the numerically smallest message, and every input is assigned the
     first chosen message that serves it, so the construction is fully
     deterministic.
@@ -264,8 +266,9 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     assignment = np.full(size, -1, dtype=np.int64)
     message_values: list[int] = []
     while uncovered.any():
-        correlation = fwht(fwht(uncovered) * kernel_transform) / size
-        candidate = int(np.argmax(np.rint(correlation)))
+        # size * coverage, in exact integers: |entries| <= 2**(3n) <= 2**48.
+        coverage = fwht(fwht(uncovered) * kernel_transform)
+        candidate = int(np.argmax(coverage))
         served = popcounts[inputs ^ candidate] >= threshold
         # An input is first served in the round that covers it.
         assignment[uncovered & served] = len(message_values)
@@ -273,15 +276,12 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         uncovered &= ~served
 
     return CoverStrategy(
-        n,
-        m,
-        tuple(BitString.from_index(v, n) for v in message_values),
-        tuple(int(i) for i in assignment),
-    )
+        n, m, tuple(BitString.from_index(v, n) for v in message_values),
+        assignment)
 
 
 def exact_information_cost(strategy: CoverStrategy) -> float:
     """n - H(X | M) for uniform inputs under the strategy's assignment, where
     H(X | M) = sum over messages of (c / 2**n) log2 c for preimage sizes c."""
     return strategy.n - conditional_entropy(np.ones(1 << strategy.n),
-                                            strategy.assignment_array)
+                                            strategy.assignment)

@@ -193,7 +193,7 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
     elif config.strategy == STRATEGY_CLASSICAL_COVER:
         cover = _cover(n, m)
         x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-        chosen = cover.assignment_array[x_index]
+        chosen = cover.assignment[x_index]
         answer = np.take_along_axis(cover.message_bits[chosen], y, axis=1)
         counts = np.bincount(x_index, minlength=1 << n)
         messages = ({"kind": "classical_message",
@@ -302,7 +302,7 @@ def monte_carlo(config: GameConfig, workers: int = 1,
 
     completed = config.trials - aborts
     entropy = None if counts is None else conditional_entropy(
-        counts, _cover(config.n, config.m).assignment_array)
+        counts, _cover(config.n, config.m).assignment)
     return RunStatistics(
         strategy=config.strategy, trials=config.trials, wins=wins,
         aborts=aborts, win_rate=(wins / completed) if completed else None,

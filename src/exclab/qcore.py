@@ -1,11 +1,11 @@
 """Shared primitives: the Walsh-Hadamard transform, state vectors, Born
 sampling, entropies, RNG.
 
-``fwht`` is the one transform of the package: the greedy classical cover
-counts coverage with it, and ``pbr.exclusion_overlaps`` gets a state's
-overlap with every exclusion outcome from it.  A measurement is a plain
-array whose rows are its outcome kets.  VECTOR_TOL bounds quantities formed
-from one vector (norms, overlaps), MATRIX_TOL those summed over many entries.
+``fwht`` is the one transform of the package, in constant geometry and
+bit-identical with the in-place butterfly: the greedy classical cover counts
+coverage with it, and ``pbr.exclusion_overlaps`` gets a state's overlap with
+every exclusion outcome from it.  VECTOR_TOL bounds quantities formed from
+one vector (norms, overlaps), MATRIX_TOL those summed over many entries.
 """
 
 from __future__ import annotations
@@ -47,20 +47,20 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
 def fwht(vec) -> np.ndarray:
     """H @ v along the last axis, as float64, for the Sylvester matrix H (a
     Kronecker power of [[1, 1], [1, -1]]): unnormalized, self-inverse up to
-    1/size.  In place on a copy, one butterfly per stage on a (-1, 2, h)
-    view (Fino and Algazi, IEEE Trans. Comput. C-25 (1976))."""
+    1/size.  Constant geometry (Pease, J. ACM 15, 252 (1968)): stage k puts
+    the sums and differences of adjacent entries in the two halves of a
+    second buffer, the pairs of the in-place butterfly of span 2**k (Fino
+    and Algazi, IEEE Trans. Comput. C-25 (1976)), so both agree bit for bit."""
     v = np.array(vec, dtype=np.float64)
     size = v.shape[-1]
     if size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
-    diff = np.empty(v.size // 2)
-    h = 1
-    while h < size:
-        pairs = v.reshape(-1, 2, h)
-        np.subtract(pairs[:, 0], pairs[:, 1], out=diff.reshape(-1, h))
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] = diff.reshape(-1, h)
-        h *= 2
+    out = np.empty_like(v)
+    for _ in range(size.bit_length() - 1):
+        even, odd = v[..., 0::2], v[..., 1::2]
+        np.add(even, odd, out=out[..., :size // 2])
+        np.subtract(even, odd, out=out[..., size // 2:])
+        v, out = out, v
     return v
 
 

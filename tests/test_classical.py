@@ -1,5 +1,6 @@
 """Answer sets, the exhaustive classical optimum, and greedy message covers."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -182,6 +183,31 @@ def test_cover_strategy_validation():
         CoverStrategy(3, 2, (bits("000"), bits("111")), (0,) * 8)
 
 
+def test_cover_strategy_refuses_float_and_bool_entries():
+    good = build_cover_strategy(3, 2)
+    CoverStrategy(3, 2, good.messages, good.assignment.tolist())
+    CoverStrategy(3, 2, good.messages, good.assignment.astype(np.uint8))
+    # 1.4 would have been kept by a tuple and truncated to 1 by an array.
+    floats = (1.4, 1.4, 1.4, 0.4, 1.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(good.assignment, np.trunc(floats))
+    with_bool = good.assignment.tolist()
+    with_bool[0] = True
+    for assignment in (floats, np.array(floats), with_bool,
+                       good.assignment.astype(bool),
+                       [np.bool_(i) for i in good.assignment]):
+        with pytest.raises(ValueError, match="integers"):
+            CoverStrategy(3, 2, good.messages, assignment)
+
+
+def test_cover_strategy_keeps_a_copy_of_the_assignment():
+    good = build_cover_strategy(3, 2)
+    given = good.assignment.copy()
+    strategy = CoverStrategy(3, 2, good.messages, given)
+    given[:] = 0
+    assert np.array_equal(strategy.assignment, good.assignment)
+    assert not strategy.assignment.flags.writeable
+
+
 def test_build_cover_minimal_pair_for_three_choose_two():
     strategy = build_cover_strategy(3, 2)
     assert [str(msg) for msg in strategy.messages] == ["000", "111"]
@@ -201,17 +227,67 @@ def test_build_cover_serves_every_input(n, m):
         first = min(i for i, message in enumerate(strategy.messages)
                     if (message.to_index() ^ value).bit_count() >= threshold)
         assert strategy.assignment[value] == first
-    # The arrays kept for the Monte Carlo blocks restate both tuples.
-    assert strategy.assignment_array.tolist() == list(strategy.assignment)
+    # The Monte Carlo blocks index one int64 array; the bit rows restate
+    # the messages.
+    assert strategy.assignment.dtype == np.int64
+    assert strategy.assignment.shape == (1 << n,)
     assert [BitString(row) for row in strategy.message_bits] == list(
         strategy.messages)
+
+
+def direct_greedy(n: int, m: int) -> tuple[list[int], np.ndarray]:
+    """The greedy cover without a transform: every round counts, for each
+    candidate message a, the unserved inputs at distance >= n - m + 1 from a
+    on the dense 2**n x 2**n serves matrix (O(4**n) per round), takes the
+    first candidate of the most, and assigns it to the inputs it newly
+    serves."""
+    size = 1 << n
+    values = np.arange(size)
+    serves = np.bitwise_count(values[:, None] ^ values) >= n - m + 1
+    uncovered = np.ones(size, dtype=bool)
+    assignment = np.full(size, -1)
+    messages: list[int] = []
+    while uncovered.any():
+        candidate = int(np.argmax(serves[:, uncovered].sum(axis=1)))
+        newly = serves[candidate] & uncovered
+        assignment[newly] = len(messages)
+        messages.append(candidate)
+        uncovered &= ~newly
+    return messages, assignment
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_cover_matches_a_transform_free_greedy(n):
+    for m in range(1, n + 1):
+        strategy = build_cover_strategy(n, m)
+        messages, assignment = direct_greedy(n, m)
+        assert [a.to_index() for a in strategy.messages] == messages, m
+        assert np.array_equal(strategy.assignment, assignment), m
+
+
+# Taken from the build before the transform took constant-geometry form and
+# the assignment became an array (sha256 of the int64 assignment's bytes).
+PINNED_COVERS = {
+    (12, 6): ([0, 2047, 2048, 4095], "13b64a8aa942a058852090afeb10981c"
+              "68bf9e2a594addfcf7e3e96ae9b066a4"),
+    (16, 8): ([0, 32767, 32768, 65535], "423dde9403ecd894fd2d0356e89cf458"
+              "754efe87657c157d1cab874aefcfb2eb"),
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(PINNED_COVERS))
+def test_build_cover_reproduces_the_pinned_covers(n, m):
+    strategy = build_cover_strategy(n, m)
+    messages, digest = PINNED_COVERS[n, m]
+    assert [a.to_index() for a in strategy.messages] == messages
+    assert hashlib.sha256(strategy.assignment.tobytes()).hexdigest() == digest
 
 
 def test_build_cover_is_deterministic():
     first = build_cover_strategy(5, 3)
     second = build_cover_strategy(5, 3)
     assert first.messages == second.messages
-    assert first.assignment == second.assignment
+    assert np.array_equal(first.assignment, second.assignment)
 
 
 def test_build_cover_resource_cap():

@@ -415,9 +415,20 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
     x, _ = referee_draw(16, 8, block_rng, 400)
     x_index = x @ (1 << np.arange(15, -1, -1, dtype=np.int64))
     joint = np.zeros((1 << 16, len(cover.messages)))
-    np.add.at(joint, (x_index, cover.assignment_array[x_index]), 1.0)
+    np.add.at(joint, (x_index, cover.assignment[x_index]), 1.0)
     full = joint_conditional_entropy(joint)
     assert stats.empirical_conditional_entropy == pytest.approx(full, abs=1e-12)
+
+
+def test_the_cached_cover_cannot_be_written():
+    # Every classical_cover run in a process shares this one strategy.
+    cover = game._cover(4, 2)
+    assert game._cover(4, 2) is cover
+    for array in (cover.assignment, cover.message_bits):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
 
 
 # One message per input: message not-x serves x at distance n = 16.

@@ -45,6 +45,40 @@ def test_fwht_is_the_sylvester_product_and_self_inverse(m, rows, seed):
     assert np.array_equal(vectors, make_rng(seed).normal(size=(rows, 1 << m)))
 
 
+def butterfly(vec) -> np.ndarray:
+    """The in-place Walsh-Hadamard butterfly (Fino and Algazi 1976), the
+    reference of ``fwht``: stage h = 1, 2, 4, ... replaces each pair (a, b)
+    h apart on a (-1, 2, h) view by (a + b, a - b)."""
+    v = np.array(vec, dtype=np.float64)
+    diff = np.empty(v.size // 2)
+    h = 1
+    while h < v.shape[-1]:
+        pairs = v.reshape(-1, 2, h)
+        np.subtract(pairs[:, 0], pairs[:, 1], out=diff.reshape(-1, h))
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = diff.reshape(-1, h)
+        h *= 2
+    return v
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 3),
+       st.sampled_from(("float", "bool", "int")), st.integers(0, 2**32 - 1))
+def test_fwht_equals_the_in_place_butterfly_bit_for_bit(m, rows, kind, seed):
+    rng = make_rng(seed)
+    shape = (rows, 1 << m)
+    if kind == "float":
+        # Magnitudes spread over 2**+-40, so that most sums round.
+        vectors = rng.normal(size=shape) * 2.0 ** rng.integers(-40, 41, shape)
+    elif kind == "bool":
+        vectors = rng.random(shape) < 0.5
+    else:
+        vectors = rng.integers(-2**62, 2**62, size=shape)
+    expected = butterfly(vectors)
+    assert np.array_equal(fwht(vectors), expected)
+    assert np.array_equal(fwht(vectors[-1]), expected[-1])
+
+
 def test_fwht_refuses_a_length_that_is_not_a_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         fwht(np.ones(6))
