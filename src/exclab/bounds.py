@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .pbr import critical_angle
+from .pbr import GameParameters, critical_angle
 from .qcore import ResourceLimitError, binary_entropy
 
 # Largest n for which gamma is returned as an exact integer; beyond this the
@@ -25,20 +25,6 @@ EXACT_GAMMA_MAX_N = 64
 # Largest n the log-domain path accepts: near m = n/2 a row needs about
 # 4.6*sqrt(n) terms, some 5 million (about a second) at this n.
 BOUNDS_MAX_N = 10**12
-
-
-@dataclass(frozen=True)
-class GameParameters:
-    """Problem size of one exclusion game: string length n, subset size m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +77,19 @@ def gamma(n: int, m: int) -> int:
     return sum(math.comb(n, i) for i in range(m))
 
 
+def _gamma_and_lower(params: GameParameters) -> tuple[float, float]:
+    """(log2 gamma, n - log2 gamma): exact integers up to EXACT_GAMMA_MAX_N,
+    then a log-domain tail sum; an n past BOUNDS_MAX_N raises
+    ResourceLimitError."""
+    if params.n <= EXACT_GAMMA_MAX_N:
+        log2_gamma = math.log2(gamma(params.n, params.m))
+        return log2_gamma, max(0.0, params.n - log2_gamma)
+    return _series_log2(params.n, params.m)
+
+
 def gamma_log2(n: int, m: int) -> float:
-    """log2 of gamma(n, m): exact integers up to EXACT_GAMMA_MAX_N, then a
-    log-domain tail sum; an n past BOUNDS_MAX_N raises ResourceLimitError."""
-    GameParameters(n, m)
-    if n <= EXACT_GAMMA_MAX_N:
-        return math.log2(gamma(n, m))
-    return _series_log2(n, m)[0]
+    """log2 of gamma(n, m), as ``_gamma_and_lower`` computes it."""
+    return _gamma_and_lower(GameParameters(n, m))[0]
 
 
 def _refuse_past_cap(n_values: Sequence[int]) -> None:
@@ -167,9 +159,7 @@ def _stirling_remainder(x: int) -> float:
 
 def classical_ic_lower_bound(params: GameParameters) -> float:
     """n - log2(gamma): information any zero-error classical message carries."""
-    if params.n <= EXACT_GAMMA_MAX_N:
-        return max(0.0, params.n - gamma_log2(params.n, params.m))
-    return _series_log2(params.n, params.m)[1]
+    return _gamma_and_lower(params)[1]
 
 
 def quantum_message_entropy_upper(params: GameParameters) -> float:
@@ -205,15 +195,12 @@ class BoundsRow:
 
 
 def bounds_row(params: GameParameters) -> BoundsRow:
-    """All four bound quantities for one game size."""
-    return BoundsRow(
-        n=params.n,
-        m=params.m,
-        gamma_log2=gamma_log2(params.n, params.m),
-        classical_ic_lower=classical_ic_lower_bound(params),
-        quantum_entropy_upper=quantum_message_entropy_upper(params),
-        quantum_ic_upper=quantum_ic_upper_bound(params),
-    )
+    """All four bound quantities for one game size, each evaluated once."""
+    log2_gamma, lower = _gamma_and_lower(params)
+    entropy = quantum_message_entropy_upper(params)
+    return BoundsRow(n=params.n, m=params.m, gamma_log2=log2_gamma,
+                     classical_ic_lower=lower, quantum_entropy_upper=entropy,
+                     quantum_ic_upper=2.0 * entropy)
 
 
 def separation_table(n_values: Sequence[int], rule: MRule) -> tuple[BoundsRow, ...]:

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pbr import BitString, IndexSubset, restrict
+from .pbr import BitString, GameParameters, IndexSubset, restrict
 from .qcore import (
     ResourceLimitError,
     conditional_entropy,
     fwht,
+    pool_map,
     usable_workers,
 )
 
@@ -46,8 +46,7 @@ class AnswerSet:
     answers: tuple[BitString, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+        GameParameters(self.n, self.m)
         expected = math.comb(self.n, self.m)
         if len(self.answers) != expected:
             raise ValueError(
@@ -151,8 +150,7 @@ def brute_force_min_exclusion(n: int, m: int,
     ascending answer order, so serial and parallel runs return identical
     results.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    GameParameters(n, m)
     n_subsets = math.comb(n, m)
     # Search space is (2**m) ** C(n, m) = 2**(m * C(n, m)) answer sets.
     log2_space = m * n_subsets
@@ -168,16 +166,9 @@ def brute_force_min_exclusion(n: int, m: int,
         baseline_union |= per_z[0]
     baseline = baseline_union.bit_count()
 
-    jobs = list(range(1 << m))
-    workers = usable_workers(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_branch_minimum,
-                                    itertools.repeat(masks),
-                                    jobs,
-                                    itertools.repeat(baseline)))
-    else:
-        results = [_branch_minimum(masks, z, baseline) for z in jobs]
+    jobs = range(1 << m)
+    results = pool_map(usable_workers(workers, len(jobs)), _branch_minimum,
+                       itertools.repeat(masks), jobs, itertools.repeat(baseline))
 
     best_count = baseline
     best_choice = tuple(0 for _ in range(n_subsets))
@@ -205,8 +196,7 @@ class CoverStrategy:
     message_bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+        GameParameters(self.n, self.m)
         if not self.messages:
             raise ValueError("strategy needs at least one message")
         if any(len(msg) != self.n for msg in self.messages):
@@ -250,8 +240,7 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     first chosen message that serves it, so the construction is fully
     deterministic.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    GameParameters(n, m)
     if n > COVER_MAX_N:
         raise ResourceLimitError(
             f"cover construction supports n <= {COVER_MAX_N}, got {n}"

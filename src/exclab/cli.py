@@ -8,10 +8,11 @@
     exclab choose-k 1.0 0.05         smallest k meeting an abort budget
 
 Exit codes: 0 on success, 1 when a verification command finds a violated
-invariant, 2 on usage errors or refused resource budgets.  All reports are
-JSON (bounds also ships CSV) with floats at 12 significant digits; output is
-byte-identical across runs for the same arguments and seed.  The EXCLAB_SEED
-environment variable supplies the seed when --seed is not given.
+invariant, 2 on usage errors, unusable files or refused resource budgets.
+All reports are JSON (bounds also ships CSV) with floats at 12 significant
+digits; output is byte-identical across runs for the same arguments and seed.
+The EXCLAB_SEED environment variable supplies the seed when --seed is not
+given.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,7 @@ from .qcore import (
 
 SCHEMA_VERSION = "1"
 
-CSV_COLUMNS = ("n", "m", "gamma_log2", "classical_ic_lower",
-               "quantum_entropy_upper", "quantum_ic_upper")
+CSV_COLUMNS = tuple(field.name for field in fields(bounds_mod.BoundsRow))
 
 
 def _round_floats(obj):
@@ -77,6 +77,16 @@ def _emit_report(command: str, fields: dict, output: str | None) -> None:
                output)
 
 
+def _emit_rows(command: str, m_max: int, row, output: str | None) -> int:
+    """Report ``row(m)`` for m = 1..m_max, each a dict with its "pass"; exit
+    1 unless every row passes."""
+    rows = [row(m) for m in range(1, m_max + 1)]
+    all_pass = all(r["pass"] for r in rows)
+    _emit_report(command, {"m_max": m_max, "rows": rows, "pass": all_pass},
+                 output)
+    return 0 if all_pass else 1
+
+
 SUBCRITICAL_FACTOR = 0.9
 SUBCRITICAL_MARGIN = 1e-6
 # steering builds and caches one kit per row; 1,024 rows take about 0.4 s.
@@ -86,9 +96,8 @@ STEERING_MAX_M = 1024
 def cmd_verify_pbr(args: argparse.Namespace) -> int:
     if not 1 <= args.m_max <= MAX_QUBITS:
         raise ValueError(f"m_max must lie in 1..{MAX_QUBITS}, got {args.m_max}")
-    rows = []
-    all_pass = True
-    for m in range(1, args.m_max + 1):
+
+    def row(m: int) -> dict:
         theta = critical_angle(m)
         overlap = subcritical_overlap = parseval_residual = law_residual = 0.0
         # Z**w maps zeta_z to zeta_{z xor w}, so truth 0 would do; all-ones
@@ -109,24 +118,19 @@ def cmd_verify_pbr(args: argparse.Namespace) -> int:
                                  weights=probabilities[0], minlength=m + 1)
             law_residual = max(law_residual, float(
                 np.abs(shells - distance_distribution(m)[0]).max()))
-        row_pass = (overlap <= VECTOR_TOL
-                    and parseval_residual <= MATRIX_TOL
-                    and law_residual <= MATRIX_TOL
-                    and subcritical_overlap > SUBCRITICAL_MARGIN)
-        all_pass = all_pass and row_pass
-        rows.append({
+        return {
             "m": m,
             "theta": theta,
             "max_exclusion_overlap": overlap,
             "subcritical_overlap": subcritical_overlap,
             "parseval_residual": parseval_residual,
             "distance_law_residual": law_residual,
-            "pass": row_pass,
-        })
-    _emit_report("verify-pbr",
-                 {"m_max": args.m_max, "rows": rows, "pass": all_pass},
-                 args.output)
-    return 0 if all_pass else 1
+            "pass": (overlap <= VECTOR_TOL
+                     and parseval_residual <= MATRIX_TOL
+                     and law_residual <= MATRIX_TOL
+                     and subcritical_overlap > SUBCRITICAL_MARGIN),
+        }
+    return _emit_rows("verify-pbr", args.m_max, row, args.output)
 
 
 _BATCH_FIELDS = {"schema_version", "n_values", "m_rule", "format"}
@@ -137,6 +141,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if args.n or args.m_rule:
             raise ValueError("--spec replaces --n and --m-rule")
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("batch file must hold a JSON object")
         unknown = set(doc) - _BATCH_FIELDS
         if unknown:
             raise ValueError(f"unknown batch fields: {sorted(unknown)}")
@@ -156,6 +162,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if not isinstance(rule_text, str):
             raise ValueError(f"m_rule must be a string, got {rule_text!r}")
         output_format = doc.get("format", args.format)
+        if output_format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {output_format!r}")
     else:
         if args.n is None or args.m_rule is None:
             raise ValueError("need --n and --m-rule (or --spec)")
@@ -168,14 +176,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     if output_format == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            record = row.to_dict()
-            cells = []
-            for column in CSV_COLUMNS:
-                value = record[column]
-                cells.append(str(value) if isinstance(value, int)
-                             else f"{value:.12g}")
-            lines.append(",".join(cells))
+        for row in rows:  # the fields, in CSV_COLUMNS order by construction
+            lines.append(",".join(str(value) if isinstance(value, int)
+                                  else f"{value:.12g}"
+                                  for value in row.to_dict().values()))
         _emit_text("\n".join(lines) + "\n", args.output)
     else:
         _emit_report("bounds", {"m_rule": rule_text,
@@ -265,9 +269,8 @@ def cmd_steering(args: argparse.Namespace) -> int:
     root_half = 1.0 / math.sqrt(2.0)
     minus = StateVector(np.array([root_half, -root_half]), 1)
     plus = StateVector(np.array([root_half, root_half]), 1)
-    rows = []
-    all_pass = True
-    for m in range(1, args.m_max + 1):
+
+    def row(m: int) -> dict:
         kit = steering.build_kit(m)
         # Branch post-states in kit order, built without the kit.
         targets = (bit_state(0, kit.theta), minus, bit_state(1, kit.theta), plus)
@@ -285,12 +288,7 @@ def cmd_steering(args: argparse.Namespace) -> int:
             post = kit.branch_posts[branch // 2][branch % 2]
             fidelity = abs(inner_product(target, post)) ** 2
             fidelity_residual = max(fidelity_residual, abs(1.0 - fidelity))
-        row_pass = (probability_residual <= VECTOR_TOL
-                    and abs(closed - algebraic) <= VECTOR_TOL
-                    and total_residual <= VECTOR_TOL
-                    and fidelity_residual <= VECTOR_TOL)
-        all_pass = all_pass and row_pass
-        rows.append({
+        return {
             "m": m,
             "theta": kit.theta,
             "p_steer": closed,
@@ -298,12 +296,12 @@ def cmd_steering(args: argparse.Namespace) -> int:
             "probability_residual": probability_residual,
             "total_probability_residual": total_residual,
             "fidelity_residual": fidelity_residual,
-            "pass": row_pass,
-        })
-    _emit_report("steering",
-                 {"m_max": args.m_max, "rows": rows, "pass": all_pass},
-                 args.output)
-    return 0 if all_pass else 1
+            "pass": (probability_residual <= VECTOR_TOL
+                     and abs(closed - algebraic) <= VECTOR_TOL
+                     and total_residual <= VECTOR_TOL
+                     and fidelity_residual <= VECTOR_TOL),
+        }
+    return _emit_rows("steering", args.m_max, row, args.output)
 
 
 def cmd_choose_k(args: argparse.Namespace) -> int:
@@ -386,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"exclab: resource limit: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # usage errors and unusable files
         print(f"exclab: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
@@ -35,14 +34,15 @@ from typing import Callable
 import numpy as np
 
 from .classical import CoverStrategy, build_cover_strategy
-from .pbr import BitString, IndexSubset, measure_exclusion, restrict
+from .pbr import BitString, GameParameters, IndexSubset, measure_exclusion, restrict
 from .qcore import (
     ResourceLimitError,
     conditional_entropy,
     make_rng,
+    pool_map,
     usable_workers,
 )
-# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
+# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 1).
 from .pbr import product_state  # noqa: F401
 from .qcore import tensor_product  # noqa: F401
 from .steering import run_steering_round  # noqa: F401
@@ -83,10 +83,7 @@ class GameConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, "
                              f"got {self.strategy!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+        GameParameters(self.n, self.m)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -138,7 +135,7 @@ class Transcript:
 
 @dataclass(frozen=True)
 class RunStatistics:
-    """Associatively mergeable batch summary."""
+    """Summary of one batch of trials, the report's ``statistics``."""
 
     strategy: str
     trials: int
@@ -279,26 +276,23 @@ def monte_carlo(config: GameConfig, workers: int = 1,
                 ) -> RunStatistics:
     """Run ``config.trials`` independent trials and summarize them.
 
-    With ``workers > 1`` the blocks of trials are split into contiguous
-    ranges over a process pool (one worker at most per usable CPU and per
-    block, so a call of one block starts none); per-block substreams make
-    the result identical to a serial run.  Streaming transcripts to
-    ``transcript_sink`` forces the serial path so the sink sees trials in
-    order.
+    The blocks of trials are split into one contiguous range per worker
+    (``qcore.pool_map``; one worker at most per usable CPU and per block, so
+    a call of one block starts no pool); per-block substreams make the
+    result identical for any worker count.  Streaming transcripts to
+    ``transcript_sink`` forces one worker, so the sink sees trials in order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _preflight(config)
     blocks = -(-config.trials // block_size(config.n))
+    if transcript_sink is not None:
+        workers = 1
     workers = usable_workers(workers, blocks)
-
-    if workers == 1 or transcript_sink is not None:
-        wins, aborts, counts = _run_blocks(config, 0, blocks, transcript_sink)
-    else:
-        edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            wins, aborts, counts = _merge(pool.map(
-                _run_blocks, itertools.repeat(config), edges[:-1], edges[1:]))
+    edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
+    wins, aborts, counts = _merge(pool_map(
+        workers, _run_blocks, itertools.repeat(config), edges[:-1], edges[1:],
+        itertools.repeat(transcript_sink)))
 
     completed = config.trials - aborts
     entropy = None if counts is None else conditional_entropy(

@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .qcore import ResourceLimitError, StateVector, fwht
-# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 2).
+# Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 1).
 from .qcore import born_measure  # noqa: F401
 
 # Cap on qubits of 2**m-amplitude states: 16 MiB of complex128 at 20 qubits.
@@ -52,6 +52,20 @@ MAX_QUBITS = 20
 # Cap on the dense measurement, whose 8 * 4**m bytes of kets are 512 MiB at
 # 13 qubits and 2 GiB at 14.
 DENSE_MAX_QUBITS = 13
+
+
+@dataclass(frozen=True)
+class GameParameters:
+    """Problem size of one exclusion game: string length n, subset size m."""
+
+    n: int
+    m: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.m <= self.n:
+            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +141,7 @@ class IndexSubset:
         Materialized so callers can iterate repeatedly; sizes are bounded by
         the enumeration caps of the callers themselves.
         """
-        if not 1 <= m <= n:
-            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        GameParameters(n, m)
         return tuple(cls(combo)
                      for combo in itertools.combinations(range(1, n + 1), m))
 

@@ -1,5 +1,5 @@
 """Shared primitives: the Walsh-Hadamard transform, state vectors, Born
-sampling, entropies, RNG.
+sampling, entropies, RNG, the process pool.
 
 ``fwht`` is the one transform of the package, in constant geometry and
 bit-identical with the in-place butterfly: the greedy classical cover counts
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ def usable_workers(requested: int, jobs: int) -> int:
     except AttributeError:  # sched_getaffinity is Linux-only
         cpus = os.cpu_count() or 1
     return max(1, min(requested, cpus, jobs))
+
+
+def pool_map(workers: int, fn, *iterables) -> list:
+    """``fn`` over ``iterables`` as a list in input order: in this process
+    when ``workers == 1``, else over a pool of ``workers`` processes."""
+    if workers == 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:

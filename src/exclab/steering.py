@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pbr import BitString, critical_angle
+from .pbr import BitString, GameParameters, critical_angle
 from .qcore import ResourceLimitError, StateVector
 
 # choose_k refuses a k of more decimal digits than this; it keeps every
@@ -34,9 +34,10 @@ FLOAT_K_MAX = 2**1023
 
 @dataclass(frozen=True, eq=False)
 class SteeringKit:
-    """What sampling needs for one bit at angle ``theta``: the shared pair
-    ``phi_ab`` and, per bit and sender outcome, ``branch_probs[bit][outcome]``
-    and the receiver's post-state ``branch_posts[bit][outcome]``."""
+    """One pair at angle ``theta``, for the per-pair reference round and the
+    ``steering`` command: the shared pair ``phi_ab`` and, per bit and sender
+    outcome, ``branch_probs[bit][outcome]`` and the receiver's post-state
+    ``branch_posts[bit][outcome]``."""
 
     theta: float
     phi_ab: StateVector
@@ -165,10 +166,7 @@ class SteeringParameters:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+        GameParameters(self.n, self.m)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.delta < 1.0:

@@ -1,6 +1,7 @@
 """Counting bounds, entropy bounds, and the separation table."""
 
 import math
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import pytest
@@ -260,3 +261,31 @@ def test_bounds_row_to_dict_matches_csv_schema():
     assert record["m"] == 2
     assert record["gamma_log2"] == pytest.approx(math.log2(9), abs=1e-12)
     assert isinstance(row, BoundsRow)
+
+
+def test_game_parameters_has_one_home_in_pbr():
+    from exclab import pbr
+    assert GameParameters is pbr.GameParameters
+
+
+def test_bounds_row_evaluates_gamma_and_the_entropy_once(monkeypatch):
+    calls = Counter()
+    for name in ("gamma", "_series_log2", "quantum_message_entropy_upper"):
+        def counted(*args, _name=name, _original=getattr(bounds, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    exact = bounds_row(GameParameters(EXACT_GAMMA_MAX_N, 22))
+    assert calls == {"gamma": 1, "quantum_message_entropy_upper": 1}
+    calls.clear()
+    series = bounds_row(GameParameters(EXACT_GAMMA_MAX_N + 1, 22))
+    assert calls == {"_series_log2": 1, "quantum_message_entropy_upper": 1}
+    calls.clear()
+    separation_table(range(60, 71), MRule.parse("power:0.75"))
+    assert calls == {"gamma": 5, "_series_log2": 6,
+                     "quantum_message_entropy_upper": 11}
+    for row in (exact, series):
+        assert row.quantum_ic_upper == 2.0 * row.quantum_entropy_upper
+        assert row.gamma_log2 == gamma_log2(row.n, row.m)
+        assert row.classical_ic_lower == classical_ic_lower_bound(
+            GameParameters(row.n, row.m))

@@ -163,6 +163,43 @@ def test_bounds_batch_file_rejections(tmp_path):
     assert both.returncode == 2
 
 
+@pytest.mark.parametrize("document", ["5", "null", "[8]", '"power:0.75"'])
+def test_bounds_batch_file_must_be_a_json_object(tmp_path, capsys, document):
+    batch = tmp_path / "batch.json"
+    batch.write_text(document)
+    assert cli.main(["bounds", "--spec", str(batch)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "JSON object" in err
+
+
+def test_bounds_batch_file_refuses_an_unknown_format(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"n_values": [8], "m_rule": "power:0.75",
+                                 "format": "xml"}))
+    assert cli.main(["bounds", "--spec", str(batch)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'xml'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--spec", "{tmp}/absent.json"],
+    ["bounds", "--n", "8", "--m-rule", "power:0.75",
+     "--output", "{tmp}/absent/table.csv"],
+    ["simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
+     "--trials", "10", "--output", "{tmp}/absent/report.json"],
+    ["simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
+     "--trials", "10", "--transcripts", "{tmp}/absent/trials.jsonl"],
+    ["choose-k", "1.0", "0.05", "--output", "{tmp}/absent/k.txt"],
+], ids=["spec", "bounds-output", "simulate-output", "transcripts",
+        "choose-k-output"])
+def test_unusable_files_exit_2_with_a_message(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("exclab: ") and "No such file" in err
+
+
 @pytest.mark.parametrize("n_values", [["100"], [100.5], [True], "100"])
 def test_bounds_batch_file_refuses_non_integer_n_values(tmp_path, n_values):
     batch = tmp_path / "batch.json"

@@ -1,5 +1,6 @@
 """The transform, state vectors, measurements, sampling, and entropies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exclab import qcore
 from exclab.qcore import (
     MATRIX_TOL,
     VECTOR_TOL,
@@ -17,6 +19,7 @@ from exclab.qcore import (
     fwht,
     inner_product,
     make_rng,
+    pool_map,
     tensor_product,
 )
 
@@ -302,3 +305,15 @@ def test_make_rng_accepts_seed_sequence_and_splits():
     # Distinct children give distinct streams.
     c = make_rng(np.random.SeedSequence(9, spawn_key=(1,)))
     assert a.random(5).tolist() != c.random(5).tolist()
+
+
+def test_pool_map_keeps_input_order_and_one_worker_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker must not construct a pool")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore, "ProcessPoolExecutor", no_pool)
+        assert pool_map(1, pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
+        assert pool_map(1, pow, [], []) == []
+    squares = pool_map(2, pow, range(40), itertools.repeat(2))
+    assert squares == [i * i for i in range(40)]
