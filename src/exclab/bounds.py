@@ -53,6 +53,7 @@ class MRule:
         return cls(kind, float(raw))
 
     def apply(self, n: int) -> int:
+        GameParameters(n, 1)  # refuses n < 1 before n meets a power
         if self.kind == "power":
             m = math.floor(n ** self.value)
         else:

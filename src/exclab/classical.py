@@ -1,9 +1,10 @@
 """Zero-error classical strategies: answer sets, exhaustive optimum, covers.
 
 A classical answer set fixes one excluded answer z_y for every size-m subset
-y of positions.  ``brute_force_min_exclusion`` searches all answer sets for
-the one that rules out the fewest strings, entirely by enumeration, so it can
-serve as an independent check on the closed-form count.  ``build_cover_
+y of positions.  ``brute_force_min_exclusion`` finds the set that rules out
+the fewest strings by branch and bound over one canonical set per orbit of
+x -> x ^ w, never by the closed form, so it can serve as an independent
+check on the closed-form count.  ``build_cover_
 strategy`` constructs a concrete zero-error protocol: a small set of message
 strings such that every input has a message at Hamming distance at least
 n - m + 1, chosen greedily by coverage counts from ``qcore.fwht``.  Its
@@ -89,52 +90,60 @@ def excluded_count(answer_set: AnswerSet) -> int:
     return int(hit.sum())
 
 
-def _answer_masks(n: int, m: int) -> list[list[int]]:
-    """masks[j][z] = bitmask over x of strings excluded when subset j (in
-    lexicographic order) is answered with z."""
-    masks: list[list[int]] = []
+def _canonical_levels(n: int, m: int) -> list[list[tuple[int, int]]]:
+    """levels[j] = (z, mask) for every canonical answer z to subset j (in
+    lexicographic order), ascending in z, where mask is the bitmask over x
+    of the strings excluded by that answer.  An answer is canonical when it
+    is 0 at every position of the subset that no earlier subset holds."""
+    levels: list[list[tuple[int, int]]] = []
+    held = set()
     for y in IndexSubset.all_subsets(n, m):
+        new = sum(1 << (m - 1 - j) for j, p in enumerate(y.indices)
+                  if p not in held)
+        held.update(y.indices)
         sel = _restriction_indices(n, y.indices)
-        per_z = []
-        for z in range(1 << m):
-            bits = np.zeros(1 << n, dtype=np.uint8)
-            bits[sel == z] = 1
-            packed = np.packbits(bits, bitorder="little").tobytes()
-            per_z.append(int.from_bytes(packed, "little"))
-        masks.append(per_z)
-    return masks
+        levels.append([
+            (z, int.from_bytes(np.packbits(sel == z, bitorder="little")
+                               .tobytes(), "little"))
+            for z in range(1 << m) if not z & new])
+    return levels
 
 
-def _branch_minimum(masks: list[list[int]], first_z: int,
+def _branch_minimum(levels: list[list[tuple[int, int]]],
+                    prefix: tuple[int, ...],
                     limit: int) -> tuple[int, tuple[int, ...]] | None:
-    """Depth-first minimum over answer sets starting with ``first_z``,
-    recording only sets that exclude strictly fewer than ``limit`` strings.
+    """Depth-first minimum over canonical answer sets that start with
+    ``prefix``, recording only sets that exclude strictly fewer than
+    ``limit`` strings.
 
-    Answers are tried in ascending order at every depth and a branch is cut
+    Answers are tried in ascending order at every depth and a child is cut
     as soon as its union already reaches the current limit, so the returned
     witness is the lexicographically first optimum below the initial limit.
     """
-    n_subsets = len(masks)
-    choice = [0] * n_subsets
-    choice[0] = first_z
+    choice = list(prefix) + [0] * (len(levels) - len(prefix))
+    last = len(levels) - 1
     best: tuple[int, tuple[int, ...]] | None = None
-    count_limit = limit
 
-    def descend(depth: int, union: int, count: int) -> None:
-        nonlocal best, count_limit
-        if count >= count_limit:
+    def descend(depth: int, union: int) -> None:
+        nonlocal best, limit
+        if depth == last:
+            for z, mask in levels[depth]:
+                count = (union | mask).bit_count()
+                if count < limit:
+                    limit = count
+                    choice[depth] = z
+                    best = (count, tuple(choice))
             return
-        if depth == n_subsets:
-            count_limit = count
-            best = (count, tuple(choice))
-            return
-        for z, mask in enumerate(masks[depth]):
+        for z, mask in levels[depth]:
             merged = union | mask
-            choice[depth] = z
-            descend(depth + 1, merged, merged.bit_count())
+            if merged.bit_count() < limit:
+                choice[depth] = z
+                descend(depth + 1, merged)
 
-    start = masks[0][first_z]
-    descend(1, start, start.bit_count())
+    union = 0
+    for z, level in zip(prefix, levels):
+        union |= dict(level)[z]
+    descend(len(prefix), union)
     return best
 
 
@@ -142,33 +151,42 @@ def brute_force_min_exclusion(n: int, m: int,
                               workers: int = 1) -> tuple[int, AnswerSet]:
     """Exhaustive minimum of excluded strings over all answer sets.
 
-    Returns ``(count, witness)``.  The search never consults any closed-form
-    count: it starts from the measured exclusion count of one concrete
-    candidate (all answers zero, consistent with the all-zeros string) and
-    branch-and-bounds below it.  The space is partitioned on the first
-    subset's answer; partitions are searched independently and merged in
-    ascending answer order, so serial and parallel runs return identical
-    results.
+    Returns ``(count, witness)``, the lexicographically first optimum.  The
+    search never consults any closed-form count: it starts from the measured
+    count of the all-zeros set and branch-and-bounds below it over the
+    canonical sets of ``_canonical_levels``, 2**-n of all sets.  Mapping
+    every x to x ^ w sends the strings set (z_j) excludes onto those set
+    (z_j ^ w|y_j) excludes, so counts are XOR-invariant; flipping a
+    non-canonical optimum's first nonzero bit at a new position this way
+    gives a lexicographically smaller optimum, so the first one is
+    canonical.  Jobs are the canonical prefixes of the first two subsets,
+    merged in ascending order, so serial and parallel runs agree.
     """
     GameParameters(n, m)
     n_subsets = math.comb(n, m)
-    # Search space is (2**m) ** C(n, m) = 2**(m * C(n, m)) answer sets.
+    # All answer sets number (2**m) ** C(n, m) = 2**(m * C(n, m)).
     log2_space = m * n_subsets
     if log2_space > math.log2(ORACLE_BUDGET):
         raise ResourceLimitError(
             f"answer-set space 2**{log2_space} exceeds the enumeration "
             f"budget of {ORACLE_BUDGET}"
         )
-    masks = _answer_masks(n, m)
+    if n > EXCLUDED_COUNT_MAX_N:
+        raise ResourceLimitError(
+            f"the oracle supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}")
+    levels = _canonical_levels(n, m)
 
     baseline_union = 0
-    for per_z in masks:
-        baseline_union |= per_z[0]
+    for level in levels:
+        baseline_union |= level[0][1]
     baseline = baseline_union.bit_count()
 
-    jobs = range(1 << m)
+    split = min(2, n_subsets - 1)
+    jobs = list(itertools.product(
+        *([z for z, _ in level] for level in levels[:split])))
     results = pool_map(usable_workers(workers, len(jobs)), _branch_minimum,
-                       itertools.repeat(masks), jobs, itertools.repeat(baseline))
+                       itertools.repeat(levels), jobs,
+                       itertools.repeat(baseline))
 
     best_count = baseline
     best_choice = tuple(0 for _ in range(n_subsets))

@@ -161,15 +161,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                              f"got {n_values!r}")
         if not isinstance(rule_text, str):
             raise ValueError(f"m_rule must be a string, got {rule_text!r}")
-        output_format = doc.get("format", args.format)
+        output_format = doc.get("format", args.format or "csv")
         if output_format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {output_format!r}")
+        if args.format not in (None, output_format):
+            raise ValueError(f"--format {args.format} disagrees with the "
+                             f"batch file's format {output_format!r}")
     else:
         if args.n is None or args.m_rule is None:
             raise ValueError("need --n and --m-rule (or --spec)")
         n_values = args.n
         rule_text = args.m_rule
-        output_format = args.format
+        output_format = args.format or "csv"
 
     rule = bounds_mod.MRule.parse(rule_text)
     rows = bounds_mod.separation_table(n_values, rule)
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "linear:A for m=floor(A*n)")
     bounds_cmd.add_argument("--spec", default=None,
                             help="JSON batch file with n_values and m_rule")
-    bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+    bounds_cmd.add_argument("--format", choices=("csv", "json"), default=None)
     bounds_cmd.add_argument("--output", default=None)
     bounds_cmd.set_defaults(func=cmd_bounds)
 

@@ -282,13 +282,10 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     result identical for any worker count.  Streaming transcripts to
     ``transcript_sink`` forces one worker, so the sink sees trials in order.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _preflight(config)
     blocks = -(-config.trials // block_size(config.n))
-    if transcript_sink is not None:
-        workers = 1
-    workers = usable_workers(workers, blocks)
+    workers = usable_workers(workers,
+                             blocks if transcript_sink is None else 1)
+    _preflight(config)
     edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
     wins, aborts, counts = _merge(pool_map(
         workers, _run_blocks, itertools.repeat(config), edges[:-1], edges[1:],

@@ -27,11 +27,13 @@ class ResourceLimitError(RuntimeError):
 
 def usable_workers(requested: int, jobs: int) -> int:
     """Pool size: the request, capped by the usable CPUs and by ``jobs``."""
+    if requested < 1:
+        raise ValueError(f"workers must be >= 1, got {requested}")
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # sched_getaffinity is Linux-only
         cpus = os.cpu_count() or 1
-    return max(1, min(requested, cpus, jobs))
+    return min(requested, cpus, jobs)
 
 
 def pool_map(workers: int, fn, *iterables) -> list:

@@ -231,6 +231,9 @@ def test_m_rule_validation():
         MRule("power", 1.5)
     with pytest.raises(ValueError):
         MRule.parse("linear:0.4").apply(2)  # m = 0
+    for n in (0, -8):  # refused before n meets the power: (-8)**0.75 is complex
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            MRule.parse("power:0.75").apply(n)
 
 
 def test_separation_table_rows_in_input_order():

@@ -7,7 +7,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exclab import classical
 from exclab.bounds import gamma, gamma_log2
 from exclab.classical import (
     COVER_MAX_N,
@@ -112,12 +115,80 @@ def test_brute_force_serial_and_parallel_agree():
 
 
 def test_brute_force_caps_workers_at_cpus_and_jobs(pool_sizes):
-    # One job per answer to the first subset: 4 at m = 2, 2 at m = 1.
+    # One job per canonical answer to the second subset: 8 at (5, 4), where
+    # that subset holds one new position, 2 at (4, 2) and 1 at (3, 1).
+    assert (brute_force_min_exclusion(5, 4, workers=10**6)
+            == brute_force_min_exclusion(5, 4))
     assert (brute_force_min_exclusion(4, 2, workers=10**6)
             == brute_force_min_exclusion(4, 2))
+    assert pool_sizes == [3, 2]
     assert (brute_force_min_exclusion(3, 1, workers=10**6)
             == brute_force_min_exclusion(3, 1))
-    assert pool_sizes == [3, 2]
+    assert pool_sizes == [3, 2]  # one job starts no pool
+
+
+def enumerated_minimum(n: int, m: int) -> tuple[int, AnswerSet]:
+    """Minimum excluded count over every answer set, and the
+    lexicographically first set that attains it, by plain enumeration."""
+    answers = [BitString.from_index(z, m) for z in range(1 << m)]
+    best = None
+    for choice in itertools.product(answers, repeat=math.comb(n, m)):
+        candidate = AnswerSet(n, m, choice)
+        count = excluded_count(candidate)
+        if best is None or count < best[0]:
+            best = (count, candidate)
+    return best
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
+                                 (4, 2), (4, 3)])
+def test_canonical_search_matches_plain_enumeration(n, m):
+    assert brute_force_min_exclusion(n, m) == enumerated_minimum(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3)])
+def test_canonical_levels_hold_one_set_per_xor_orbit(n, m):
+    subsets = IndexSubset.all_subsets(n, m)
+    canonical = set(itertools.product(*(
+        [z for z, _ in level] for level in classical._canonical_levels(n, m))))
+    assert len(canonical) == 1 << (m * len(subsets) - n)
+    shifts = [[restrict(BitString.from_index(w, n), y).to_index()
+               for y in subsets] for w in range(1 << n)]
+    for choice in itertools.product(range(1 << m), repeat=len(subsets)):
+        orbit = {tuple(map(int.__xor__, choice, shift)) for shift in shifts}
+        assert len(orbit & canonical) == 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(0, (1 << n) - 1),
+    st.randoms(use_true_random=False))))
+def test_excluded_count_is_invariant_under_xor_translation(case):
+    # x -> x ^ w maps the strings (z_j) excludes onto those (z_j ^ w|y_j)
+    # excludes: the symmetry the canonical search rests on.
+    n, m, w, random = case
+    subsets = IndexSubset.all_subsets(n, m)
+    answers = [random.getrandbits(m) for _ in subsets]
+    shift = BitString.from_index(w, n)
+    moved = [z ^ restrict(shift, y).to_index() for z, y in zip(answers, subsets)]
+    assert (excluded_count(AnswerSet(n, m, tuple(
+        BitString.from_index(z, m) for z in answers)))
+            == excluded_count(AnswerSet(n, m, tuple(
+                BitString.from_index(z, m) for z in moved))))
+
+
+def test_brute_force_refuses_past_the_counting_cap_before_any_work(
+        monkeypatch):
+    # (21, 1) is inside the answer-set budget, but its witness could not be
+    # recounted; the search is refused before a mask is built.
+    def no_levels(n, m):
+        raise AssertionError("built levels past the cap")
+    monkeypatch.setattr(classical, "_canonical_levels", no_levels)
+    for n in (EXCLUDED_COUNT_MAX_N + 1, 23):
+        for m in (1, n):
+            with pytest.raises(ResourceLimitError,
+                               match=f"n <= {EXCLUDED_COUNT_MAX_N}"):
+                brute_force_min_exclusion(n, m)
 
 
 def test_brute_force_budget_refusal():

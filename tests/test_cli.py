@@ -211,6 +211,27 @@ def test_bounds_batch_file_refuses_non_integer_n_values(tmp_path, n_values):
     assert "n_values" in result.stderr
 
 
+def test_bounds_batch_file_refuses_a_disagreeing_format(tmp_path):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"n_values": [8], "m_rule": "power:0.75",
+                                 "format": "csv"}))
+    clash = run_cli("bounds", "--spec", str(batch), "--format", "json")
+    assert clash.returncode == 2
+    assert clash.stdout == "" and "--format json" in clash.stderr
+    agree = run_cli("bounds", "--spec", str(batch), "--format", "csv")
+    assert agree.returncode == 0, agree.stderr
+    assert agree.stdout == run_cli("bounds", "--spec", str(batch)).stdout
+
+
+@pytest.mark.parametrize("n", ["0", "-8"])
+def test_bounds_refuses_n_below_one_with_exit_2(n):
+    # (-8) ** 0.75 is complex: n must be refused before it meets the power.
+    result = run_cli("bounds", "--n", n, "--m-rule", "power:0.75")
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert f"n must be >= 1, got {n}" in result.stderr
+
+
 def test_bounds_requires_inputs():
     assert run_cli("bounds").returncode == 2
     assert run_cli("bounds", "--m-rule", "power:0.75").returncode == 2
@@ -470,6 +491,36 @@ def test_oracle_refusals():
     assert over_budget.returncode == 2
     assert "budget" in over_budget.stderr
     assert run_cli("oracle", "3", "5").returncode == 2
+    # Inside the answer-set budget but past n = 20: refused before any mask.
+    start = time.perf_counter()
+    past_cap = run_cli("oracle", "21", "1")
+    assert time.perf_counter() - start < 5.0
+    assert past_cap.returncode == 2
+    assert past_cap.stdout == "" and "n <= 20" in past_cap.stderr
+
+
+def _limit_address_space_to_1_gib():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_oracle_keeps_one_mask_at_m_equal_n():
+    result = run_cli("oracle", "18", "18",
+                     preexec_fn=_limit_address_space_to_1_gib)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "3", "2"),
+    ("simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
+     "--trials", "10"),
+], ids=["oracle", "simulate"])
+def test_zero_threads_exit_2(argv):
+    result = run_cli(*argv, "--threads", "0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "workers must be >= 1, got 0" in result.stderr
 
 
 def test_steering_report():
