@@ -4,35 +4,30 @@ A classical answer set fixes one excluded answer z_y for every size-m subset
 y of positions.  ``brute_force_min_exclusion`` finds the set that rules out
 the fewest strings by branch and bound over one canonical set per orbit of
 x -> x ^ w, never by the closed form, so it can serve as an independent
-check on the closed-form count.  ``build_cover_
-strategy`` constructs a concrete zero-error protocol: a small set of message
-strings such that every input has a message at Hamming distance at least
-n - m + 1, chosen greedily by coverage counts from ``qcore.fwht``.  Its
-``assignment``, one read-only int64 array of each input's message index,
-gives ``exact_information_cost`` the 2**n preimage sizes directly.
+check on the closed-form count.  ``build_cover_strategy`` constructs a
+concrete zero-error protocol: a small set of message strings such that
+every input has a message at Hamming distance at least n - m + 1, chosen
+greedily by coverage counts from ``qcore.fwht``.  Its ``assignment``, one
+read-only int64 array of each input's message index, gives
+``exact_information_cost`` the 2**n preimage sizes directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pbr import BitString, GameParameters, IndexSubset, restrict
-from .qcore import (
-    ResourceLimitError,
-    conditional_entropy,
-    fwht,
-    pool_map,
-    usable_workers,
-)
+from .qcore import ResourceLimitError, conditional_entropy, fwht
 
 # excluded_count streams one 2**n array per subset; past this n it refuses.
 EXCLUDED_COUNT_MAX_N = 20
 # Cover construction holds a few dense 2**n vectors.
 COVER_MAX_N = 16
+# Least greedy rounds times the 2**n entries each round transforms.
+COVER_BUDGET = 1 << 28
 # The exhaustive search enumerates (2**m) ** C(n, m) answer sets at worst.
 ORACLE_BUDGET = 10**7
 
@@ -109,58 +104,20 @@ def _canonical_levels(n: int, m: int) -> list[list[tuple[int, int]]]:
     return levels
 
 
-def _branch_minimum(levels: list[list[tuple[int, int]]],
-                    prefix: tuple[int, ...],
-                    limit: int) -> tuple[int, tuple[int, ...]] | None:
-    """Depth-first minimum over canonical answer sets that start with
-    ``prefix``, recording only sets that exclude strictly fewer than
-    ``limit`` strings.
-
-    Answers are tried in ascending order at every depth and a child is cut
-    as soon as its union already reaches the current limit, so the returned
-    witness is the lexicographically first optimum below the initial limit.
-    """
-    choice = list(prefix) + [0] * (len(levels) - len(prefix))
-    last = len(levels) - 1
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def descend(depth: int, union: int) -> None:
-        nonlocal best, limit
-        if depth == last:
-            for z, mask in levels[depth]:
-                count = (union | mask).bit_count()
-                if count < limit:
-                    limit = count
-                    choice[depth] = z
-                    best = (count, tuple(choice))
-            return
-        for z, mask in levels[depth]:
-            merged = union | mask
-            if merged.bit_count() < limit:
-                choice[depth] = z
-                descend(depth + 1, merged)
-
-    union = 0
-    for z, level in zip(prefix, levels):
-        union |= dict(level)[z]
-    descend(len(prefix), union)
-    return best
-
-
-def brute_force_min_exclusion(n: int, m: int,
-                              workers: int = 1) -> tuple[int, AnswerSet]:
+def brute_force_min_exclusion(n: int, m: int) -> tuple[int, AnswerSet]:
     """Exhaustive minimum of excluded strings over all answer sets.
 
     Returns ``(count, witness)``, the lexicographically first optimum.  The
-    search never consults any closed-form count: it starts from the measured
-    count of the all-zeros set and branch-and-bounds below it over the
-    canonical sets of ``_canonical_levels``, 2**-n of all sets.  Mapping
-    every x to x ^ w sends the strings set (z_j) excludes onto those set
-    (z_j ^ w|y_j) excludes, so counts are XOR-invariant; flipping a
-    non-canonical optimum's first nonzero bit at a new position this way
-    gives a lexicographically smaller optimum, so the first one is
-    canonical.  Jobs are the canonical prefixes of the first two subsets,
-    merged in ascending order, so serial and parallel runs agree.
+    search never consults any closed-form count: it is one depth-first
+    branch and bound over the canonical sets of ``_canonical_levels``,
+    2**-n of all sets, trying answers in ascending order at every depth and
+    cutting a child as soon as its union reaches the fewest strings a
+    complete set has excluded so far.  Answer 0 is always canonical, so the
+    first complete set is the all-zeros one.  Mapping every x to x ^ w sends
+    the strings set (z_j) excludes onto those set (z_j ^ w|y_j) excludes,
+    so counts are XOR-invariant; flipping a non-canonical optimum's first
+    nonzero bit at a new position this way gives a lexicographically smaller
+    optimum, so the first one is canonical.
     """
     GameParameters(n, m)
     n_subsets = math.comb(n, m)
@@ -175,25 +132,28 @@ def brute_force_min_exclusion(n: int, m: int,
         raise ResourceLimitError(
             f"the oracle supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}")
     levels = _canonical_levels(n, m)
+    last = n_subsets - 1
+    choice = [0] * n_subsets
+    best_count = (1 << n) + 1
+    best_choice: tuple[int, ...] = ()
 
-    baseline_union = 0
-    for level in levels:
-        baseline_union |= level[0][1]
-    baseline = baseline_union.bit_count()
+    def descend(depth: int, union: int) -> None:
+        nonlocal best_count, best_choice
+        if depth == last:
+            for z, mask in levels[depth]:
+                count = (union | mask).bit_count()
+                if count < best_count:
+                    best_count = count
+                    choice[depth] = z
+                    best_choice = tuple(choice)
+            return
+        for z, mask in levels[depth]:
+            merged = union | mask
+            if merged.bit_count() < best_count:
+                choice[depth] = z
+                descend(depth + 1, merged)
 
-    split = min(2, n_subsets - 1)
-    jobs = list(itertools.product(
-        *([z for z, _ in level] for level in levels[:split])))
-    results = pool_map(usable_workers(workers, len(jobs)), _branch_minimum,
-                       itertools.repeat(levels), jobs,
-                       itertools.repeat(baseline))
-
-    best_count = baseline
-    best_choice = tuple(0 for _ in range(n_subsets))
-    for result in results:
-        if result is not None and result[0] < best_count:
-            best_count, best_choice = result
-
+    descend(0, 0)
     witness = AnswerSet(
         n, m, tuple(BitString.from_index(z, m) for z in best_choice)
     )
@@ -267,7 +227,16 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     threshold = n - m + 1
     inputs = np.arange(size, dtype=np.int64)
     popcounts = np.bitwise_count(inputs)
-    kernel_transform = fwht(popcounts >= threshold)
+    kernel = popcounts >= threshold
+    # A message serves gamma(n, m) = |kernel| inputs, so the cover needs at
+    # least ceil(size / |kernel|) rounds; at m = 1 that is all 2**n.
+    work = -(-size // int(np.count_nonzero(kernel))) * size
+    if work > COVER_BUDGET:
+        raise ResourceLimitError(
+            f"cover construction at ({n}, {m}) needs at least {work} "
+            f"transform entries, past the budget of {COVER_BUDGET}"
+        )
+    kernel_transform = fwht(kernel)
 
     uncovered = np.ones(size, dtype=bool)
     assignment = np.full(size, -1, dtype=np.int64)

@@ -45,6 +45,7 @@ from .qcore import (
     ResourceLimitError,
     StateVector,
     inner_product,
+    usable_workers,
 )
 
 SCHEMA_VERSION = "1"
@@ -138,7 +139,7 @@ _BATCH_FIELDS = {"schema_version", "n_values", "m_rule", "format"}
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.spec:
-        if args.n or args.m_rule:
+        if args.n is not None or args.m_rule is not None:
             raise ValueError("--spec replaces --n and --m-rule")
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -238,9 +239,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    count, witness = classical.brute_force_min_exclusion(
-        args.n, args.m, workers=args.threads
-    )
+    # The search is serial; --threads is still accepted and checked.
+    usable_workers(args.threads, 1)
+    count, witness = classical.brute_force_min_exclusion(args.n, args.m)
     closed_form = (1 << args.n) - bounds_mod.gamma(args.n, args.m)
     witness_consistent = any(
         witness == classical.consistent_answer_set(BitString.from_index(a, args.n),
@@ -360,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle", help="exhaustive minimum excluded count vs the closed form")
     oracle.add_argument("n", type=int)
     oracle.add_argument("m", type=int)
-    oracle.add_argument("--threads", type=int, default=1)
+    oracle.add_argument("--threads", type=int, default=1,
+                        help="checked (>= 1) but unused: the search is serial")
     oracle.add_argument("--output", default=None)
     oracle.set_defaults(func=cmd_oracle)
 

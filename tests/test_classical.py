@@ -108,25 +108,6 @@ def test_brute_force_witness_is_the_all_zeros_consistent_set():
         assert witness == consistent_answer_set(BitString.from_index(0, n), m)
 
 
-def test_brute_force_serial_and_parallel_agree():
-    serial = brute_force_min_exclusion(4, 2, workers=1)
-    parallel = brute_force_min_exclusion(4, 2, workers=2)
-    assert serial == parallel
-
-
-def test_brute_force_caps_workers_at_cpus_and_jobs(pool_sizes):
-    # One job per canonical answer to the second subset: 8 at (5, 4), where
-    # that subset holds one new position, 2 at (4, 2) and 1 at (3, 1).
-    assert (brute_force_min_exclusion(5, 4, workers=10**6)
-            == brute_force_min_exclusion(5, 4))
-    assert (brute_force_min_exclusion(4, 2, workers=10**6)
-            == brute_force_min_exclusion(4, 2))
-    assert pool_sizes == [3, 2]
-    assert (brute_force_min_exclusion(3, 1, workers=10**6)
-            == brute_force_min_exclusion(3, 1))
-    assert pool_sizes == [3, 2]  # one job starts no pool
-
-
 def enumerated_minimum(n: int, m: int) -> tuple[int, AnswerSet]:
     """Minimum excluded count over every answer set, and the
     lexicographically first set that attains it, by plain enumeration."""
@@ -364,6 +345,30 @@ def test_build_cover_is_deterministic():
 def test_build_cover_resource_cap():
     with pytest.raises(ResourceLimitError):
         build_cover_strategy(COVER_MAX_N + 1, 2)
+
+
+def test_build_cover_refuses_past_the_round_budget_before_any_transform(
+        monkeypatch):
+    # At m = 1 only the complement of x serves x, so the greedy cover needs
+    # 2**n rounds of 2**n-point transforms: (15, 1) and (16, 1) are past
+    # 2**28, (14, 1) is exactly at it and (16, 2) needs 3856 * 2**16.
+    class Transformed(Exception):
+        pass
+
+    def transform(vec):
+        raise Transformed
+
+    monkeypatch.setattr(classical, "fwht", transform)
+    refused = []
+    for n in range(1, COVER_MAX_N + 1):
+        for m in range(1, n + 1):
+            try:
+                build_cover_strategy(n, m)
+            except ResourceLimitError:
+                refused.append((n, m))
+            except Transformed:
+                pass
+    assert refused == [(15, 1), (16, 1)]
 
 
 def test_exact_information_cost_minimal_pair():

@@ -1,5 +1,6 @@
 """End-to-end command-line checks via subprocess."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import tracemalloc
 
 import pytest
 
-from exclab import cli
+from exclab import cli, qcore
 from exclab.bounds import GameParameters, classical_ic_lower_bound, gamma_log2
+from exclab.classical import EXCLUDED_COUNT_MAX_N, ORACLE_BUDGET
 from exclab.game import TRIAL_MAX_N
 from exclab.steering import choose_k
 
@@ -161,6 +163,12 @@ def test_bounds_batch_file_rejections(tmp_path):
     both = run_cli("bounds", "--spec", str(good), "--n", "8",
                    "--m-rule", "power:0.75")
     assert both.returncode == 2
+    # An empty --n list or an empty --m-rule is still given beside --spec.
+    for extra in (("--n",), ("--m-rule", "")):
+        given = run_cli("bounds", "--spec", str(good), *extra)
+        assert given.returncode == 2
+        assert given.stdout == ""
+        assert "--spec replaces --n and --m-rule" in given.stderr
 
 
 @pytest.mark.parametrize("document", ["5", "null", "[8]", '"power:0.75"'])
@@ -359,6 +367,14 @@ def test_simulate_usage_errors():
                       "--threads", "1")
     assert too_big.returncode == 2
     assert "resource" in too_big.stderr
+    # The greedy cover at (16, 1) needs 2**16 rounds; it is refused up front.
+    start = time.perf_counter()
+    too_many_rounds = run_cli("simulate", "--strategy", "classical_cover",
+                              "--n", "16", "--m", "1", "--trials", "1")
+    assert time.perf_counter() - start < 5.0
+    assert too_many_rounds.returncode == 2
+    assert too_many_rounds.stdout == ""
+    assert "resource limit" in too_many_rounds.stderr
 
 
 def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
@@ -484,6 +500,37 @@ def test_oracle_threads_do_not_change_output():
     parallel = run_cli("oracle", "4", "3", "--threads", "2")
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
+
+
+def test_oracle_threads_start_no_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the oracle started a process pool")
+
+    monkeypatch.setattr(qcore, "ProcessPoolExecutor", no_pool)
+    assert cli.main(["oracle", "5", "4", "--threads", "1"]) == 0
+    serial = capsys.readouterr()
+    assert cli.main(["oracle", "5", "4", "--threads", "2"]) == 0
+    assert capsys.readouterr() == serial
+
+
+# sha256 over the stdout of `oracle n m`, in ascending (n, m), for every
+# shape that ORACLE_BUDGET and the n <= 20 cap admit.
+ORACLE_REPORTS_SHA256 = (
+    "7dcebd0c3168356695f203b224065d18203f1de402960dba3819eeb58dcae026")
+
+
+def test_every_admitted_oracle_report_is_pinned(capsys):
+    shapes = [(n, m) for n in range(1, EXCLUDED_COUNT_MAX_N + 1)
+              for m in range(1, n + 1)
+              if m * math.comb(n, m) <= math.log2(ORACLE_BUDGET)]
+    assert len(shapes) == 44
+    digest = hashlib.sha256()
+    for n, m in shapes:
+        assert cli.main(["oracle", str(n), str(m)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest.update(captured.out.encode())
+    assert digest.hexdigest() == ORACLE_REPORTS_SHA256
 
 
 def test_oracle_refusals():
