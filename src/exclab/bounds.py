@@ -81,11 +81,16 @@ def gamma(n: int, m: int) -> int:
 def _gamma_and_lower(params: GameParameters) -> tuple[float, float]:
     """(log2 gamma, n - log2 gamma): exact integers up to EXACT_GAMMA_MAX_N,
     then a log-domain tail sum; an n past BOUNDS_MAX_N raises
-    ResourceLimitError."""
-    if params.n <= EXACT_GAMMA_MAX_N:
-        log2_gamma = math.log2(gamma(params.n, params.m))
-        return log2_gamma, max(0.0, params.n - log2_gamma)
-    return _series_log2(params.n, params.m)
+    ResourceLimitError.  Once gamma passes 2**(n-1), n - log2 gamma would
+    keep only ulp(n), so the bound is -log2(1 - (2**n - gamma) / 2**n)."""
+    n = params.n
+    if n > EXACT_GAMMA_MAX_N:
+        return _series_log2(n, params.m)
+    count, size = gamma(n, params.m), 1 << n
+    log2_gamma = math.log2(count)
+    if 2 * count <= size:
+        return log2_gamma, n - log2_gamma
+    return log2_gamma, -math.log1p(-(size - count) / size) / math.log(2.0)
 
 
 def gamma_log2(n: int, m: int) -> float:

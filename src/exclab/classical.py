@@ -14,12 +14,13 @@ read-only int64 array of each input's message index, gives
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pbr import BitString, GameParameters, IndexSubset, restrict
+from .pbr import BitString, GameParameters
 from .qcore import ResourceLimitError, conditional_entropy, fwht
 
 # excluded_count streams one 2**n array per subset; past this n it refuses.
@@ -32,32 +33,17 @@ COVER_BUDGET = 1 << 28
 ORACLE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class AnswerSet:
-    """One excluded answer per size-m subset, aligned with lexicographic
-    subset order (``IndexSubset.all_subsets``)."""
-
-    n: int
-    m: int
-    answers: tuple[BitString, ...]
-
-    def __post_init__(self) -> None:
-        GameParameters(self.n, self.m)
-        expected = math.comb(self.n, self.m)
-        if len(self.answers) != expected:
-            raise ValueError(
-                f"need one answer per subset: expected {expected}, "
-                f"got {len(self.answers)}"
-            )
-        if any(len(z) != self.m for z in self.answers):
-            raise ValueError("every answer must have length m")
-
-
-def consistent_answer_set(a: BitString, m: int) -> AnswerSet:
-    """Answer set that excludes the restriction of ``a`` on every subset."""
-    n = len(a)
-    answers = tuple(restrict(a, y) for y in IndexSubset.all_subsets(n, m))
-    return AnswerSet(n, m, answers)
+def consistent_answer_set(n: int, m: int, a: int) -> tuple[int, ...]:
+    """Answer set that excludes the restriction of the n-bit string ``a``
+    (an int, MSB first) on every subset: one m-bit int per size-m subset of
+    positions 1..n, in the lexicographic order of ``itertools.combinations``,
+    as every answer set is ordered."""
+    GameParameters(n, m)
+    if not 0 <= a < 1 << n:
+        raise ValueError(f"a = {a} is not an {n}-bit string")
+    return tuple(sum(((a >> (n - p)) & 1) << (m - 1 - j)
+                     for j, p in enumerate(y))
+                 for y in itertools.combinations(range(1, n + 1), m))
 
 
 def _restriction_indices(n: int, positions: tuple[int, ...]) -> np.ndarray:
@@ -71,17 +57,22 @@ def _restriction_indices(n: int, positions: tuple[int, ...]) -> np.ndarray:
     return sel
 
 
-def excluded_count(answer_set: AnswerSet) -> int:
-    """Number of strings ruled out by at least one answer of the set."""
-    n, m = answer_set.n, answer_set.m
+def excluded_count(n: int, m: int, answers: tuple[int, ...]) -> int:
+    """Number of strings ruled out by at least one answer of the set, laid
+    out as ``consistent_answer_set`` lays it out."""
+    GameParameters(n, m)
+    if len(answers) != math.comb(n, m):
+        raise ValueError(f"need one answer per subset: expected "
+                         f"{math.comb(n, m)}, got {len(answers)}")
+    if any(type(z) is not int or not 0 <= z < 1 << m for z in answers):
+        raise ValueError(f"every answer must be an int in [0, 2**{m})")
     if n > EXCLUDED_COUNT_MAX_N:
         raise ResourceLimitError(
             f"excluded_count supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}"
         )
     hit = np.zeros(1 << n, dtype=bool)
-    for y, z in zip(IndexSubset.all_subsets(n, m), answer_set.answers):
-        sel = _restriction_indices(n, y.indices)
-        hit |= sel == z.to_index()
+    for y, z in zip(itertools.combinations(range(1, n + 1), m), answers):
+        hit |= _restriction_indices(n, y) == z
     return int(hit.sum())
 
 
@@ -92,11 +83,10 @@ def _canonical_levels(n: int, m: int) -> list[list[tuple[int, int]]]:
     is 0 at every position of the subset that no earlier subset holds."""
     levels: list[list[tuple[int, int]]] = []
     held = set()
-    for y in IndexSubset.all_subsets(n, m):
-        new = sum(1 << (m - 1 - j) for j, p in enumerate(y.indices)
-                  if p not in held)
-        held.update(y.indices)
-        sel = _restriction_indices(n, y.indices)
+    for y in itertools.combinations(range(1, n + 1), m):
+        new = sum(1 << (m - 1 - j) for j, p in enumerate(y) if p not in held)
+        held.update(y)
+        sel = _restriction_indices(n, y)
         levels.append([
             (z, int.from_bytes(np.packbits(sel == z, bitorder="little")
                                .tobytes(), "little"))
@@ -104,15 +94,16 @@ def _canonical_levels(n: int, m: int) -> list[list[tuple[int, int]]]:
     return levels
 
 
-def brute_force_min_exclusion(n: int, m: int) -> tuple[int, AnswerSet]:
+def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum of excluded strings over all answer sets.
 
-    Returns ``(count, witness)``, the lexicographically first optimum.  The
-    search never consults any closed-form count: it is one depth-first
-    branch and bound over the canonical sets of ``_canonical_levels``,
-    2**-n of all sets, trying answers in ascending order at every depth and
-    cutting a child as soon as its union reaches the fewest strings a
-    complete set has excluded so far.  Answer 0 is always canonical, so the
+    Returns ``(count, witness)``, the lexicographically first optimum, as
+    m-bit ints in ``consistent_answer_set``'s layout.  The search never
+    consults any closed-form count: it is one depth-first branch and bound
+    over the canonical sets of ``_canonical_levels``, 2**-n of all sets,
+    trying answers in ascending order at every depth and cutting a child as
+    soon as its union reaches the fewest strings a complete set has excluded
+    so far.  Answer 0 is always canonical, so the
     first complete set is the all-zeros one.  Mapping every x to x ^ w sends
     the strings set (z_j) excludes onto those set (z_j ^ w|y_j) excludes,
     so counts are XOR-invariant; flipping a non-canonical optimum's first
@@ -154,10 +145,7 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, AnswerSet]:
                 descend(depth + 1, merged)
 
     descend(0, 0)
-    witness = AnswerSet(
-        n, m, tuple(BitString.from_index(z, m) for z in best_choice)
-    )
-    return best_count, witness
+    return best_count, best_choice
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,6 @@ transform, and the tests check the transform against the dense
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,17 +133,6 @@ class IndexSubset:
             raise ValueError("indices must be strictly increasing and >= 1")
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def all_subsets(cls, n: int, m: int) -> tuple[IndexSubset, ...]:
-        """All size-m subsets of {1..n} in lexicographic order.
-
-        Materialized so callers can iterate repeatedly; sizes are bounded by
-        the enumeration caps of the callers themselves.
-        """
-        GameParameters(n, m)
-        return tuple(cls(combo)
-                     for combo in itertools.combinations(range(1, n + 1), m))
-
 
 def _check_qubits(m: int, what: str, cap: int = MAX_QUBITS) -> None:
     """Refuse work on 2**m amplitudes unless 1 <= m <= cap."""
@@ -163,23 +151,19 @@ def critical_angle(m: int) -> float:
     return 2.0 * math.atan(2.0 ** (1.0 / m) - 1.0)
 
 
-def bit_state(bit: int, angle: float) -> StateVector:
-    """Single-qubit encoding of ``bit`` at ``angle``."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+def product_state(x: BitString, angle: float) -> StateVector:
+    """Tensor product of the bit states of ``x``, bit 1 most significant:
+    bit b is encoded as (cos(angle/2), (-1)**b sin(angle/2)), 0 < angle < pi.
+    """
+    _check_qubits(len(x), "product state")
     if not 0.0 < angle < math.pi:
         raise ValueError(f"angle {angle!r} outside (0, pi)")
     half = 0.5 * angle
-    sign = 1.0 if bit == 0 else -1.0
-    return StateVector(np.array([math.cos(half), sign * math.sin(half)]), 1)
-
-
-def product_state(x: BitString, angle: float) -> StateVector:
-    """Tensor product of the bit states of ``x``, bit 1 most significant."""
-    _check_qubits(len(x), "product state")
+    encodings = ((math.cos(half), math.sin(half)),
+                 (math.cos(half), -math.sin(half)))
     amps = np.array([1.0])
     for b in x.bits:
-        amps = np.kron(amps, bit_state(b, angle).amplitudes.real)
+        amps = np.kron(amps, encodings[b])
     return StateVector(amps, len(x))
 
 
@@ -220,8 +204,11 @@ def restrict(x: BitString, y: IndexSubset) -> BitString:
 def distance_distribution(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (P, CDF) over d = 0..m of the exclusion outcome's distance
     from the truth (module docstring).  t is formed as expm1(log(2)/m) and
-    1 - r**d as -expm1(d log r), so P(0) is exactly 0.0 (r = 0 at m = 1); the
-    weights are formed in the log domain, where C(m, d) cannot overflow.
+    1 - r**d as -expm1(d log r), so P(0) is exactly 0.0 (r = 0 at m = 1).
+    C(m, d) / C(m, m//2) is the product of the ratios (m-d)/(d+1) =
+    C(m, d+1) / C(m, d) (or their inverses) taken outward from the middle:
+    no factor exceeds 1, and each costs one rounding, where lgamma terms of
+    size m ln m would leave P(d) a relative error of 1e-10 at m = 10**5.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -229,11 +216,12 @@ def distance_distribution(m: int) -> tuple[np.ndarray, np.ndarray]:
     log_r = math.log1p(-t) - math.log1p(t) if m > 1 else -math.inf
     one_minus_r_d = np.zeros(m + 1)
     one_minus_r_d[1:] = -np.expm1(np.arange(1, m + 1) * log_r)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(m + 1)])
-    with np.errstate(divide="ignore"):
-        log_w = (log_fact[m] - log_fact - log_fact[::-1]
-                 + 2.0 * np.log(one_minus_r_d))
-    weights = np.exp(log_w - log_w.max())
+    d = np.arange(m, dtype=np.float64)
+    half = m // 2
+    comb = np.ones(m + 1)
+    comb[half + 1:] = np.cumprod((m - d[half:]) / (d[half:] + 1.0))
+    comb[:half] = np.cumprod(((d[:half] + 1.0) / (m - d[:half]))[::-1])[::-1]
+    weights = comb * one_minus_r_d**2
     cdf = np.cumsum(weights)
     probabilities = weights / cdf[-1]
     cdf /= cdf[-1]

@@ -114,13 +114,6 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
                        a.qubit_count + b.qubit_count)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b> (conjugate-linear in ``a``)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def born_measure(state: StateVector, kets: np.ndarray,
                  rng: np.random.Generator) -> int:
     """Index of one outcome of the measurement whose kets are the rows of

@@ -23,36 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from .pbr import BitString, GameParameters, critical_angle
-from .qcore import ResourceLimitError, StateVector
+from .qcore import ResourceLimitError
 
 # choose_k refuses a k of more decimal digits than this; it keeps every
 # alpha above about 0.006 at delta = 0.05.
 CHOOSE_K_MAX_DIGITS = 100
 # A float64 set index J counts as >= any k past this one.
 FLOAT_K_MAX = 2**1023
-
-
-@dataclass(frozen=True, eq=False)
-class SteeringKit:
-    """One pair at angle ``theta``, for the per-pair reference round and the
-    ``steering`` command: the shared pair ``phi_ab`` and, per bit and sender
-    outcome, ``branch_probs[bit][outcome]`` and the receiver's post-state
-    ``branch_posts[bit][outcome]``."""
-
-    theta: float
-    phi_ab: StateVector
-    branch_probs: tuple[tuple[float, float], tuple[float, float]]
-    branch_posts: tuple[tuple[StateVector, StateVector],
-                        tuple[StateVector, StateVector]]
-
-
-def _project_sender(phi: StateVector, sender: np.ndarray) -> tuple[float, StateVector]:
-    """Probability and receiver post-state when the sender's qubit (the most
-    significant one) is projected onto the ket ``sender``."""
-    pair = phi.amplitudes.reshape(2, 2)
-    receiver = pair.T @ sender.conj()
-    probability = float(np.vdot(receiver, receiver).real)
-    return probability, StateVector(receiver / math.sqrt(probability), 1)
 
 
 def sender_bases(m: int) -> np.ndarray:
@@ -67,32 +44,35 @@ def sender_bases(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def build_kit(m: int) -> SteeringKit:
-    """Steering kit at the critical angle for subset size m.  Construction
-    verifies nothing beyond the checks built into StateVector, leaving the
-    steering identities to callers (the CLI recomputes them as residuals).
+def build_kit(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(probs, posts)`` at the critical angle for subset size m:
+    ``probs[bit, o]`` is the chance of sender outcome o and ``posts[bit, o]``
+    the receiver's real post-state.  Projecting the sender's half of
+    a0|00> + a1|11> onto ket s leaves the receiver s * (a0, a1), unnormalized.
+    Nothing is verified here: the ``steering`` command recomputes the
+    steering identities as residuals.
     """
     bases = sender_bases(m)
-    a0, a1 = bases[0, 0]
-    phi = StateVector(np.array([a0, 0.0, 0.0, a1]), 2)
-    branches = [[_project_sender(phi, ket) for ket in basis] for basis in bases]
-    return SteeringKit(
-        theta=critical_angle(m), phi_ab=phi,
-        branch_probs=tuple(tuple(p for p, _ in b) for b in branches),
-        branch_posts=tuple(tuple(post for _, post in b) for b in branches))
+    receiver = bases * bases[0, 0]
+    probs = (receiver**2).sum(-1)
+    posts = receiver / np.sqrt(probs)[..., None]
+    probs.setflags(write=False)
+    posts.setflags(write=False)
+    return probs, posts
 
 
-def steer_one(kit: SteeringKit, bit: int,
-              rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Measure the sender's half for one bit; returns (outcome, post-state).
+def steer_one(kit: tuple[np.ndarray, np.ndarray], bit: int,
+              rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Measure the sender's half for one bit with ``kit = build_kit(m)``;
+    returns (outcome, receiver post-state).
 
     Consumes exactly one uniform variate.
     """
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    p0 = kit.branch_probs[bit][0]
-    outcome = 0 if rng.random() < p0 else 1
-    return outcome, kit.branch_posts[bit][outcome]
+    probs, posts = kit
+    outcome = 0 if rng.random() < probs[bit, 0] else 1
+    return outcome, posts[bit, outcome]
 
 
 def p_steer(m: int) -> float:

@@ -20,6 +20,7 @@ The printed lines keep the program's n = 10**6 values and add the n = 10**8
 values and the crossing sizes the references give.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -47,19 +48,12 @@ from exclab.game import (
 from exclab.pbr import (
     BitString,
     IndexSubset,
-    bit_state,
     critical_angle,
     exclusion_measurement,
     product_state,
     restrict,
 )
-from exclab.qcore import (
-    StateVector,
-    binary_entropy,
-    conditional_entropy,
-    inner_product,
-    make_rng,
-)
+from exclab.qcore import binary_entropy, conditional_entropy, make_rng
 from exclab.steering import build_kit, choose_k, p_global_steer
 
 
@@ -112,10 +106,8 @@ def test_criterion_03_exhaustive_oracle_matches_counting_formula():
     for n, m in pairs:
         count, witness = brute_force_min_exclusion(n, m)
         expected = (1 << n) - gamma(n, m)
-        consistent = any(
-            witness == consistent_answer_set(BitString.from_index(a, n), m)
-            for a in range(1 << n)
-        )
+        consistent = any(witness == consistent_answer_set(n, m, a)
+                         for a in range(1 << n))
         if count != expected or not consistent:
             bad.append((n, m, count, expected, consistent))
     _report(
@@ -265,7 +257,8 @@ def test_criterion_06_cover_strategy_wins_everywhere_and_respects_bound():
     for n in range(1, 9):
         for m in range(1, n + 1):
             strategy = build_cover_strategy(n, m)
-            subsets = IndexSubset.all_subsets(n, m)
+            subsets = [IndexSubset(y) for y in
+                       itertools.combinations(range(1, n + 1), m)]
             for value in range(1 << n):
                 x = BitString.from_index(value, n)
                 message = strategy.message_for(x)
@@ -290,21 +283,19 @@ def test_criterion_07_steering_branches_exact():
     worst_probability_gap = 0.0
     root_half = 1.0 / math.sqrt(2.0)
     # Outcome 1 leaves |-> under the S basis (bit 0) and |+> under R (bit 1).
-    conjugate_states = (StateVector([root_half, -root_half], 1),
-                        StateVector([root_half, root_half], 1))
+    conjugate_states = ((root_half, -root_half), (root_half, root_half))
     for m in range(1, 33):
-        kit = build_kit(m)
+        probs, posts = build_kit(m)
         theta = critical_angle(m)
         sin_t = math.sin(theta)
         expected = (1.0 / (1.0 + sin_t), sin_t / (1.0 + sin_t))
         for bit in (0, 1):
             for outcome in (0, 1):
-                post = kit.branch_posts[bit][outcome]
-                target = (bit_state(bit, theta) if outcome == 0
-                          else conjugate_states[bit])
-                fidelity = abs(inner_product(target, post)) ** 2
+                target = ((math.cos(theta / 2), (-1) ** bit * math.sin(theta / 2))
+                          if outcome == 0 else conjugate_states[bit])
+                fidelity = float(np.dot(target, posts[bit, outcome])) ** 2
                 worst_fidelity_gap = max(worst_fidelity_gap, abs(1.0 - fidelity))
-                gap = abs(kit.branch_probs[bit][outcome] - expected[outcome])
+                gap = abs(probs[bit, outcome] - expected[outcome])
                 worst_probability_gap = max(worst_probability_gap, gap)
     _report(
         "7",

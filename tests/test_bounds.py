@@ -202,6 +202,37 @@ def test_classical_lower_bound_near_half_against_decimal_reference():
                             float(reference), rel_tol=1e-10)
 
 
+def decimal_classical_lower(n: int, m: int) -> Decimal:
+    """n - log2(gamma) = -log2(1 - (2**n - gamma) / 2**n), from exact
+    integers in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        excluded = Decimal((1 << n) - sum(math.comb(n, i) for i in range(m)))
+        return -(1 - excluded / Decimal(1 << n)).ln() / Decimal(2).ln()
+
+
+def test_classical_lower_bound_on_every_exact_pair_against_decimal():
+    # Near m = n the bound falls to 7.8e-20 at (64, 64), far below the
+    # ulp(n) that n - log2(gamma) keeps.
+    for n in range(1, EXACT_GAMMA_MAX_N + 1):
+        for m in range(1, n + 1):
+            lower = classical_ic_lower_bound(GameParameters(n, m))
+            assert math.isclose(lower, float(decimal_classical_lower(n, m)),
+                                rel_tol=1e-13), (n, m)
+
+
+def test_classical_lower_bound_paths_agree_across_the_exact_cap():
+    # The exact path ends at n = 64 and the log-domain path takes n = 65;
+    # both give the bound at m = n and m = n - 1, and at n = 64 both run.
+    for n in (EXACT_GAMMA_MAX_N, EXACT_GAMMA_MAX_N + 1):
+        for m in (n, n - 1):
+            reference = float(decimal_classical_lower(n, m))
+            lower = classical_ic_lower_bound(GameParameters(n, m))
+            assert math.isclose(lower, reference, rel_tol=1e-13), (n, m)
+            assert math.isclose(_series_log2(n, m)[1], reference,
+                                rel_tol=1e-13), (n, m)
+
+
 def test_bounds_refuse_past_the_cap_before_any_row(monkeypatch):
     with pytest.raises(ResourceLimitError, match="n <= "):
         gamma_log2(BOUNDS_MAX_N + 1, 2)

@@ -15,7 +15,6 @@ from exclab.bounds import gamma, gamma_log2
 from exclab.classical import (
     COVER_MAX_N,
     EXCLUDED_COUNT_MAX_N,
-    AnswerSet,
     CoverStrategy,
     brute_force_min_exclusion,
     build_cover_strategy,
@@ -31,39 +30,52 @@ def bits(text: str) -> BitString:
     return BitString.from_string(text)
 
 
-def answer_set(n: int, m: int, *texts: str) -> AnswerSet:
-    return AnswerSet(n, m, tuple(bits(t) for t in texts))
+def subsets(n: int, m: int) -> list[IndexSubset]:
+    """Size-m subsets of 1..n in lexicographic order, the answers' order."""
+    return [IndexSubset(y) for y in itertools.combinations(range(1, n + 1), m)]
+
+
+def answers(*texts: str) -> tuple[int, ...]:
+    return tuple(int(t, 2) for t in texts)
 
 
 def test_answer_set_validation():
-    answer_set(3, 2, "00", "01", "10")
+    assert excluded_count(3, 2, answers("00", "01", "10")) == 5
+    with pytest.raises(ValueError, match="one answer per subset"):
+        excluded_count(3, 2, answers("00", "01"))
+    with pytest.raises(ValueError, match="2\\*\\*2"):
+        excluded_count(3, 2, answers("00", "01", "101"))  # wrong answer length
+    for bad in (-1, 1.0, True, "01"):
+        with pytest.raises(ValueError, match="int"):
+            excluded_count(3, 2, (0, 0, bad))
     with pytest.raises(ValueError):
-        answer_set(3, 2, "00", "01")  # one answer per subset
+        excluded_count(2, 3, answers("000"))
     with pytest.raises(ValueError):
-        answer_set(3, 2, "00", "01", "101")  # wrong answer length
-    with pytest.raises(ValueError):
-        answer_set(2, 3, "000")
+        consistent_answer_set(2, 3, 0)
+    for a in (-1, 8):
+        with pytest.raises(ValueError, match="3-bit"):
+            consistent_answer_set(3, 2, a)
 
 
 def test_answer_for_follows_lexicographic_subset_order():
-    # AnswerSet.answers holds one answer per subset, in the lexicographic
-    # order of IndexSubset.all_subsets.
-    subsets = IndexSubset.all_subsets(4, 2)
-    assert [s.indices for s in subsets] == [
+    # An answer set holds one answer per subset, in the lexicographic order
+    # of itertools.combinations.
+    assert [y.indices for y in subsets(4, 2)] == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
     ]
     source = bits("1101")
-    answers = consistent_answer_set(source, 2).answers
-    assert [str(z) for z in answers] == ["11", "10", "11", "10", "11", "01"]
-    for y, z in zip(subsets, answers):
-        assert z == restrict(source, y)
+    consistent = consistent_answer_set(4, 2, source.to_index())
+    assert [format(z, "02b") for z in consistent] == [
+        "11", "10", "11", "10", "11", "01"]
+    for y, z in zip(subsets(4, 2), consistent):
+        assert z == restrict(source, y).to_index()
 
 
 def test_consistent_answer_set_restricts_the_source_string():
-    a = consistent_answer_set(bits("101"), 2)
-    assert [str(z) for z in a.answers] == ["10", "11", "01"]
-    for y, z in zip(IndexSubset.all_subsets(3, 2), a.answers):
-        assert z == restrict(bits("101"), y)
+    consistent = consistent_answer_set(3, 2, 0b101)
+    assert consistent == answers("10", "11", "01")
+    for y, z in zip(subsets(3, 2), consistent):
+        assert z == restrict(bits("101"), y).to_index()
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3), (5, 4), (6, 5)])
@@ -75,29 +87,27 @@ def test_consistent_sets_exclude_exactly_the_closed_form_count(n, m):
     sources = {0, (1 << n) - 1}
     sources.update(int(v) for v in rng.integers(0, 1 << n, size=3))
     for value in sources:
-        a = consistent_answer_set(BitString.from_index(value, n), m)
-        assert excluded_count(a) == expected
+        assert excluded_count(n, m, consistent_answer_set(n, m, value)) == expected
 
 
 def test_excluded_count_frozen_examples():
     # Hand-checked on (n=3, m=2): subsets (1,2),(1,3),(2,3).
-    assert excluded_count(answer_set(3, 2, "00", "01", "10")) == 5
+    assert excluded_count(3, 2, answers("00", "01", "10")) == 5
     # Inconsistent sets can still attain the minimum of 4.
-    assert excluded_count(answer_set(3, 2, "00", "00", "01")) == 4
+    assert excluded_count(3, 2, answers("00", "00", "01")) == 4
 
 
 def test_excluded_count_resource_cap():
     n = EXCLUDED_COUNT_MAX_N + 1
-    one_subset = AnswerSet(n, n, (BitString.from_index(0, n),))
     with pytest.raises(ResourceLimitError):
-        excluded_count(one_subset)
+        excluded_count(n, n, (0,))
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 2), (4, 3)])
 def test_brute_force_matches_counting_closed_form(n, m):
     count, witness = brute_force_min_exclusion(n, m)
     assert count == (1 << n) - gamma(n, m)
-    assert excluded_count(witness) == count
+    assert excluded_count(n, m, witness) == count
 
 
 def test_brute_force_witness_is_the_all_zeros_consistent_set():
@@ -105,19 +115,17 @@ def test_brute_force_witness_is_the_all_zeros_consistent_set():
     # deterministic witness whenever it is optimal (it always is).
     for n, m in ((3, 1), (3, 2), (4, 3)):
         _, witness = brute_force_min_exclusion(n, m)
-        assert witness == consistent_answer_set(BitString.from_index(0, n), m)
+        assert witness == consistent_answer_set(n, m, 0)
 
 
-def enumerated_minimum(n: int, m: int) -> tuple[int, AnswerSet]:
+def enumerated_minimum(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     """Minimum excluded count over every answer set, and the
     lexicographically first set that attains it, by plain enumeration."""
-    answers = [BitString.from_index(z, m) for z in range(1 << m)]
     best = None
-    for choice in itertools.product(answers, repeat=math.comb(n, m)):
-        candidate = AnswerSet(n, m, choice)
-        count = excluded_count(candidate)
+    for choice in itertools.product(range(1 << m), repeat=math.comb(n, m)):
+        count = excluded_count(n, m, choice)
         if best is None or count < best[0]:
-            best = (count, candidate)
+            best = (count, choice)
     return best
 
 
@@ -129,13 +137,12 @@ def test_canonical_search_matches_plain_enumeration(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3)])
 def test_canonical_levels_hold_one_set_per_xor_orbit(n, m):
-    subsets = IndexSubset.all_subsets(n, m)
     canonical = set(itertools.product(*(
         [z for z, _ in level] for level in classical._canonical_levels(n, m))))
-    assert len(canonical) == 1 << (m * len(subsets) - n)
-    shifts = [[restrict(BitString.from_index(w, n), y).to_index()
-               for y in subsets] for w in range(1 << n)]
-    for choice in itertools.product(range(1 << m), repeat=len(subsets)):
+    n_subsets = math.comb(n, m)
+    assert len(canonical) == 1 << (m * n_subsets - n)
+    shifts = [consistent_answer_set(n, m, w) for w in range(1 << n)]
+    for choice in itertools.product(range(1 << m), repeat=n_subsets):
         orbit = {tuple(map(int.__xor__, choice, shift)) for shift in shifts}
         assert len(orbit & canonical) == 1
 
@@ -148,14 +155,11 @@ def test_excluded_count_is_invariant_under_xor_translation(case):
     # x -> x ^ w maps the strings (z_j) excludes onto those (z_j ^ w|y_j)
     # excludes: the symmetry the canonical search rests on.
     n, m, w, random = case
-    subsets = IndexSubset.all_subsets(n, m)
-    answers = [random.getrandbits(m) for _ in subsets]
+    chosen = tuple(random.getrandbits(m) for _ in range(math.comb(n, m)))
     shift = BitString.from_index(w, n)
-    moved = [z ^ restrict(shift, y).to_index() for z, y in zip(answers, subsets)]
-    assert (excluded_count(AnswerSet(n, m, tuple(
-        BitString.from_index(z, m) for z in answers)))
-            == excluded_count(AnswerSet(n, m, tuple(
-                BitString.from_index(z, m) for z in moved))))
+    moved = tuple(z ^ restrict(shift, y).to_index()
+                  for z, y in zip(chosen, subsets(n, m)))
+    assert excluded_count(n, m, chosen) == excluded_count(n, m, moved)
 
 
 def test_brute_force_refuses_past_the_counting_cap_before_any_work(
@@ -212,11 +216,11 @@ def test_is_valid_message_matches_subset_semantics():
     # consistent answers of a never name the truth, i.e. every size-m subset
     # holds a position where a and x differ.
     for n, m in ((3, 2), (4, 2)):
-        subsets = IndexSubset.all_subsets(n, m)
         for a_val, x_val in itertools.product(range(1 << n), repeat=2):
             a = BitString.from_index(a_val, n)
             x = BitString.from_index(x_val, n)
-            semantic = all(restrict(a, y) != restrict(x, y) for y in subsets)
+            semantic = all(restrict(a, y) != restrict(x, y)
+                           for y in subsets(n, m))
             assert serves(a, x, m) == semantic, (str(a), str(x))
 
 

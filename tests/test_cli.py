@@ -585,6 +585,23 @@ def test_steering_report():
         assert row["pass"] is True
 
 
+# sha256 of the `steering --m-max 32` report with every row's
+# fidelity_residual removed, re-serialized with sorted keys.  The residual is
+# left out: its last bits follow the arithmetic that forms the post-states.
+STEERING_32_SHA256 = (
+    "2d35daf83af868f023e712713129c3875dedf57f7d75df5907b98c86ee7b8a4d")
+
+
+def test_steering_report_is_pinned_apart_from_fidelity_residuals(capsys):
+    assert cli.main(["steering", "--m-max", "32"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["rows"]) == 32
+    for row in doc["rows"]:
+        assert 0.0 <= row.pop("fidelity_residual") <= 1e-15
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == STEERING_32_SHA256
+
+
 def test_steering_rejects_bad_m_max():
     assert run_cli("steering", "--m-max", "0").returncode == 2
 

@@ -1,5 +1,6 @@
 """Referee, single trials, and the Monte Carlo harness."""
 
+import itertools
 import math
 import resource
 import subprocess
@@ -108,7 +109,7 @@ def test_referee_draw_shapes_and_marginals():
     # Positions are 0-based, distinct and sorted within each row.
     assert (y >= 0).all() and (y < n).all() and (np.diff(y, axis=1) > 0).all()
     ones = x.sum(axis=0)
-    subset_hits = {s.indices: 0 for s in IndexSubset.all_subsets(n, m)}
+    subset_hits = dict.fromkeys(itertools.combinations(range(1, n + 1), m), 0)
     for row in y:
         subset_hits[tuple(int(p) + 1 for p in row)] += 1
     sigma_bit = math.sqrt(0.25 / draws)
@@ -124,7 +125,8 @@ def test_referee_draw_is_uniform_over_inputs_and_subsets():
     # C(6, 3) = 20 subsets and the 2**6 = 64 inputs, each against uniform.
     n, m, draws = 6, 3, 20000
     x, y = referee_draw(n, m, make_rng(1618), draws)
-    subsets = {s.indices: i for i, s in enumerate(IndexSubset.all_subsets(n, m))}
+    subsets = {y: i for i, y in
+               enumerate(itertools.combinations(range(1, n + 1), m))}
     subset_counts = np.bincount(
         [subsets[tuple(int(p) + 1 for p in row)] for row in y],
         minlength=len(subsets))

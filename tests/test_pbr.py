@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from exclab.pbr import (
     MAX_QUBITS,
     BitString,
     IndexSubset,
-    bit_state,
     critical_angle,
     distance_distribution,
     exclusion_measurement,
@@ -27,7 +27,6 @@ from exclab.qcore import (
     VECTOR_TOL,
     ResourceLimitError,
     StateVector,
-    inner_product,
     make_rng,
 )
 
@@ -82,15 +81,6 @@ def test_index_subset_validation():
         IndexSubset((3, 1))
 
 
-def test_all_subsets_lexicographic_and_complete():
-    subsets = list(IndexSubset.all_subsets(4, 2))
-    assert len(subsets) == 6
-    assert [s.indices for s in subsets[:3]] == [(1, 2), (1, 3), (1, 4)]
-    assert subsets[-1].indices == (3, 4)
-    with pytest.raises(ValueError):
-        list(IndexSubset.all_subsets(3, 4))
-
-
 def test_critical_angle_known_values():
     assert critical_angle(1) == pytest.approx(math.pi / 2, abs=1e-15)
     assert critical_angle(2) == pytest.approx(math.pi / 4, abs=1e-15)
@@ -116,27 +106,47 @@ def test_critical_angle_rejects_nonpositive_m():
 
 def test_bit_state_components_and_mutual_overlap():
     theta = 0.7
-    zero = bit_state(0, theta)
-    one = bit_state(1, theta)
-    assert zero.amplitudes[0] == pytest.approx(math.cos(theta / 2), abs=1e-15)
-    assert zero.amplitudes[1] == pytest.approx(math.sin(theta / 2), abs=1e-15)
-    assert one.amplitudes[1] == pytest.approx(-math.sin(theta / 2), abs=1e-15)
-    assert inner_product(zero, one).real == pytest.approx(math.cos(theta), abs=1e-12)
+    zero = product_state(BitString.from_string("0"), theta).amplitudes
+    one = product_state(BitString.from_string("1"), theta).amplitudes
+    assert zero[0] == pytest.approx(math.cos(theta / 2), abs=1e-15)
+    assert zero[1] == pytest.approx(math.sin(theta / 2), abs=1e-15)
+    assert one[1] == pytest.approx(-math.sin(theta / 2), abs=1e-15)
+    assert np.vdot(zero, one).real == pytest.approx(math.cos(theta), abs=1e-12)
 
 
 def test_bit_state_validation():
-    with pytest.raises(ValueError):
-        bit_state(2, 0.5)
-    for angle in (0.0, math.pi, -0.3):
-        with pytest.raises(ValueError):
-            bit_state(0, angle)
+    for angle in (0.0, math.pi, -0.3, math.nan):
+        with pytest.raises(ValueError, match="angle"):
+            product_state(BitString.from_string("0"), angle)
+
+
+def kron_of_bit_states(x: BitString, angle: float) -> np.ndarray:
+    """The product encoding of ``x`` as a kron of its bit states, built
+    without exclab: (cos(angle/2), +-sin(angle/2)), bit 1 most significant."""
+    half = 0.5 * angle
+    amplitudes = np.array([1.0])
+    for bit in x:
+        amplitudes = np.kron(amplitudes, [math.cos(half),
+                                          (-1.0) ** bit * math.sin(half)])
+    return amplitudes
 
 
 def test_product_state_matches_explicit_kron():
     theta = critical_angle(2)
     x = BitString.from_string("01")
-    direct = np.kron(bit_state(0, theta).amplitudes, bit_state(1, theta).amplitudes)
-    assert np.allclose(product_state(x, theta).amplitudes, direct, atol=VECTOR_TOL)
+    assert np.allclose(product_state(x, theta).amplitudes,
+                       kron_of_bit_states(x, theta), atol=VECTOR_TOL)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_product_state_equals_a_test_built_kron(m):
+    for angle in (critical_angle(m), 0.9 * critical_angle(m), 0.7, 3.0):
+        for value in range(1 << m):
+            x = BitString.from_index(value, m)
+            amplitudes = product_state(x, angle).amplitudes
+            assert amplitudes.dtype == np.complex128
+            assert not amplitudes.imag.any()
+            assert np.array_equal(amplitudes.real, kron_of_bit_states(x, angle))
 
 
 def test_product_state_refuses_past_the_cap():
@@ -394,6 +404,35 @@ def test_distance_law_normalisation_closed_form():
         z = 2.0**m - 2.0 * (1.0 + r) ** m + (1.0 + r * r) ** m
         assert distance_distribution(m)[0][m] == pytest.approx(
             (1.0 - r**m) ** 2 / z, rel=1e-12)
+
+
+def decimal_distance_law(m: int) -> list[Decimal]:
+    """P(d) = C(m, d) (1 - r**d)**2 / Z for d = 0..m in 50-digit decimal,
+    with t = 2**(1/m) - 1 and r = (1 - t)/(1 + t) formed there too."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = (Decimal(2).ln() / m).exp() - 1
+        r = (1 - t) / (1 + t)
+        weights, comb, r_d = [], Decimal(1), Decimal(1)
+        for d in range(m + 1):
+            weights.append(comb * (1 - r_d) ** 2)
+            comb = comb * (m - d) / (d + 1)
+            r_d *= r
+        total = sum(weights)
+        return [w / total for w in weights]
+
+
+def test_distance_law_keeps_its_digits_at_large_m():
+    # Every d whose reference is at least 1e-300.  Log-domain terms of size
+    # m ln m would spend four or five of P(d)'s digits at these m.
+    floor = Decimal("1e-300")
+    for m in (21, 100, 10**3, 10**4, 10**5):
+        probabilities = distance_distribution(m)[0]
+        assert probabilities[0] == 0.0
+        for d, reference in enumerate(decimal_distance_law(m)):
+            if reference >= floor:
+                assert math.isclose(probabilities[d], float(reference),
+                                    rel_tol=1e-12), (m, d)
 
 
 @pytest.mark.parametrize("m, trials, seed", [(6, 20000, 6), (11, 40000, 11)])

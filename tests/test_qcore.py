@@ -17,7 +17,6 @@ from exclab.qcore import (
     born_measure,
     conditional_entropy,
     fwht,
-    inner_product,
     make_rng,
     pool_map,
     tensor_product,
@@ -125,30 +124,6 @@ def test_tensor_product_index_layout():
     # amplitude at i * dim(b) + j is a[i] * b[j]
     expected = np.array([0.0, 0.6, 0.0, 0.8])
     assert np.allclose(combined.amplitudes, expected, atol=VECTOR_TOL)
-
-
-def test_inner_product_conjugate_linear_in_first_argument():
-    a = StateVector([1.0 / math.sqrt(2), 1j / math.sqrt(2)], 1)
-    b = StateVector([1.0, 0.0], 1)
-    assert inner_product(a, b) == pytest.approx(1.0 / math.sqrt(2))
-    assert inner_product(b, a) == pytest.approx(1.0 / math.sqrt(2))
-    c = StateVector([0.0, 1.0], 1)
-    assert inner_product(a, c) == pytest.approx(-1j / math.sqrt(2))
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        inner_product(StateVector([1.0, 0.0], 1), StateVector([1.0, 0, 0, 0], 2))
-
-
-def test_inner_product_bounded_for_unit_vectors():
-    rng = make_rng(11)
-    for _ in range(50):
-        raw_a = rng.normal(size=8) + 1j * rng.normal(size=8)
-        raw_b = rng.normal(size=8) + 1j * rng.normal(size=8)
-        a = StateVector(raw_a / np.linalg.norm(raw_a), 3)
-        b = StateVector(raw_b / np.linalg.norm(raw_b), 3)
-        assert abs(inner_product(a, b)) <= 1.0 + VECTOR_TOL
 
 
 def test_measurement_rejects_incomplete_family():

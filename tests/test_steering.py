@@ -1,23 +1,15 @@
 """Steering kits, branch statistics, abort budgets, and full rounds."""
 
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from exclab.pbr import BitString, bit_state, critical_angle
-from exclab.qcore import (
-    VECTOR_TOL,
-    ResourceLimitError,
-    StateVector,
-    inner_product,
-    make_rng,
-)
+from exclab.pbr import BitString, critical_angle
+from exclab.qcore import VECTOR_TOL, ResourceLimitError, make_rng
 from exclab.steering import (
     FLOAT_K_MAX,
-    SteeringKit,
     SteeringParameters,
     SteeringRoundResult,
     build_kit,
@@ -32,35 +24,61 @@ from exclab.steering import (
 )
 from test_pbr import THREE_SIGMA_TAIL, chi2_sf
 
+ROOT_HALF = 1.0 / math.sqrt(2.0)
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    return abs(inner_product(a, b))
+
+def bit_state(bit: int, theta: float) -> np.ndarray:
+    """The encoding of ``bit`` at ``theta``, built without exclab."""
+    return np.array([math.cos(theta / 2), (-1) ** bit * math.sin(theta / 2)])
+
+
+def declared_targets(theta: float) -> np.ndarray:
+    """targets[bit, outcome]: the bit state after outcome 0, and after
+    outcome 1 |-> under S (bit 0) and |+> under R (bit 1)."""
+    return np.array([[bit_state(0, theta), [ROOT_HALF, -ROOT_HALF]],
+                     [bit_state(1, theta), [ROOT_HALF, ROOT_HALF]]])
+
+
+def project_sender(phi: np.ndarray, sender: np.ndarray) -> tuple[float, np.ndarray]:
+    """Probability and receiver post-state when the sender's qubit (the most
+    significant one) of the two-qubit ket ``phi`` is projected onto the ket
+    ``sender``, in complex arithmetic."""
+    pair = np.asarray(phi, dtype=np.complex128).reshape(2, 2)
+    receiver = pair.T @ np.asarray(sender, dtype=np.complex128).conj()
+    probability = float(np.vdot(receiver, receiver).real)
+    return probability, receiver / math.sqrt(probability)
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    return abs(np.vdot(a, b))
 
 
 def test_build_kit_pair_amplitudes_for_m_two():
-    kit = build_kit(2)
-    amplitudes = kit.phi_ab.amplitudes
-    assert amplitudes[0].real == pytest.approx(2.0 ** -0.25, abs=1e-15)
-    assert amplitudes[3].real == pytest.approx(0.5411961001461971, abs=1e-15)
-    assert amplitudes[1] == 0.0 and amplitudes[2] == 0.0
+    # Outcome 0 under S projects the sender's half onto the pair amplitudes
+    # themselves: probability a0**4 + a1**4, post-state (a0**2, a1**2)
+    # normalized.
+    a0, a1 = sender_bases(2)[0, 0]
+    assert a0 == pytest.approx(2.0 ** -0.25, abs=1e-15)
+    assert a1 == pytest.approx(0.5411961001461971, abs=1e-15)
+    probs, posts = build_kit(2)
+    assert probs[0, 0] == pytest.approx(a0**4 + a1**4, abs=1e-15)
+    assert posts[0, 0] == pytest.approx(np.array([a0**2, a1**2])
+                                        / math.sqrt(a0**4 + a1**4), abs=1e-15)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 32])
 def test_steering_branches_hit_their_targets(m):
-    kit = build_kit(m)
+    probs, posts = build_kit(m)
     theta = critical_angle(m)
-    minus_plus = {
-        (0, 1): StateVector([1 / math.sqrt(2), -1 / math.sqrt(2)], 1),
-        (1, 1): StateVector([1 / math.sqrt(2), 1 / math.sqrt(2)], 1),
-    }
+    targets = declared_targets(theta)
     for bit in (0, 1):
         # Outcome 0 lands exactly on the bit state at the critical angle.
-        assert fidelity(kit.branch_posts[bit][0],
-                        bit_state(bit, theta)) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(posts[bit, 0], targets[bit, 0]) == pytest.approx(
+            1.0, abs=1e-12)
         # Outcome 1 lands on the signal-free conjugate state.
-        assert fidelity(kit.branch_posts[bit][1],
-                        minus_plus[(bit, 1)]) == pytest.approx(1.0, abs=1e-12)
-        p0, p1 = kit.branch_probs[bit]
+        assert fidelity(posts[bit, 1], targets[bit, 1]) == pytest.approx(
+            1.0, abs=1e-12)
+        p0, p1 = probs[bit]
         sin_t = math.sin(theta)
         assert p0 == pytest.approx(1.0 / (1.0 + sin_t), abs=1e-12)
         assert p1 == pytest.approx(sin_t / (1.0 + sin_t), abs=1e-12)
@@ -68,16 +86,27 @@ def test_steering_branches_hit_their_targets(m):
 
 
 def test_branch_posts_match_declared_targets():
-    kit = build_kit(4)
-    root_half = 1.0 / math.sqrt(2.0)
-    # Branch order: bit 0 outcome 0, bit 0 outcome 1, bit 1 outcome 0,
-    # bit 1 outcome 1.
-    targets = (bit_state(0, kit.theta), StateVector([root_half, -root_half], 1),
-               bit_state(1, kit.theta), StateVector([root_half, root_half], 1))
-    ordered = (kit.branch_posts[0][0], kit.branch_posts[0][1],
-               kit.branch_posts[1][0], kit.branch_posts[1][1])
-    for post, target in zip(ordered, targets):
-        assert fidelity(post, target) == pytest.approx(1.0, abs=1e-12)
+    probs, posts = build_kit(4)
+    targets = declared_targets(critical_angle(4))
+    for bit in (0, 1):
+        for outcome in (0, 1):
+            assert fidelity(posts[bit, outcome],
+                            targets[bit, outcome]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 11, 32, 100, 1024])
+def test_build_kit_matches_the_complex_projection(m):
+    # The array kit against the complex projection of the shared pair
+    # a0|00> + a1|11> onto each sender ket.
+    bases = sender_bases(m)
+    a0, a1 = bases[0, 0]
+    phi = np.array([a0, 0.0, 0.0, a1])
+    probs, posts = build_kit(m)
+    for bit in (0, 1):
+        for outcome in (0, 1):
+            probability, post = project_sender(phi, bases[bit, outcome])
+            assert abs(probs[bit, outcome] - probability) <= 1e-15
+            assert np.abs(posts[bit, outcome] - post).max() <= 1e-15
 
 
 def test_sender_bases_are_orthonormal():
@@ -86,14 +115,14 @@ def test_sender_bases_are_orthonormal():
         assert bases.shape == (2, 2, 2)
         gram = bases @ bases.transpose(0, 2, 1)
         assert np.abs(gram - np.eye(2)).max() <= VECTOR_TOL, m
-        # Row 0 of S holds the pair amplitudes of the kit's shared state.
-        assert bases[0, 0].tolist() == build_kit(m).phi_ab.amplitudes.real[
-            [0, 3]].tolist()
 
 
 def test_steering_kit_holds_only_what_sampling_reads():
-    assert [f.name for f in dataclasses.fields(SteeringKit)] == [
-        "theta", "phi_ab", "branch_probs", "branch_posts"]
+    probs, posts = build_kit(5)
+    assert probs.shape == (2, 2) and probs.dtype == np.float64
+    assert posts.shape == (2, 2, 2) and posts.dtype == np.float64
+    # Cached and shared, so neither array can be written.
+    assert not probs.flags.writeable and not posts.flags.writeable
 
 
 def test_build_kit_is_cached():
@@ -198,14 +227,15 @@ def test_choose_k_validation():
 
 def test_steer_one_statistics_and_posts():
     kit = build_kit(2)
+    probs, posts = kit
     rng = make_rng(321)
     trials = 20000
     hits = 0
     for _ in range(trials):
         outcome, post = steer_one(kit, 1, rng)
-        assert post is kit.branch_posts[1][outcome]
+        assert np.array_equal(post, posts[1, outcome])
         hits += outcome == 0
-    p0 = kit.branch_probs[1][0]
+    p0 = probs[1, 0]
     sigma = math.sqrt(p0 * (1.0 - p0) / trials)
     assert hits / trials == pytest.approx(p0, abs=3 * sigma)
     with pytest.raises(ValueError):
@@ -241,9 +271,9 @@ def test_run_steering_round_success_states_match_input_bits():
     assert not result.aborted
     assert 0 <= result.set_index < 50
     # A steered set left every pair in its outcome-0 post-state.
-    kit = build_kit(2)
+    posts = build_kit(2)[1]
     for bit in x:
-        assert fidelity(kit.branch_posts[bit][0],
+        assert fidelity(posts[bit, 0],
                         bit_state(bit, theta)) == pytest.approx(1.0, abs=1e-12)
 
 
