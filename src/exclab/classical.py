@@ -7,9 +7,9 @@ x -> x ^ w, never by the closed form, so it can serve as an independent
 check on the closed-form count.  ``build_cover_strategy`` constructs a
 concrete zero-error protocol: a small set of message strings such that
 every input has a message at Hamming distance at least n - m + 1, chosen
-greedily by coverage counts from ``qcore.fwht``.  Its ``assignment``, one
-read-only int64 array of each input's message index, gives
-``exact_information_cost`` the 2**n preimage sizes directly.
+greedily by coverage counts from Krawtchouk transforms on symmetry orbits.
+Its ``assignment``, one read-only int64 array of each input's message
+index, gives ``exact_information_cost`` the 2**n preimage sizes directly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .qcore import ResourceLimitError, conditional_entropy, fwht
 EXCLUDED_COUNT_MAX_N = 20
 # Cover construction holds a few dense 2**n vectors.
 COVER_MAX_N = 16
-# Least greedy rounds times the 2**n entries each round transforms.
+# Least greedy rounds times the 2**n inputs that each round visits.
 COVER_BUDGET = 1 << 28
 # The exhaustive search enumerates (2**m) ** C(n, m) answer sets at worst.
 ORACLE_BUDGET = 10**7
@@ -194,17 +194,43 @@ class CoverStrategy:
         return self.messages[self.assignment[x.to_index()]]
 
 
+def _krawtchouk_tables(n: int) -> np.ndarray:
+    """K[q, j, s] = [z**j] (1 - z)**s (1 + z)**(q - s), the Walsh-Hadamard
+    transform of the weight-j shell of q <= n bits at any weight-s point
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5)."""
+    tables = np.zeros((n + 1, n + 1, n + 1))
+    tables[0, 0, 0] = 1.0
+    for q in range(n):
+        # A new bit multiplies column s by 1 + z, or by 1 - z in the support.
+        tables[q + 1, 1:] = tables[q, :-1]
+        tables[q + 1] += tables[q]
+        tables[q + 1, :, q + 1] = 2 * tables[q, :, q] - tables[q + 1, :, q]
+    return tables
+
+
+def _cell_lattice(cells: list[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Orbits of the permutations inside each cell (a bitmask) as a C-order
+    lattice: one |c| + 1 axis per cell of 2+ bits, then one -1 axis over the
+    singletons' subsets.  Returns each point's representative, its orbit's
+    smallest member (w ones at a cell's w lowest-order bits), and the shape."""
+    reps = np.zeros((), dtype=np.int64)
+    for cell in sorted(cells, key=lambda c: (c.bit_count() == 1, -c)):
+        ones = [1 << b for b in range(cell.bit_length()) if cell >> b & 1]
+        reps = np.add.outer(reps, np.cumsum([0] + ones))
+    return reps.ravel(), tuple(p for p in reps.shape if p > 2) + (-1,)
+
+
 def build_cover_strategy(n: int, m: int) -> CoverStrategy:
-    """Greedy message cover for the exclusion game on (n, m).
+    """Greedy message cover for (n, m): a covering code of radius m - 1.
 
     Message a serves input x iff their Hamming distance is at least
-    t = n - m + 1, an XOR-invariant relation, so the number of still-unserved
-    inputs each candidate message would cover is the XOR correlation of the
-    uncovered indicator with the distance->=t kernel; two Walsh-Hadamard
-    transforms per round evaluate it for all 2**n candidates at once.  Ties
-    go to the numerically smallest message, and every input is assigned the
-    first chosen message that serves it, so the construction is fully
-    deterministic.
+    t = n - m + 1, so the unserved inputs u that each candidate covers number
+    T(T(u) * T(kernel)) / 2**n, for the Walsh-Hadamard transform T.  The
+    chosen messages' supports cut the positions into cells whose
+    permutations fix u, so T runs on the lattice of their orbits with
+    Krawtchouk tables: the cube itself once all cells are singletons.  Exact
+    ties (entries < 2**48) go to the smallest message; each input gets the
+    first chosen message that serves it.
     """
     GameParameters(n, m)
     if n > COVER_MAX_N:
@@ -214,30 +240,44 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     size = 1 << n
     threshold = n - m + 1
     inputs = np.arange(size, dtype=np.int64)
-    popcounts = np.bitwise_count(inputs)
-    kernel = popcounts >= threshold
-    # A message serves gamma(n, m) = |kernel| inputs, so the cover needs at
-    # least ceil(size / |kernel|) rounds; at m = 1 that is all 2**n.
-    work = -(-size // int(np.count_nonzero(kernel))) * size
+    # A message serves gamma(n, m) = sum of C(n, i), i < m, inputs, so the
+    # cover needs at least ceil(size / gamma) rounds; at m = 1 all 2**n.
+    work = -(-size // sum(math.comb(n, i) for i in range(m))) * size
     if work > COVER_BUDGET:
         raise ResourceLimitError(
             f"cover construction at ({n}, {m}) needs at least {work} "
-            f"transform entries, past the budget of {COVER_BUDGET}"
+            f"input visits, past the budget of {COVER_BUDGET}"
         )
-    kernel_transform = fwht(kernel)
+    tables = _krawtchouk_tables(n)
+    kernel_transform = tables[n, threshold:].sum(axis=0)  # by weight
 
     uncovered = np.ones(size, dtype=bool)
     assignment = np.full(size, -1, dtype=np.int64)
     message_values: list[int] = []
+    cells, shape = [size - 1], None
+
+    def transform(values: np.ndarray) -> np.ndarray:
+        for axis, points in enumerate(shape[:-1]):
+            values = np.matmul(tables[points - 1, :points, :points].T, values
+                               .reshape(math.prod(shape[:axis]), points, -1))
+        return fwht(values.reshape(shape)).ravel()
     while uncovered.any():
-        # size * coverage, in exact integers: |entries| <= 2**(3n) <= 2**48.
-        coverage = fwht(fwht(uncovered) * kernel_transform)
-        candidate = int(np.argmax(coverage))
-        served = popcounts[inputs ^ candidate] >= threshold
+        if shape is None:
+            reps, shape = _cell_lattice(cells)
+            lattice_kernel = kernel_transform[np.bitwise_count(reps)]
+        cube = len(cells) == n
+        coverage = transform(transform(uncovered if cube else uncovered[reps])
+                             * lattice_kernel)
+        message = int(np.argmax(coverage) if cube else
+                      reps[coverage == coverage.max()].min())
+        served = np.bitwise_count(inputs ^ message) >= threshold
         # An input is first served in the round that covers it.
         assignment[uncovered & served] = len(message_values)
-        message_values.append(candidate)
+        message_values.append(message)
         uncovered &= ~served
+        split = [c & s for c in cells for s in (message, ~message) if c & s]
+        if len(split) > len(cells):
+            cells, shape = split, None
 
     return CoverStrategy(
         n, m, tuple(BitString.from_index(v, n) for v in message_values),

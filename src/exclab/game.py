@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -147,7 +147,7 @@ class RunStatistics:
     empirical_conditional_entropy: float | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def referee_draw(n: int, m: int, rng: np.random.Generator,

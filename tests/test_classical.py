@@ -23,7 +23,7 @@ from exclab.classical import (
     excluded_count,
 )
 from exclab.pbr import BitString, IndexSubset, restrict
-from exclab.qcore import ResourceLimitError
+from exclab.qcore import ResourceLimitError, fwht
 
 
 def bits(text: str) -> BitString:
@@ -328,6 +328,21 @@ PINNED_COVERS = {
               "68bf9e2a594addfcf7e3e96ae9b066a4"),
     (16, 8): ([0, 32767, 32768, 65535], "423dde9403ecd894fd2d0356e89cf458"
               "754efe87657c157d1cab874aefcfb2eb"),
+    # Many rounds, taken from the build before the greedy ran on symmetry
+    # orbits: their cells split into singletons, so these reach the
+    # split-cell lattices and the all-singleton cube.
+    (14, 5): ([0, 511, 15887, 16368, 1585, 1998, 14398, 14785, 2642, 2989,
+               13405, 13730, 3171, 3484, 12908, 13203, 4231, 4472, 11912,
+               12151, 5876, 5899, 10491, 10500, 6298, 6501, 8869, 9050, 1238,
+               1321, 2760, 2871, 9908, 10059, 6351, 6417],
+              "e8f34e41bd68934443221508e4a19c65"
+              "2bec8c14b01bc4c2d83a208617af905a"),
+    (16, 6): ([0, 2047, 63503, 65520, 6259, 8076, 57468, 59267, 10645, 11882,
+               53658, 54885, 12776, 13847, 51687, 52760, 17065, 17750, 47782,
+               48473, 31441, 32046, 33615, 33968, 39728, 40143, 27346, 27949,
+               29499, 29892, 23364, 23739, 36938, 38453],
+              "7b5d998e0b4b62d1ea9bbe6fdfe65ee1"
+              "fefd007842f241af00c2d544747a9f51"),
 }
 
 
@@ -337,6 +352,60 @@ def test_build_cover_reproduces_the_pinned_covers(n, m):
     messages, digest = PINNED_COVERS[n, m]
     assert [a.to_index() for a in strategy.messages] == messages
     assert hashlib.sha256(strategy.assignment.tobytes()).hexdigest() == digest
+
+
+def test_krawtchouk_tables_are_the_transforms_of_weight_shells():
+    # K[q, j, s] is fwht of the weight-j shell of q bits at every point of
+    # weight s; rows and columns past q are zero.
+    tables = classical._krawtchouk_tables(10)
+    assert tables.shape == (11, 11, 11)
+    for q in range(11):
+        weights = np.bitwise_count(np.arange(1 << q))
+        expected = np.zeros((11, 11))
+        for j in range(q + 1):
+            transformed = fwht(weights == j)
+            for s in range(q + 1):
+                at_s = transformed[weights == s]
+                assert np.all(at_s == at_s[0])
+                expected[j, s] = at_s[0]
+        assert np.array_equal(tables[q], expected), q
+    assert np.array_equal(classical._krawtchouk_tables(16)[:11, :11, :11],
+                          tables)
+
+
+def cut_cells(n: int, masks) -> list[int]:
+    """The cells, as bitmasks, that the supports of ``masks`` cut out of the
+    n positions, the way the greedy cover splits them."""
+    cells = [(1 << n) - 1]
+    for mask in masks:
+        cells = [c & s for c in cells for s in (mask, ~mask) if c & s]
+    return cells
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cell_lattice_representatives_are_the_smallest_orbit_members(n):
+    rng = np.random.default_rng(n)
+    partitions = [cut_cells(n, []), cut_cells(n, [1 << b for b in range(n)])]
+    partitions += [cut_cells(n, rng.integers(0, 1 << n, size=k).tolist())
+                   for k in (1, 1, 2, 2, 3, 4)]
+    for cells in partitions:
+        reps, shape = classical._cell_lattice(cells)
+        # Permuting positions inside each cell keeps exactly the weight of
+        # x on every cell, so that weight tuple names x's orbit.
+        smallest = {}
+        for x in range(1 << n):
+            key = tuple((x & cell).bit_count() for cell in cells)
+            smallest.setdefault(key, x)
+        assert sorted(reps.tolist()) == sorted(smallest.values()), cells
+        assert len(reps) == math.prod(c.bit_count() + 1 for c in cells)
+        big = sorted((c.bit_count() + 1 for c in cells if c.bit_count() > 1),
+                     reverse=True)
+        assert sorted(shape[:-1], reverse=True) == big and shape[-1] == -1
+        singles = sum(c.bit_count() == 1 for c in cells)
+        assert len(reps) == math.prod(shape[:-1]) << singles
+    # All singletons: the lattice is the cube, in its own order.
+    reps, shape = classical._cell_lattice(partitions[1])
+    assert shape == (-1,) and np.array_equal(reps, np.arange(1 << n))
 
 
 def test_build_cover_is_deterministic():
@@ -354,15 +423,17 @@ def test_build_cover_resource_cap():
 def test_build_cover_refuses_past_the_round_budget_before_any_transform(
         monkeypatch):
     # At m = 1 only the complement of x serves x, so the greedy cover needs
-    # 2**n rounds of 2**n-point transforms: (15, 1) and (16, 1) are past
-    # 2**28, (14, 1) is exactly at it and (16, 2) needs 3856 * 2**16.
+    # 2**n rounds of one 2**n-input pass each: (15, 1) and (16, 1) are past
+    # 2**28, (14, 1) is exactly at it and (16, 2) needs 3856 * 2**16.  The
+    # Krawtchouk tables come before any round, so an admitted shape stops
+    # there.
     class Transformed(Exception):
         pass
 
-    def transform(vec):
+    def tables(n):
         raise Transformed
 
-    monkeypatch.setattr(classical, "fwht", transform)
+    monkeypatch.setattr(classical, "_krawtchouk_tables", tables)
     refused = []
     for n in range(1, COVER_MAX_N + 1):
         for m in range(1, n + 1):
