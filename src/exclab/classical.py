@@ -178,9 +178,12 @@ class CoverStrategy:
             raise ValueError("assignment indexes outside the message list")
         indices = given.astype(np.int64)  # a copy, so no caller can write it
         bits = np.array([msg.bits for msg in self.messages], dtype=np.int8)
-        msg_values = bits @ (1 << np.arange(self.n - 1, -1, -1))
-        dist = np.bitwise_count(msg_values[indices] ^ np.arange(1 << self.n))
-        if dist.min() < self.n - self.m + 1:
+        # Each input's message XOR the input, in the narrowest n-bit type.
+        width = np.min_scalar_type((1 << self.n) - 1)
+        announced = (bits @ (1 << np.arange(self.n - 1, -1, -1))).astype(width)
+        apart = announced[indices]
+        apart ^= np.arange(1 << self.n, dtype=width)
+        if np.bitwise_count(apart).min() < self.n - self.m + 1:
             raise ValueError("assignment maps some input to a message that "
                              "does not serve it")
         indices.setflags(write=False)

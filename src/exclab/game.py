@@ -21,6 +21,10 @@ child b of SeedSequence(seed), in a fixed order (the block's inputs, its
 subsets, then the strategy's draws for the whole block).  Block boundaries
 depend on n alone, so statistics are identical however blocks are
 distributed over workers.
+
+``classical_cover`` keeps the observed inputs as a sorted sparse histogram
+(distinct input indices and their counts), so a worker holds at most
+min(trials, 2**n) inputs and H(X | M) sums over the observed inputs only.
 """
 
 from __future__ import annotations
@@ -177,13 +181,15 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
                 sink: Callable[[Transcript], None] | None = None):
     """Play trials first .. first + size - 1, drawing only from ``rng``: the
     referee's inputs and subsets for the whole block, then the strategy's
-    draws.  Returns (wins, aborts, counts of x or None); the message is a
-    function of x, so the counts of x fix H(X | M)."""
+    draws.  Returns (wins, aborts, x_index or None): for ``classical_cover``
+    the block's input indices, unsorted, which ``_run_blocks`` folds into a
+    sparse histogram; the message is a function of x, so the counts of x
+    fix H(X | M)."""
     n, m = config.n, config.m
     x, y = referee_draw(n, m, rng, size)
     truth = np.take_along_axis(x, y, axis=1)
     aborted = np.zeros(size, dtype=bool)
-    counts = None
+    x_index = None
     if config.strategy == STRATEGY_QUANTUM:
         answer = measure_exclusion(truth, rng)
         messages = ({"kind": "quantum_state", "qubits": n} for _ in x)
@@ -192,7 +198,6 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
         x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         chosen = cover.assignment[x_index]
         answer = np.take_along_axis(cover.message_bits[chosen], y, axis=1)
-        counts = np.bincount(x_index, minlength=1 << n)
         messages = ({"kind": "classical_message",
                      "bits": str(cover.messages[c])} for c in chosen)
     else:
@@ -212,7 +217,7 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
                             aborted=not done,
                             won=bool(won[row]) if done else None,
                             trial=first + row))
-    return int(won.sum()), int(aborted.sum()), counts
+    return int(won.sum()), int(aborted.sum()), x_index
 
 
 def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
@@ -246,29 +251,58 @@ def _message_bits(config: GameConfig) -> dict:
     }
 
 
-def _merge(parts) -> tuple:
-    """Sum (wins, aborts, counts of x or None) triples."""
-    wins, aborts, counts = 0, 0, None
-    for w, a, c in parts:
-        wins, aborts = wins + w, aborts + a
-        counts = c if counts is None else counts + c
-    return wins, aborts, counts
+def _add_histograms(a, b):
+    """Sum of two sparse histograms (sorted distinct inputs, their counts),
+    or the one that is not None: b's counts are added in place to a's equal
+    inputs and its other inputs are inserted at their sorted places."""
+    if a is None or b is None:
+        return b if a is None else a
+    (inputs, counts), (more, extra) = a, b
+    at = np.searchsorted(inputs, more)
+    seen = inputs[np.minimum(at, len(inputs) - 1)] == more
+    counts[at[seen]] += extra[seen]
+    fresh = ~seen
+    return (np.insert(inputs, at[fresh], more[fresh]),
+            np.insert(counts, at[fresh], extra[fresh]))
 
 
 def _run_blocks(config: GameConfig, first: int, stop: int,
                 sink: Callable[[Transcript], None] | None = None):
-    """Aggregate blocks [first, stop); returns (wins, aborts, counts of x).
-    Block b plays trials from b * block_size(n) on, from its own substream,
-    child b of SeedSequence(seed), constructed directly so that workers need
-    not materialize the whole spawn list."""
-    size = block_size(config.n)
-
-    def play(block: int) -> tuple:
+    """Aggregate blocks [first, stop); returns (wins, aborts, sparse
+    histogram of x or None).  Block b plays trials from b * block_size(n)
+    on, from its own substream, child b of SeedSequence(seed), constructed
+    directly so that workers need not materialize the whole spawn list.
+    Input indices wait until 2**n of them are pending; one ``bincount``
+    then folds them into 2**n counts, a fold paid for by 2**n trials or
+    more.  A range that never fills 2**n builds no such array: one
+    ``np.unique`` counts its inputs at the end."""
+    size, cells = block_size(config.n), 1 << config.n
+    wins = aborts = held = 0
+    pending: list[np.ndarray] = []
+    dense = None
+    for block in range(first, stop):
         rng = make_rng(np.random.SeedSequence(config.seed, spawn_key=(block,)))
         start = block * size
-        return _play_block(config, rng, min(size, config.trials - start),
-                           start, sink)
-    return _merge(map(play, range(first, stop)))
+        w, a, x_index = _play_block(
+            config, rng, min(size, config.trials - start), start, sink)
+        wins, aborts = wins + w, aborts + a
+        if x_index is None:
+            continue
+        pending.append(x_index)
+        held += len(x_index)
+        if held >= cells:
+            folded = np.bincount(np.concatenate(pending), minlength=cells)
+            dense = folded if dense is None else dense + folded
+            pending, held = [], 0
+    if dense is not None:
+        if pending:
+            dense += np.bincount(np.concatenate(pending), minlength=cells)
+        inputs = np.flatnonzero(dense)
+        return wins, aborts, (inputs, dense[inputs])
+    if pending:
+        return wins, aborts, np.unique(np.concatenate(pending),
+                                       return_counts=True)
+    return wins, aborts, None
 
 
 def monte_carlo(config: GameConfig, workers: int = 1,
@@ -287,13 +321,20 @@ def monte_carlo(config: GameConfig, workers: int = 1,
                              blocks if transcript_sink is None else 1)
     _preflight(config)
     edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
-    wins, aborts, counts = _merge(pool_map(
-        workers, _run_blocks, itertools.repeat(config), edges[:-1], edges[1:],
-        itertools.repeat(transcript_sink)))
+    wins = aborts = 0
+    histogram = None
+    for w, a, part in pool_map(
+            workers, _run_blocks, itertools.repeat(config), edges[:-1],
+            edges[1:], itertools.repeat(transcript_sink)):
+        wins, aborts = wins + w, aborts + a
+        histogram = _add_histograms(histogram, part)
 
     completed = config.trials - aborts
-    entropy = None if counts is None else conditional_entropy(
-        counts, _cover(config.n, config.m).assignment)
+    entropy = None
+    if histogram is not None:
+        inputs, counts = histogram
+        entropy = conditional_entropy(
+            counts, _cover(config.n, config.m).assignment[inputs])
     return RunStatistics(
         strategy=config.strategy, trials=config.trials, wins=wins,
         aborts=aborts, win_rate=(wins / completed) if completed else None,

@@ -239,6 +239,19 @@ def test_cover_strategy_validation():
         CoverStrategy(3, 2, (bits("000"), bits("111")), (0,) * 8)
 
 
+def test_cover_strategy_refuses_one_unserved_input_at_n_16():
+    # The distance check runs in 16-bit words at n = 16: one input of the
+    # 65,536 sent to itself (distance 0 < 9) must still be caught.
+    good = build_cover_strategy(16, 8)
+    for x in (0, 12345, (1 << 16) - 1):
+        assignment = good.assignment.copy()
+        assignment[x] = len(good.messages)
+        with pytest.raises(ValueError, match="serve"):
+            CoverStrategy(16, 8, good.messages + (BitString.from_index(x, 16),),
+                          assignment)
+    CoverStrategy(16, 8, good.messages, good.assignment)
+
+
 def test_cover_strategy_refuses_float_and_bool_entries():
     good = build_cover_strategy(3, 2)
     CoverStrategy(3, 2, good.messages, good.assignment.tolist())

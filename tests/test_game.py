@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from exclab import game, pbr, qcore
 from exclab.game import (
@@ -29,7 +31,12 @@ from exclab.game import (
 )
 from exclab.pbr import BitString, IndexSubset, restrict
 from exclab.classical import build_cover_strategy
-from exclab.qcore import ResourceLimitError, StateVector, make_rng
+from exclab.qcore import (
+    ResourceLimitError,
+    StateVector,
+    conditional_entropy,
+    make_rng,
+)
 from exclab.steering import choose_k, p_abort, p_global_steer
 from test_pbr import THREE_SIGMA_TAIL, chi2_sf, outcome_indices
 
@@ -420,6 +427,67 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
     np.add.at(joint, (x_index, cover.assignment[x_index]), 1.0)
     full = joint_conditional_entropy(joint)
     assert stats.empirical_conditional_entropy == pytest.approx(full, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(0, 2),
+    st.integers(1, 600), st.integers(0, 2**32 - 1))))
+def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
+    # Full blocks fold 2**n <= 256 pending inputs into dense counts; a tail
+    # block of fewer than 2**n trials, alone in its worker's range, is
+    # counted by np.unique; worker ranges merge by sorted insertion.  The
+    # entropy must equal, bit for bit, the one over a dense bincount of the
+    # blocks' own referee draws.
+    n, m, full_blocks, tail, seed = case
+    size = block_size(n)
+    trials = full_blocks * size + tail
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for block in range(full_blocks + 1):
+        rng = make_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        x, _ = referee_draw(n, m, rng, min(size, trials - block * size))
+        counts += np.bincount(x @ (1 << np.arange(n - 1, -1, -1)),
+                              minlength=1 << n)
+    expected = conditional_entropy(counts, game._cover(n, m).assignment)
+    config = GameConfig(n=n, m=m, strategy=STRATEGY_CLASSICAL_COVER,
+                        trials=trials, seed=seed)
+    for workers in (1, 2, 3):
+        stats = monte_carlo(config, workers=workers)
+        assert stats.empirical_conditional_entropy == expected
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=60),
+       st.lists(st.integers(0, 40), max_size=60))
+def test_add_histograms_sums_counts_in_sorted_order(left, right):
+    def histogram(values):
+        return np.unique(np.array(values, dtype=np.int64),
+                         return_counts=True) if values else None
+
+    total = game._add_histograms(histogram(left), histogram(right))
+    if not left + right:
+        assert total is None
+        return
+    inputs, counts = total
+    expected = histogram(left + right)
+    assert np.array_equal(inputs, expected[0])
+    assert np.array_equal(counts, expected[1])
+
+
+def test_small_cover_run_holds_no_dense_input_counts():
+    # 400 trials at n = 16 keep at most 400 distinct inputs, not 2**16
+    # counts: with the cover cached, the whole call peaks under 256 KiB.
+    config = GameConfig(n=16, m=8, strategy=STRATEGY_CLASSICAL_COVER,
+                        trials=400, seed=3)
+    game._cover(16, 8)
+    tracemalloc.start()
+    try:
+        monte_carlo(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
 
 
 def test_the_cached_cover_cannot_be_written():
