@@ -8,8 +8,11 @@ check on the closed-form count.  ``build_cover_strategy`` constructs a
 concrete zero-error protocol: a small set of message strings such that
 every input has a message at Hamming distance at least n - m + 1, chosen
 greedily by coverage counts from Krawtchouk transforms on symmetry orbits.
-Its ``assignment``, one read-only int64 array of each input's message
-index, gives ``exact_information_cost`` the 2**n preimage sizes directly.
+The greedy's state lives on those orbits too, one entry per orbit; only
+when the orbits have become single inputs, or once at the end, does it
+reach the 2**n inputs.  Its ``assignment``, one read-only int64 array of
+each input's message index, gives ``exact_information_cost`` the 2**n
+preimage sizes directly.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .qcore import ResourceLimitError, conditional_entropy, fwht
 EXCLUDED_COUNT_MAX_N = 20
 # Cover construction holds a few dense 2**n vectors.
 COVER_MAX_N = 16
-# Least greedy rounds times the 2**n inputs that each round visits.
+# Least greedy rounds times 2**n: many-round covers run nearly every round
+# on the cube, or on lattices close to its size.
 COVER_BUDGET = 1 << 28
 # The exhaustive search enumerates (2**m) ** C(n, m) answer sets at worst.
 ORACLE_BUDGET = 10**7
@@ -178,11 +182,12 @@ class CoverStrategy:
             raise ValueError("assignment indexes outside the message list")
         indices = given.astype(np.int64)  # a copy, so no caller can write it
         bits = np.array([msg.bits for msg in self.messages], dtype=np.int8)
-        # Each input's message XOR the input, in the narrowest n-bit type.
-        width = np.min_scalar_type((1 << self.n) - 1)
-        announced = (bits @ (1 << np.arange(self.n - 1, -1, -1))).astype(width)
-        apart = announced[indices]
-        apart ^= np.arange(1 << self.n, dtype=width)
+        # Each input's message XOR the input, in uint32: at n <= 16 the
+        # narrower uint16 popcount and gather run slower.
+        announced = (bits @ (1 << np.arange(self.n - 1, -1, -1))).astype(
+            np.uint32)
+        apart = np.take(announced, indices)
+        apart ^= np.arange(1 << self.n, dtype=np.uint32)
         if np.bitwise_count(apart).min() < self.n - self.m + 1:
             raise ValueError("assignment maps some input to a message that "
                              "does not serve it")
@@ -201,26 +206,70 @@ def _krawtchouk_tables(n: int) -> np.ndarray:
     """K[q, j, s] = [z**j] (1 - z)**s (1 + z)**(q - s), the Walsh-Hadamard
     transform of the weight-j shell of q <= n bits at any weight-s point
     (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5)."""
-    tables = np.zeros((n + 1, n + 1, n + 1))
-    tables[0, 0, 0] = 1.0
+    padded = np.zeros((n + 1, n + 2, n + 1))  # row 0 is j = -1, all zero
+    padded[0, 1, 0] = 1.0
     for q in range(n):
         # A new bit multiplies column s by 1 + z, or by 1 - z in the support.
-        tables[q + 1, 1:] = tables[q, :-1]
-        tables[q + 1] += tables[q]
-        tables[q + 1, :, q + 1] = 2 * tables[q, :, q] - tables[q + 1, :, q]
-    return tables
+        old, new = padded[q], padded[q + 1]
+        np.add(old[1:], old[:-1], out=new[1:])
+        np.subtract(old[1:, q], old[:-1, q], out=new[1:, q + 1])
+    return padded[:, 1:]
+
+
+def _lattice_order(cells: list[int]) -> list[int]:
+    """The cells (bitmasks) in lattice axis order: cells of 2+ bits first,
+    then the singletons, each group by descending mask."""
+    cells = sorted(cells, reverse=True)
+    return ([c for c in cells if c & (c - 1)]
+            + [c for c in cells if not c & (c - 1)])
+
+
+def _outer_sum(axes, dtype) -> np.ndarray:
+    """Outer sum of integer sequences, one axis each."""
+    total = np.asarray(axes[0], dtype=dtype)
+    for axis in axes[1:]:
+        total = np.add.outer(total, axis, dtype=dtype)
+    return total
 
 
 def _cell_lattice(cells: list[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     """Orbits of the permutations inside each cell (a bitmask) as a C-order
     lattice: one |c| + 1 axis per cell of 2+ bits, then one -1 axis over the
     singletons' subsets.  Returns each point's representative, its orbit's
-    smallest member (w ones at a cell's w lowest-order bits), and the shape."""
-    reps = np.zeros((), dtype=np.int64)
-    for cell in sorted(cells, key=lambda c: (c.bit_count() == 1, -c)):
-        ones = [1 << b for b in range(cell.bit_length()) if cell >> b & 1]
-        reps = np.add.outer(reps, np.cumsum([0] + ones))
-    return reps.ravel(), tuple(p for p in reps.shape if p > 2) + (-1,)
+    smallest member (w ones at a cell's w lowest-order bits), as int32, and
+    the shape."""
+    order = _lattice_order(cells)
+    reps = _outer_sum([list(itertools.accumulate(
+        [1 << b for b in range(c.bit_length()) if c >> b & 1], initial=0))
+        for c in order], np.int32).ravel()
+    return reps, tuple(
+        c.bit_count() + 1 for c in order if c.bit_count() > 1) + (-1,)
+
+
+def _pull_back(values: np.ndarray, cells: list[int],
+               coarse: list[int]) -> np.ndarray:
+    """``values`` on the lattice of ``coarse``, read at each point of the
+    lattice of ``cells``: a partition with every cell inside one of
+    coarse's, such as the n singletons, whose lattice is the cube.  A coarse
+    cell's weight is the sum of the weights of the cells inside it, so one
+    take along each split coarse axis, by those sums, replaces the axis by
+    its cells' axes; a final transpose puts them in lattice order."""
+    old, new = _lattice_order(coarse), _lattice_order(cells)
+    values = values.reshape([c.bit_count() + 1 for c in old])
+    taken: list[int] = []
+    for axis in reversed(range(len(old))):
+        parts = [d for d in new if d & old[axis]]
+        taken[:0] = parts
+        if len(parts) > 1:
+            # Cells of 2+ bits, then singletons: their subsets fill one axis.
+            axes = [np.arange(d.bit_count() + 1) for d in parts if d & (d - 1)]
+            if ones := len(parts) - len(axes):
+                axes.append(np.bitwise_count(np.arange(1 << ones)))
+            sums = _outer_sum(axes, np.intp)
+            values = np.take(values, sums.reshape(
+                [d.bit_count() + 1 for d in parts]), axis=axis)
+    where = {d: i for i, d in enumerate(taken)}
+    return values.transpose([where[d] for d in new]).ravel()
 
 
 def build_cover_strategy(n: int, m: int) -> CoverStrategy:
@@ -234,6 +283,13 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     Krawtchouk tables: the cube itself once all cells are singletons.  Exact
     ties (entries < 2**48) go to the smallest message; each input gets the
     first chosen message that serves it.
+
+    The greedy's state is one entry per lattice point: the first message
+    that serves its orbit, -1 while none does, so u is where it is -1.  A
+    round serves the points at distance >= t from the message, which is
+    constant on every cell once the cells it splits are refined; the state
+    is then pulled back onto the finer lattice.  The 2**n ``assignment`` is
+    read off it once, at the end, unless the lattice is already the cube.
     """
     GameParameters(n, m)
     if n > COVER_MAX_N:
@@ -242,7 +298,6 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         )
     size = 1 << n
     threshold = n - m + 1
-    inputs = np.arange(size, dtype=np.int64)
     # A message serves gamma(n, m) = sum of C(n, i), i < m, inputs, so the
     # cover needs at least ceil(size / gamma) rounds; at m = 1 all 2**n.
     work = -(-size // sum(math.comb(n, i) for i in range(m))) * size
@@ -254,34 +309,41 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     tables = _krawtchouk_tables(n)
     kernel_transform = tables[n, threshold:].sum(axis=0)  # by weight
 
-    uncovered = np.ones(size, dtype=bool)
-    assignment = np.full(size, -1, dtype=np.int64)
     message_values: list[int] = []
-    cells, shape = [size - 1], None
+    cells = [size - 1]
+    reps, shape = _cell_lattice(cells)
+    lattice_kernel = kernel_transform[np.bitwise_count(reps)]
+    first = np.full(len(reps), -1, dtype=np.int64)
 
     def transform(values: np.ndarray) -> np.ndarray:
         for axis, points in enumerate(shape[:-1]):
             values = np.matmul(tables[points - 1, :points, :points].T, values
                                .reshape(math.prod(shape[:axis]), points, -1))
-        return fwht(values.reshape(shape)).ravel()
-    while uncovered.any():
-        if shape is None:
-            reps, shape = _cell_lattice(cells)
-            lattice_kernel = kernel_transform[np.bitwise_count(reps)]
+        values = values.reshape(shape)
+        # Without singletons the last axis has one point and T is the identity.
+        return (fwht(values) if values.shape[-1] > 1 else values).ravel()
+    while (uncovered := first < 0).any():
         cube = len(cells) == n
-        coverage = transform(transform(uncovered if cube else uncovered[reps])
-                             * lattice_kernel)
+        spectrum = transform(uncovered)
+        spectrum *= lattice_kernel
+        coverage = transform(spectrum)
         message = int(np.argmax(coverage) if cube else
                       reps[coverage == coverage.max()].min())
-        served = np.bitwise_count(inputs ^ message) >= threshold
-        # An input is first served in the round that covers it.
-        assignment[uncovered & served] = len(message_values)
-        message_values.append(message)
-        uncovered &= ~served
         split = [c & s for c in cells for s in (message, ~message) if c & s]
         if len(split) > len(cells):
-            cells, shape = split, None
+            # The message is constant on the new cells only: refine first.
+            first = _pull_back(first, split, cells)
+            uncovered = first < 0
+            cells = split
+            reps, shape = _cell_lattice(cells)
+            lattice_kernel = kernel_transform[np.bitwise_count(reps)]
+        served = np.bitwise_count(reps ^ message) >= threshold
+        first[served & uncovered] = len(message_values)
+        message_values.append(message)
 
+    # On the cube each input is its own lattice point.
+    assignment = first if len(cells) == n else _pull_back(
+        first, [1 << b for b in range(n)], cells)
     return CoverStrategy(
         n, m, tuple(BitString.from_index(v, n) for v in message_values),
         assignment)

@@ -210,9 +210,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sink = None
     transcript_file = None
     if args.transcripts:
-        transcript_file = Path(args.transcripts).open("w", encoding="utf-8")
-
+        # Opened at the first trial, after monte_carlo's refusals, so a
+        # refused run leaves the file as it was.
         def sink(transcript: game.Transcript) -> None:
+            nonlocal transcript_file
+            if transcript_file is None:
+                transcript_file = Path(args.transcripts).open(
+                    "w", encoding="utf-8")
             transcript_file.write(
                 json.dumps(_round_floats(transcript.to_dict()), sort_keys=True)
                 + "\n"

@@ -25,6 +25,8 @@ distributed over workers.
 ``classical_cover`` keeps the observed inputs as a sorted sparse histogram
 (distinct input indices and their counts), so a worker holds at most
 min(trials, 2**n) inputs and H(X | M) sums over the observed inputs only.
+It counts them in 2**n cells only when it has at least 2**n /
+DENSE_COUNT_RATIO trials.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ STRATEGIES = (
 TRIAL_MAX_N = 10**6
 # Trials per block below that budget.
 BLOCK_TRIALS = 4096
+# A worker range that never fills 2**n inputs counts them densely while
+# 2**n <= DENSE_COUNT_RATIO * its inputs (see ``_run_blocks``).
+DENSE_COUNT_RATIO = 10
 
 
 @dataclass(frozen=True)
@@ -274,8 +279,13 @@ def _run_blocks(config: GameConfig, first: int, stop: int,
     directly so that workers need not materialize the whole spawn list.
     Input indices wait until 2**n of them are pending; one ``bincount``
     then folds them into 2**n counts, a fold paid for by 2**n trials or
-    more.  A range that never fills 2**n builds no such array: one
-    ``np.unique`` counts its inputs at the end."""
+    more.  A range that never fills 2**n counts its inputs at the end: with
+    the same dense count while 2**n <= DENSE_COUNT_RATIO (10) times their
+    number, else with ``np.unique``, whose fixed cost of about 14 us the
+    dense count undercuts on a small cube.  The ratio is the measured
+    crossover: on a 2-CPU Xeon the dense count was faster at every ratio
+    tried (up to 32) at 2**12 cells, about even from 6 to 12 at 2**14, and
+    slower past about 5 at 2**16."""
     size, cells = block_size(config.n), 1 << config.n
     wins = aborts = held = 0
     pending: list[np.ndarray] = []
@@ -294,15 +304,16 @@ def _run_blocks(config: GameConfig, first: int, stop: int,
             folded = np.bincount(np.concatenate(pending), minlength=cells)
             dense = folded if dense is None else dense + folded
             pending, held = [], 0
-    if dense is not None:
-        if pending:
-            dense += np.bincount(np.concatenate(pending), minlength=cells)
-        inputs = np.flatnonzero(dense)
-        return wins, aborts, (inputs, dense[inputs])
-    if pending:
+    if pending and dense is None and cells > DENSE_COUNT_RATIO * held:
         return wins, aborts, np.unique(np.concatenate(pending),
                                        return_counts=True)
-    return wins, aborts, None
+    if pending:
+        folded = np.bincount(np.concatenate(pending), minlength=cells)
+        dense = folded if dense is None else dense + folded
+    if dense is None:
+        return wins, aborts, None
+    inputs = np.flatnonzero(dense > 0)  # numpy scans bools faster than ints
+    return wins, aborts, (inputs, dense[inputs])
 
 
 def monte_carlo(config: GameConfig, workers: int = 1,

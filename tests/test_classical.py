@@ -367,6 +367,24 @@ def test_build_cover_reproduces_the_pinned_covers(n, m):
     assert hashlib.sha256(strategy.assignment.tobytes()).hexdigest() == digest
 
 
+# Every cover with n <= 12, taken from the build before the greedy kept its
+# state on the orbit lattice: one sha256 over each shape's int64 message
+# indices and assignment bytes, for n = 1..12 and m = 1..n in that order.
+PINNED_SMALL_COVERS = ("be205c4928e177737969cf45c4a7d412"
+                       "54af1921f0daac1ee84100aff1511a49")
+
+
+def test_build_cover_reproduces_every_pinned_cover_up_to_n_12():
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            strategy = build_cover_strategy(n, m)
+            digest.update(np.array([a.to_index() for a in strategy.messages],
+                                   dtype=np.int64).tobytes())
+            digest.update(strategy.assignment.tobytes())
+    assert digest.hexdigest() == PINNED_SMALL_COVERS
+
+
 def test_krawtchouk_tables_are_the_transforms_of_weight_shells():
     # K[q, j, s] is fwht of the weight-j shell of q bits at every point of
     # weight s; rows and columns past q are zero.
@@ -421,6 +439,32 @@ def test_cell_lattice_representatives_are_the_smallest_orbit_members(n):
     assert shape == (-1,) and np.array_equal(reps, np.arange(1 << n))
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=5),
+    st.integers(0, 5))))
+def test_pull_back_reads_each_point_at_its_coarse_orbit(case):
+    # The coarse cells are cut by the first k masks, the fine ones by all of
+    # them; the n singletons give the cube, whose point x is input x.  Each
+    # fine point must read the coarse point whose representative has the
+    # same weight on every coarse cell: its orbit there.
+    n, masks, k = case
+    coarse = cut_cells(n, masks[:k])
+    coarse_reps, _ = classical._cell_lattice(coarse)
+
+    def orbit(x):
+        return tuple((x & cell).bit_count() for cell in coarse)
+
+    lookup = {orbit(int(r)): i for i, r in enumerate(coarse_reps)}
+    values = np.arange(len(coarse_reps), dtype=np.int64)
+    fine = cut_cells(n, masks)
+    reps, _ = classical._cell_lattice(fine)
+    pulled = classical._pull_back(values, fine, coarse)
+    assert pulled.tolist() == [lookup[orbit(int(r))] for r in reps]
+    cube = classical._pull_back(values, [1 << b for b in range(n)], coarse)
+    assert cube.tolist() == [lookup[orbit(x)] for x in range(1 << n)]
+
+
 def test_build_cover_is_deterministic():
     first = build_cover_strategy(5, 3)
     second = build_cover_strategy(5, 3)
@@ -436,10 +480,10 @@ def test_build_cover_resource_cap():
 def test_build_cover_refuses_past_the_round_budget_before_any_transform(
         monkeypatch):
     # At m = 1 only the complement of x serves x, so the greedy cover needs
-    # 2**n rounds of one 2**n-input pass each: (15, 1) and (16, 1) are past
-    # 2**28, (14, 1) is exactly at it and (16, 2) needs 3856 * 2**16.  The
-    # Krawtchouk tables come before any round, so an admitted shape stops
-    # there.
+    # 2**n rounds, most of them on the 2**n-point cube: (15, 1) and (16, 1)
+    # are past 2**28, (14, 1) is exactly at it and (16, 2) needs
+    # 3856 * 2**16.  The Krawtchouk tables come before any round, so an
+    # admitted shape stops there.
     class Transformed(Exception):
         pass
 

@@ -358,6 +358,22 @@ def test_simulate_transcript_stream(tmp_path):
     assert stats["aborts"] == sum(1 for r in records if r["aborted"])
 
 
+@pytest.mark.parametrize("refused", [
+    ["--strategy", "quantum", "--n", "4", "--m", "2", "--threads", "0"],
+    ["--strategy", "quantum", "--n", "2000000", "--m", "1"],
+    ["--strategy", "classical_cover", "--n", "16", "--m", "1"],
+], ids=["threads-0", "n-past-the-trial-budget", "cover-past-its-budget"])
+def test_refused_simulate_leaves_the_transcript_file_as_it_was(
+        tmp_path, capsys, refused):
+    path = tmp_path / "trials.jsonl"
+    path.write_text("an earlier run's transcripts\n")
+    argv = ["simulate", *refused, "--trials", "5", "--transcripts", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("exclab: ")
+    assert path.read_text() == "an earlier run's transcripts\n"
+
+
 def test_simulate_usage_errors():
     missing_k = run_cli("simulate", "--strategy", "entanglement_assisted",
                         "--n", "4", "--m", "2", "--trials", "5")

@@ -11,11 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from exclab import game, pbr, qcore
 from exclab.game import (
+    DENSE_COUNT_RATIO,
     STRATEGIES,
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
@@ -434,12 +435,15 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n), st.integers(0, 2),
     st.integers(1, 600), st.integers(0, 2**32 - 1))))
+@example(case=(8, 3, 1, 20, 5))  # the lone tail block: np.unique
+@example(case=(8, 3, 1, 26, 5))  # the lone tail block: dense count
 def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
     # Full blocks fold 2**n <= 256 pending inputs into dense counts; a tail
     # block of fewer than 2**n trials, alone in its worker's range, is
-    # counted by np.unique; worker ranges merge by sorted insertion.  The
-    # entropy must equal, bit for bit, the one over a dense bincount of the
-    # blocks' own referee draws.
+    # counted densely too when 2**n <= DENSE_COUNT_RATIO * its trials, else
+    # by np.unique; worker ranges merge by sorted insertion.  The entropy
+    # must equal, bit for bit, the one over a dense bincount of the blocks'
+    # own referee draws.
     n, m, full_blocks, tail, seed = case
     size = block_size(n)
     trials = full_blocks * size + tail
@@ -455,6 +459,30 @@ def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
     for workers in (1, 2, 3):
         stats = monte_carlo(config, workers=workers)
         assert stats.empirical_conditional_entropy == expected
+
+
+def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch):
+    # At n = 8 a range of 25 inputs goes to np.unique (256 > 10 * 25) and
+    # one of 26 to the dense count; both report the dense bincount's entropy.
+    counted = []
+
+    def unique(*args, **kwargs):
+        counted.append(len(args[0]))
+        return np_unique(*args, **kwargs)
+
+    np_unique = np.unique
+    monkeypatch.setattr(np, "unique", unique)
+    fewest = -(-256 // DENSE_COUNT_RATIO)
+    for trials in (fewest - 1, fewest):
+        counted.clear()
+        stats = monte_carlo(GameConfig(n=8, m=3, trials=trials, seed=11,
+                                       strategy=STRATEGY_CLASSICAL_COVER))
+        x, _ = referee_draw(8, 3, make_rng(np.random.SeedSequence(
+            11, spawn_key=(0,))), trials)
+        counts = np.bincount(x @ (1 << np.arange(7, -1, -1)), minlength=256)
+        assert stats.empirical_conditional_entropy == conditional_entropy(
+            counts, game._cover(8, 3).assignment)
+        assert counted == ([trials] if trials < fewest else [])
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
