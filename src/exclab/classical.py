@@ -156,14 +156,15 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
 class CoverStrategy:
     """Zero-error messaging strategy: a message list and ``assignment``, the
     index of the message announced on each input x (always one that serves
-    x) as an int64 array, plus ``message_bits``, one int8 row of n bits per
-    message, MSB first.  Both arrays are read-only, as callers share them."""
+    x) as an int64 array, plus ``values``, each message's MSB-first integer
+    value as an int64 array.  Both arrays are read-only, as callers share
+    them."""
 
     n: int
     m: int
     messages: tuple[BitString, ...]
     assignment: np.ndarray
-    message_bits: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         GameParameters(self.n, self.m)
@@ -181,20 +182,19 @@ class CoverStrategy:
         if given.min() < 0 or given.max() >= len(self.messages):
             raise ValueError("assignment indexes outside the message list")
         indices = given.astype(np.int64)  # a copy, so no caller can write it
-        bits = np.array([msg.bits for msg in self.messages], dtype=np.int8)
+        values = np.array([msg.to_index() for msg in self.messages],
+                          dtype=np.int64)
         # Each input's message XOR the input, in uint32: at n <= 16 the
         # narrower uint16 popcount and gather run slower.
-        announced = (bits @ (1 << np.arange(self.n - 1, -1, -1))).astype(
-            np.uint32)
-        apart = np.take(announced, indices)
+        apart = np.take(values.astype(np.uint32), indices)
         apart ^= np.arange(1 << self.n, dtype=np.uint32)
         if np.bitwise_count(apart).min() < self.n - self.m + 1:
             raise ValueError("assignment maps some input to a message that "
                              "does not serve it")
         indices.setflags(write=False)
-        bits.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "assignment", indices)
-        object.__setattr__(self, "message_bits", bits)
+        object.__setattr__(self, "values", values)
 
     # Off the trial path, which indexes the arrays; bound for
     # perfbench/spans.py's tracer and kept for single-input callers.
@@ -289,7 +289,8 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     round serves the points at distance >= t from the message, which is
     constant on every cell once the cells it splits are refined; the state
     is then pulled back onto the finer lattice.  The 2**n ``assignment`` is
-    read off it once, at the end, unless the lattice is already the cube.
+    read off it once, at the end, by one more pull-back onto the cube (a
+    view when the lattice already is the cube).
     """
     GameParameters(n, m)
     if n > COVER_MAX_N:
@@ -341,9 +342,7 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         first[served & uncovered] = len(message_values)
         message_values.append(message)
 
-    # On the cube each input is its own lattice point.
-    assignment = first if len(cells) == n else _pull_back(
-        first, [1 << b for b in range(n)], cells)
+    assignment = _pull_back(first, [1 << b for b in range(n)], cells)
     return CoverStrategy(
         n, m, tuple(BitString.from_index(v, n) for v in message_values),
         assignment)

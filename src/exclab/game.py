@@ -22,11 +22,12 @@ subsets, then the strategy's draws for the whole block).  Block boundaries
 depend on n alone, so statistics are identical however blocks are
 distributed over workers.
 
-``classical_cover`` keeps the observed inputs as a sorted sparse histogram
-(distinct input indices and their counts), so a worker holds at most
-min(trials, 2**n) inputs and H(X | M) sums over the observed inputs only.
-It counts them in 2**n cells only when it has at least 2**n /
-DENSE_COUNT_RATIO trials.
+``classical_cover`` counts the observed inputs, and H(X | M) sums over the
+observed inputs only.  A worker folds its input indices into 2**n counts
+once 2**n of them are pending and returns the rest as they are;
+``monte_carlo`` counts those leftovers once for the whole run, in 2**n
+cells only when the run has at least 2**n / DENSE_COUNT_RATIO of them or
+some worker folded.
 """
 
 from __future__ import annotations
@@ -67,8 +68,12 @@ STRATEGIES = (
 TRIAL_MAX_N = 10**6
 # Trials per block below that budget.
 BLOCK_TRIALS = 4096
-# A worker range that never fills 2**n inputs counts them densely while
-# 2**n <= DENSE_COUNT_RATIO * its inputs (see ``_run_blocks``).
+# A run whose workers never fill 2**n inputs counts them in 2**n cells
+# while 2**n <= DENSE_COUNT_RATIO * its inputs, else with ``np.unique``,
+# whose fixed cost of about 14 us the dense count undercuts on a small
+# cube.  The ratio is the measured crossover: on a 2-CPU Xeon the dense
+# count was faster at every ratio tried (up to 32) at 2**12 cells, about
+# even from 6 to 12 at 2**14, and slower past about 5 at 2**16.
 DENSE_COUNT_RATIO = 10
 
 
@@ -187,9 +192,8 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
     """Play trials first .. first + size - 1, drawing only from ``rng``: the
     referee's inputs and subsets for the whole block, then the strategy's
     draws.  Returns (wins, aborts, x_index or None): for ``classical_cover``
-    the block's input indices, unsorted, which ``_run_blocks`` folds into a
-    sparse histogram; the message is a function of x, so the counts of x
-    fix H(X | M)."""
+    the block's input indices, unsorted, which ``monte_carlo`` counts; the
+    message is a function of x, so the counts of x fix H(X | M)."""
     n, m = config.n, config.m
     x, y = referee_draw(n, m, rng, size)
     truth = np.take_along_axis(x, y, axis=1)
@@ -202,7 +206,7 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
         cover = _cover(n, m)
         x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         chosen = cover.assignment[x_index]
-        answer = np.take_along_axis(cover.message_bits[chosen], y, axis=1)
+        answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
         messages = ({"kind": "classical_message",
                      "bits": str(cover.messages[c])} for c in chosen)
     else:
@@ -256,40 +260,21 @@ def _message_bits(config: GameConfig) -> dict:
     }
 
 
-def _add_histograms(a, b):
-    """Sum of two sparse histograms (sorted distinct inputs, their counts),
-    or the one that is not None: b's counts are added in place to a's equal
-    inputs and its other inputs are inserted at their sorted places."""
-    if a is None or b is None:
-        return b if a is None else a
-    (inputs, counts), (more, extra) = a, b
-    at = np.searchsorted(inputs, more)
-    seen = inputs[np.minimum(at, len(inputs) - 1)] == more
-    counts[at[seen]] += extra[seen]
-    fresh = ~seen
-    return (np.insert(inputs, at[fresh], more[fresh]),
-            np.insert(counts, at[fresh], extra[fresh]))
-
-
 def _run_blocks(config: GameConfig, first: int, stop: int,
                 sink: Callable[[Transcript], None] | None = None):
-    """Aggregate blocks [first, stop); returns (wins, aborts, sparse
-    histogram of x or None).  Block b plays trials from b * block_size(n)
-    on, from its own substream, child b of SeedSequence(seed), constructed
-    directly so that workers need not materialize the whole spawn list.
-    Input indices wait until 2**n of them are pending; one ``bincount``
-    then folds them into 2**n counts, a fold paid for by 2**n trials or
-    more.  A range that never fills 2**n counts its inputs at the end: with
-    the same dense count while 2**n <= DENSE_COUNT_RATIO (10) times their
-    number, else with ``np.unique``, whose fixed cost of about 14 us the
-    dense count undercuts on a small cube.  The ratio is the measured
-    crossover: on a 2-CPU Xeon the dense count was faster at every ratio
-    tried (up to 32) at 2**12 cells, about even from 6 to 12 at 2**14, and
-    slower past about 5 at 2**16."""
+    """Aggregate blocks [first, stop); returns (wins, aborts, counts of x or
+    None, leftover input indices).  Block b plays trials from b *
+    block_size(n) on, from its own substream, child b of
+    SeedSequence(seed), constructed directly so that workers need not
+    materialize the whole spawn list.  Input indices wait until 2**n of
+    them are pending; one ``bincount`` then folds them into 2**n counts, a
+    fold paid for by 2**n trials or more.  The indices still pending at the
+    end, fewer than 2**n + block_size(n), are returned as the list of the
+    blocks' arrays, empty when no block drew inputs."""
     size, cells = block_size(config.n), 1 << config.n
     wins = aborts = held = 0
     pending: list[np.ndarray] = []
-    dense = None
+    counts = None
     for block in range(first, stop):
         rng = make_rng(np.random.SeedSequence(config.seed, spawn_key=(block,)))
         start = block * size
@@ -302,18 +287,9 @@ def _run_blocks(config: GameConfig, first: int, stop: int,
         held += len(x_index)
         if held >= cells:
             folded = np.bincount(np.concatenate(pending), minlength=cells)
-            dense = folded if dense is None else dense + folded
+            counts = folded if counts is None else counts + folded
             pending, held = [], 0
-    if pending and dense is None and cells > DENSE_COUNT_RATIO * held:
-        return wins, aborts, np.unique(np.concatenate(pending),
-                                       return_counts=True)
-    if pending:
-        folded = np.bincount(np.concatenate(pending), minlength=cells)
-        dense = folded if dense is None else dense + folded
-    if dense is None:
-        return wins, aborts, None
-    inputs = np.flatnonzero(dense > 0)  # numpy scans bools faster than ints
-    return wins, aborts, (inputs, dense[inputs])
+    return wins, aborts, counts, pending
 
 
 def monte_carlo(config: GameConfig, workers: int = 1,
@@ -326,6 +302,11 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     a call of one block starts no pool); per-block substreams make the
     result identical for any worker count.  Streaming transcripts to
     ``transcript_sink`` forces one worker, so the sink sees trials in order.
+
+    For ``classical_cover`` the workers' counts are summed and all their
+    leftover inputs are counted once, densely or by ``np.unique`` as
+    DENSE_COUNT_RATIO decides for the whole run.  A worker holds at most one
+    2**n count array and the parent each worker's counts and leftovers.
     """
     blocks = -(-config.trials // block_size(config.n))
     workers = usable_workers(workers,
@@ -333,19 +314,27 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     _preflight(config)
     edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
     wins = aborts = 0
-    histogram = None
-    for w, a, part in pool_map(
+    folds, leftovers = [], [np.empty(0, dtype=np.int64)]
+    for w, a, counts, pending in pool_map(
             workers, _run_blocks, itertools.repeat(config), edges[:-1],
             edges[1:], itertools.repeat(transcript_sink)):
         wins, aborts = wins + w, aborts + a
-        histogram = _add_histograms(histogram, part)
+        if counts is not None:
+            folds.append(counts)
+        leftovers += pending
 
     completed = config.trials - aborts
     entropy = None
-    if histogram is not None:
-        inputs, counts = histogram
-        entropy = conditional_entropy(
-            counts, _cover(config.n, config.m).assignment[inputs])
+    if config.strategy == STRATEGY_CLASSICAL_COVER:
+        labels = _cover(config.n, config.m).assignment
+        seen = np.concatenate(leftovers)
+        if not folds and len(labels) > DENSE_COUNT_RATIO * len(seen):
+            inputs, counts = np.unique(seen, return_counts=True)
+        else:
+            counts = sum(folds, np.bincount(seen, minlength=len(labels)))
+            inputs = np.flatnonzero(counts > 0)  # bools scan faster than ints
+            counts = counts[inputs]
+        entropy = conditional_entropy(counts, labels[inputs])
     return RunStatistics(
         strategy=config.strategy, trials=config.trials, wins=wins,
         aborts=aborts, win_rate=(wins / completed) if completed else None,

@@ -296,12 +296,13 @@ def test_build_cover_serves_every_input(n, m):
         first = min(i for i, message in enumerate(strategy.messages)
                     if (message.to_index() ^ value).bit_count() >= threshold)
         assert strategy.assignment[value] == first
-    # The Monte Carlo blocks index one int64 array; the bit rows restate
-    # the messages.
+    # The Monte Carlo blocks index two int64 arrays; the values restate the
+    # messages.
     assert strategy.assignment.dtype == np.int64
     assert strategy.assignment.shape == (1 << n,)
-    assert [BitString(row) for row in strategy.message_bits] == list(
-        strategy.messages)
+    assert strategy.values.dtype == np.int64
+    assert strategy.values.tolist() == [
+        message.to_index() for message in strategy.messages]
 
 
 def direct_greedy(n: int, m: int) -> tuple[list[int], np.ndarray]:

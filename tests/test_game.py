@@ -163,6 +163,19 @@ def test_run_trial_classical_announces_a_cover_message():
     announced = BitString.from_string(transcript.message["bits"])
     assert transcript.answer == restrict(announced, transcript.y)
     assert transcript.won
+    # Every row of a two-block run answers with the restriction of the
+    # message it announced, the cover's message for its input.
+    config = GameConfig(n=10, m=4, strategy=STRATEGY_CLASSICAL_COVER,
+                        trials=block_size(10) + 50, seed=5)
+    transcripts = []
+    monte_carlo(config, transcript_sink=transcripts.append)
+    assert [t.trial for t in transcripts] == list(range(config.trials))
+    cover = build_cover_strategy(10, 4)
+    for transcript in transcripts:
+        announced = BitString.from_string(transcript.message["bits"])
+        assert announced == cover.message_for(transcript.x)
+        assert transcript.answer == restrict(announced, transcript.y)
+        assert transcript.won
 
 
 def test_run_trial_entanglement_assisted_completion_and_abort():
@@ -435,13 +448,17 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n), st.integers(0, 2),
     st.integers(1, 600), st.integers(0, 2**32 - 1))))
-@example(case=(8, 3, 1, 20, 5))  # the lone tail block: np.unique
-@example(case=(8, 3, 1, 26, 5))  # the lone tail block: dense count
+@example(case=(8, 3, 1, 20, 5))  # a tail block left over: np.unique
+@example(case=(8, 3, 1, 26, 5))  # a tail block left over: dense count
+@example(case=(14, 7, 2, 500, 9))  # no range folds: leftovers only
+@example(case=(13, 6, 2, 100, 5))  # 2-3 workers: none folds; 1: one does
+@example(case=(13, 6, 3, 100, 5))  # on 2 workers one range folds
 def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
-    # Full blocks fold 2**n <= 256 pending inputs into dense counts; a tail
-    # block of fewer than 2**n trials, alone in its worker's range, is
-    # counted densely too when 2**n <= DENSE_COUNT_RATIO * its trials, else
-    # by np.unique; worker ranges merge by sorted insertion.  The entropy
+    # A worker folds its pending inputs into 2**n counts once 2**n of them
+    # are pending: every full block at n <= 8, no 4,096-trial block at
+    # n = 13 or 14.  The run sums the folded counts and counts all leftover
+    # inputs once: densely when some range folded or 2**n <=
+    # DENSE_COUNT_RATIO * their number, else by np.unique.  The entropy
     # must equal, bit for bit, the one over a dense bincount of the blocks'
     # own referee draws.
     n, m, full_blocks, tail, seed = case
@@ -461,7 +478,8 @@ def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
         assert stats.empirical_conditional_entropy == expected
 
 
-def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch):
+def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
+                                                         pool_sizes):
     # At n = 8 a range of 25 inputs goes to np.unique (256 > 10 * 25) and
     # one of 26 to the dense count; both report the dense bincount's entropy.
     counted = []
@@ -483,24 +501,23 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch):
         assert stats.empirical_conditional_entropy == conditional_entropy(
             counts, game._cover(8, 3).assignment)
         assert counted == ([trials] if trials < fewest else [])
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 40), max_size=60),
-       st.lists(st.integers(0, 40), max_size=60))
-def test_add_histograms_sums_counts_in_sorted_order(left, right):
-    def histogram(values):
-        return np.unique(np.array(values, dtype=np.int64),
-                         return_counts=True) if values else None
-
-    total = game._add_histograms(histogram(left), histogram(right))
-    if not left + right:
-        assert total is None
-        return
-    inputs, counts = total
-    expected = histogram(left + right)
-    assert np.array_equal(inputs, expected[0])
-    assert np.array_equal(counts, expected[1])
+    # The rule applies to the whole run: two workers of 4,096 inputs each
+    # at n = 16 count densely (2**16 <= 10 * 8,192), though each alone would
+    # not (2**16 > 10 * 4,096).
+    counted.clear()
+    stats = monte_carlo(GameConfig(n=16, m=8, trials=2 * 4096, seed=11,
+                                   strategy=STRATEGY_CLASSICAL_COVER),
+                        workers=2)
+    assert pool_sizes == [2]
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    for block in range(2):
+        x, _ = referee_draw(16, 8, make_rng(np.random.SeedSequence(
+            11, spawn_key=(block,))), 4096)
+        counts += np.bincount(x @ (1 << np.arange(15, -1, -1)),
+                              minlength=1 << 16)
+    assert stats.empirical_conditional_entropy == conditional_entropy(
+        counts, game._cover(16, 8).assignment)
+    assert counted == []
 
 
 def test_small_cover_run_holds_no_dense_input_counts():
@@ -522,7 +539,7 @@ def test_the_cached_cover_cannot_be_written():
     # Every classical_cover run in a process shares this one strategy.
     cover = game._cover(4, 2)
     assert game._cover(4, 2) is cover
-    for array in (cover.assignment, cover.message_bits):
+    for array in (cover.assignment, cover.values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
