@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import gamma
 from .pbr import BitString, GameParameters
 from .qcore import ResourceLimitError, conditional_entropy, fwht
 
@@ -127,20 +128,14 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
         raise ResourceLimitError(
             f"the oracle supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}")
     levels = _canonical_levels(n, m)
-    last = n_subsets - 1
     choice = [0] * n_subsets
     best_count = (1 << n) + 1
     best_choice: tuple[int, ...] = ()
 
     def descend(depth: int, union: int) -> None:
         nonlocal best_count, best_choice
-        if depth == last:
-            for z, mask in levels[depth]:
-                count = (union | mask).bit_count()
-                if count < best_count:
-                    best_count = count
-                    choice[depth] = z
-                    best_choice = tuple(choice)
+        if depth == n_subsets:
+            best_count, best_choice = union.bit_count(), tuple(choice)
             return
         for z, mask in levels[depth]:
             merged = union | mask
@@ -299,9 +294,9 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         )
     size = 1 << n
     threshold = n - m + 1
-    # A message serves gamma(n, m) = sum of C(n, i), i < m, inputs, so the
-    # cover needs at least ceil(size / gamma) rounds; at m = 1 all 2**n.
-    work = -(-size // sum(math.comb(n, i) for i in range(m))) * size
+    # A message serves gamma(n, m) inputs, so the cover needs at least
+    # ceil(size / gamma) rounds; at m = 1 all 2**n.
+    work = -(-size // gamma(n, m)) * size
     if work > COVER_BUDGET:
         raise ResourceLimitError(
             f"cover construction at ({n}, {m}) needs at least {work} "
@@ -320,9 +315,7 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         for axis, points in enumerate(shape[:-1]):
             values = np.matmul(tables[points - 1, :points, :points].T, values
                                .reshape(math.prod(shape[:axis]), points, -1))
-        values = values.reshape(shape)
-        # Without singletons the last axis has one point and T is the identity.
-        return (fwht(values) if values.shape[-1] > 1 else values).ravel()
+        return fwht(values.reshape(shape)).ravel()
     while (uncovered := first < 0).any():
         cube = len(cells) == n
         spectrum = transform(uncovered)

@@ -89,7 +89,8 @@ STEERING_MAX_M = 1024
 
 def cmd_verify_pbr(args: argparse.Namespace) -> int:
     if not 1 <= args.m_max <= MAX_QUBITS:
-        raise ValueError(f"m_max must lie in 1..{MAX_QUBITS}, got {args.m_max}")
+        error = ValueError if args.m_max < 1 else ResourceLimitError
+        raise error(f"m_max must lie in 1..{MAX_QUBITS}, got {args.m_max}")
 
     def row(m: int) -> dict:
         theta = critical_angle(m)

@@ -20,7 +20,8 @@ b * block_size(n) onward and draws only from its own counter-based substream,
 child b of SeedSequence(seed), in a fixed order (the block's inputs, its
 subsets, then the strategy's draws for the whole block).  Block boundaries
 depend on n alone, so statistics are identical however blocks are
-distributed over workers.
+distributed over workers.  ``GameConfig`` refuses n past TRIAL_MAX_N, so
+every entry point refuses an oversized trial before it draws.
 
 ``classical_cover`` counts the observed inputs, and H(X | M) sums over the
 observed inputs only.  A worker folds its input indices into 2**n counts
@@ -109,6 +110,10 @@ class GameConfig:
         elif self.k is not None or self.delta is not None:
             raise ValueError(f"k and delta apply only to entanglement_assisted, "
                              f"not {self.strategy!r}")
+        if self.n > TRIAL_MAX_N:
+            raise ResourceLimitError(
+                f"a trial draws n = {self.n} input bits, past the budget of "
+                f"{TRIAL_MAX_N}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,16 +241,6 @@ def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
     return transcripts[0]
 
 
-def _preflight(config: GameConfig) -> None:
-    """Surface configuration and resource violations before any trial runs."""
-    if config.n > TRIAL_MAX_N:
-        raise ResourceLimitError(
-            f"a trial draws n = {config.n} input bits, past the budget of "
-            f"{TRIAL_MAX_N}")
-    if config.strategy == STRATEGY_CLASSICAL_COVER:
-        _cover(config.n, config.m)
-
-
 def _message_bits(config: GameConfig) -> dict:
     if config.strategy == STRATEGY_QUANTUM:
         return {"qubits": float(config.n)}
@@ -303,15 +298,17 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     result identical for any worker count.  Streaming transcripts to
     ``transcript_sink`` forces one worker, so the sink sees trials in order.
 
-    For ``classical_cover`` the workers' counts are summed and all their
-    leftover inputs are counted once, densely or by ``np.unique`` as
-    DENSE_COUNT_RATIO decides for the whole run.  A worker holds at most one
-    2**n count array and the parent each worker's counts and leftovers.
+    For ``classical_cover`` the cover is built, or refused, before any
+    worker starts.  The workers' counts are summed and all their leftover
+    inputs are counted once, densely or by ``np.unique`` as DENSE_COUNT_RATIO
+    decides for the whole run.  A worker holds at most one 2**n count array
+    and the parent each worker's counts and leftovers.
     """
     blocks = -(-config.trials // block_size(config.n))
     workers = usable_workers(workers,
                              blocks if transcript_sink is None else 1)
-    _preflight(config)
+    if config.strategy == STRATEGY_CLASSICAL_COVER:
+        labels = _cover(config.n, config.m).assignment
     edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
     wins = aborts = 0
     folds, leftovers = [], [np.empty(0, dtype=np.int64)]
@@ -326,7 +323,6 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     completed = config.trials - aborts
     entropy = None
     if config.strategy == STRATEGY_CLASSICAL_COVER:
-        labels = _cover(config.n, config.m).assignment
         seen = np.concatenate(leftovers)
         if not folds and len(labels) > DENSE_COUNT_RATIO * len(seen):
             inputs, counts = np.unique(seen, return_counts=True)

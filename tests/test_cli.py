@@ -65,7 +65,8 @@ def test_verify_pbr_is_byte_deterministic():
 
 def test_verify_pbr_rejects_out_of_range_m_max():
     assert run_cli("verify-pbr", "21").returncode == 2
-    assert run_cli("verify-pbr", "0").returncode == 2
+    below = run_cli("verify-pbr", "0")
+    assert below.returncode == 2 and "resource limit" not in below.stderr
 
 
 def test_verify_pbr_reaches_twenty_qubits_through_the_transform(tmp_path):
@@ -358,6 +359,37 @@ def test_simulate_transcript_stream(tmp_path):
     assert stats["aborts"] == sum(1 for r in records if r["aborted"])
 
 
+# sha256 over the stdout of each `simulate` run below, in order, then the
+# transcript stream of the last.  The (3, 2) run has workers that fold their
+# inputs into 2**n counts.
+SIMULATE_PINNED_RUNS = [
+    ("quantum", 12, 6, 150, 3, ()),
+    ("classical_cover", 12, 6, 500, 3, ()),
+    ("classical_cover", 16, 8, 9000, 1, ("--threads", "2")),
+    ("classical_cover", 3, 2, 20000, 0, ("--threads", "3")),
+    ("entanglement_assisted", 8, 4, 5000, 5,
+     ("--k", "47", "--delta", "0.05")),
+    ("classical_cover", 5, 2, 300, 7, ("--transcripts", "{tmp}/trials.jsonl")),
+]
+SIMULATE_REPORTS_SHA256 = (
+    "f923e180bca5e9ff08622722b30a1144f2778a74a65fdd855862bae93012e6f0")
+
+
+def test_simulate_reports_are_pinned(tmp_path, capsys, pool_sizes):
+    digest = hashlib.sha256()
+    for strategy, n, m, trials, seed, extra in SIMULATE_PINNED_RUNS:
+        argv = ["simulate", "--strategy", strategy, "--n", str(n),
+                "--m", str(m), "--trials", str(trials), "--seed", str(seed),
+                *(arg.format(tmp=tmp_path) for arg in extra)]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest.update(captured.out.encode())
+    digest.update((tmp_path / "trials.jsonl").read_bytes())
+    assert pool_sizes == [2, 3]
+    assert digest.hexdigest() == SIMULATE_REPORTS_SHA256
+
+
 @pytest.mark.parametrize("refused", [
     ["--strategy", "quantum", "--n", "4", "--m", "2", "--threads", "0"],
     ["--strategy", "quantum", "--n", "2000000", "--m", "1"],
@@ -402,7 +434,8 @@ def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "m_max" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "m_max" in err
     assert peak < 1 << 20
 
 

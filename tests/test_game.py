@@ -325,13 +325,17 @@ def test_monte_carlo_preflight_rejects_oversized_games():
     with pytest.raises(ResourceLimitError):
         monte_carlo(GameConfig(n=17, m=2, strategy=STRATEGY_CLASSICAL_COVER,
                                trials=1, seed=0))
-    # One trial draws at most TRIAL_MAX_N input bits, whatever the strategy.
+    # One trial draws at most TRIAL_MAX_N input bits, whatever the strategy
+    # and whether it is played by monte_carlo or by run_trial.
     for strategy, extra in ((STRATEGY_QUANTUM, {}),
                             (STRATEGY_ENTANGLEMENT_ASSISTED,
                              {"k": 3, "delta": 0.5})):
         with pytest.raises(ResourceLimitError, match="input bits"):
             monte_carlo(GameConfig(n=TRIAL_MAX_N + 1, m=2, strategy=strategy,
                                    trials=1, seed=0, **extra))
+        with pytest.raises(ResourceLimitError, match="input bits"):
+            run_trial(GameConfig(n=TRIAL_MAX_N + 1, m=2, strategy=strategy,
+                                 trials=1, seed=0, **extra), make_rng(0))
     with pytest.raises(ValueError):
         monte_carlo(quantum_config(), workers=0)
 
