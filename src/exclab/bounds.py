@@ -13,7 +13,7 @@ separation tabulated by ``separation_table``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 from .pbr import GameParameters, critical_angle
@@ -197,7 +197,7 @@ class BoundsRow:
     quantum_ic_upper: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 def bounds_row(params: GameParameters) -> BoundsRow:

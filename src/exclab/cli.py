@@ -8,9 +8,9 @@
     exclab choose-k 1.0 0.05         smallest k meeting an abort budget
 
 Exit codes: 0 on success, 1 when a verification command finds a violated
-invariant, 2 on usage errors, unusable files or refused resource budgets.
-All reports are JSON (bounds also ships CSV) with floats at 12 significant
-digits; output is byte-identical across runs for the same arguments and seed.
+invariant, 2 on usage errors, unusable files, refused resource budgets or a
+non-finite report value.  Reports are strict JSON (bounds also ships CSV),
+floats at 12 significant digits, byte-identical for equal arguments and seed.
 The EXCLAB_SEED environment variable supplies the seed when --seed is not
 given.
 """
@@ -23,7 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -45,16 +46,32 @@ SCHEMA_VERSION = "1"
 CSV_COLUMNS = tuple(field.name for field in fields(bounds_mod.BoundsRow))
 
 
-def _round_floats(obj):
-    if isinstance(obj, bool):
-        return obj
+def _to_json(obj, newline: str | None = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True)``, floats rounded to 12 significant
+    digits, indented by 2 below the line break ``newline`` or on one line
+    when it is None.  Refuses what json refuses and non-str keys with
+    TypeError, and NaN and infinities (not JSON) with ValueError."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
+        if not math.isfinite(obj):
+            raise ValueError(f"report value {obj!r} is not finite")
+        return float.__repr__(float(f"{obj:.12g}"))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline and newline + "  "
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(value) for value in obj]
-    return obj
+        items, ends = [_to_json(value, inner) for value in obj], "[]"
+    elif isinstance(obj, dict):  # encode_basestring_ascii refuses other keys
+        items, ends = [encode_basestring_ascii(key) + ": "
+                       + _to_json(obj[key], inner) for key in sorted(obj)], "{}"
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if inner is None or not items:
+        return ends[0] + ", ".join(items) + ends[1]
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def _emit_text(text: str, output: str | None) -> None:
@@ -66,8 +83,7 @@ def _emit_text(text: str, output: str | None) -> None:
 
 def _emit_report(command: str, fields: dict, output: str | None) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
-    _emit_text(json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n",
-               output)
+    _emit_text(_to_json(doc) + "\n", output)
 
 
 def _emit_rows(command: str, m_max: int, row, output: str | None) -> int:
@@ -218,10 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if transcript_file is None:
                 transcript_file = Path(args.transcripts).open(
                     "w", encoding="utf-8")
-            transcript_file.write(
-                json.dumps(_round_floats(transcript.to_dict()), sort_keys=True)
-                + "\n"
-            )
+            transcript_file.write(_to_json(transcript.to_dict(), None) + "\n")
 
     try:
         stats = game.monte_carlo(config, workers=args.threads,
@@ -230,7 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if transcript_file is not None:
             transcript_file.close()
 
-    _emit_report("simulate", {"config": asdict(config),
+    _emit_report("simulate", {"config": dict(vars(config)),
                               "statistics": stats.to_dict()}, args.output)
     # Success means the zero-error invariant held: no non-aborted loss.
     return 0 if stats.wins == stats.trials - stats.aborts else 1

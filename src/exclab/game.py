@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -166,7 +166,7 @@ class RunStatistics:
     empirical_conditional_entropy: float | None
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 def referee_draw(n: int, m: int, rng: np.random.Generator,
@@ -309,7 +309,7 @@ def monte_carlo(config: GameConfig, workers: int = 1,
                              blocks if transcript_sink is None else 1)
     if config.strategy == STRATEGY_CLASSICAL_COVER:
         labels = _cover(config.n, config.m).assignment
-    edges = np.linspace(0, blocks, workers + 1, dtype=np.int64).tolist()
+    edges = [blocks * w // workers for w in range(workers + 1)]
     wins = aborts = 0
     folds, leftovers = [], [np.empty(0, dtype=np.int64)]
     for w, a, counts, pending in pool_map(

@@ -10,10 +10,18 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exclab import cli, qcore
-from exclab.bounds import GameParameters, classical_ic_lower_bound, gamma_log2
+from exclab import cli, game, qcore
+from exclab.bounds import (
+    BoundsRow,
+    GameParameters,
+    classical_ic_lower_bound,
+    gamma_log2,
+)
 from exclab.classical import EXCLUDED_COUNT_MAX_N, ORACLE_BUDGET
 from exclab.game import TRIAL_MAX_N
 from exclab.steering import choose_k
@@ -298,6 +306,115 @@ def test_bounds_output_file(tmp_path):
     assert content.split("\n")[1].startswith("8,4,")
 
 
+# sha256 over the stdout of each `bounds` call below, in order, per format:
+# perfbench's small-m and large-m n lists under power:0.75, and a linear:0.5
+# list that takes the exact, series and complement paths.
+BOUNDS_PINNED_RUNS = (
+    (tuple(range(8, 65)) + (100, 1000, 10000), "power:0.75"),
+    ((10**5, 10**6, 10**7, 10**8), "power:0.75"),
+    ((8, 64, 65, 100, 10**12), "linear:0.5"),
+)
+BOUNDS_REPORTS_SHA256 = {
+    "json": "15cae060742cd46e9b904b66a3958a9fb983cb5ef48e8303183bdae872e55070",
+    "csv": "e6345a8616706c6cd8cff1398c12159a4fff1268387fe9af6faa156e7bf322da",
+}
+
+
+@pytest.mark.parametrize("output_format", sorted(BOUNDS_REPORTS_SHA256))
+def test_bounds_reports_are_pinned(capsys, output_format):
+    digest = hashlib.sha256()
+    for n_values, rule in BOUNDS_PINNED_RUNS:
+        assert cli.main(["bounds", "--n", *map(str, n_values), "--m-rule",
+                         rule, "--format", output_format]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest.update(captured.out.encode())
+    assert digest.hexdigest() == BOUNDS_REPORTS_SHA256[output_format]
+
+
+def test_a_non_finite_report_value_exits_2_with_no_report(monkeypatch,
+                                                         capsys):
+    nan_row = BoundsRow(n=8, m=4, gamma_log2=math.nan, classical_ic_lower=1.0,
+                        quantum_entropy_upper=1.0, quantum_ic_upper=2.0)
+    monkeypatch.setattr(cli.bounds_mod, "separation_table",
+                        lambda n_values, rule: (nan_row,))
+    assert cli.main(["bounds", "--n", "8", "--m-rule", "linear:0.5",
+                     "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def _round_floats(obj):
+    """The rounding the reports went through before json wrote them, kept as
+    the reference for ``cli._to_json``."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {key: _round_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(value) for value in obj]
+    return obj
+
+
+def _assert_writes_as_json_does(obj):
+    reference = _round_floats(obj)
+    assert cli._to_json(obj) == json.dumps(reference, indent=2,
+                                           sort_keys=True)
+    assert cli._to_json(obj, None) == json.dumps(reference, sort_keys=True)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_after_rounding(obj):
+    _assert_writes_as_json_does(obj)
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (2.2250738585072014e-308 / 3, "7.41691286169e-309"),
+    # .12g leaves fixed notation at 1e12, repr only at 1e16.
+    (999999999999.4, "999999999999.0"),
+    (1e12, "1000000000000.0"),
+    (123456789012345.67, "123456789012000.0"),
+    (9999999999999998.0, "1e+16"),
+    (1e16, "1e+16"),
+    (1.2345678901234567e20, "1.23456789012e+20"),
+    (1.7976931348623157e308, "1.79769313486e+308"),
+    (np.float64(0.1), "0.1"),
+], ids=repr)
+def test_report_writer_float_edges(value, text):
+    assert cli._to_json(value) == cli._to_json(value, None) == text
+    _assert_writes_as_json_does([value, {"v": value}])
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1: 2},
+                                   {"a": [{(1, 2): 3}]}, {1, 2}, b"x"],
+                         ids=repr)
+def test_report_writer_refuses_what_json_refuses_and_non_str_keys(value):
+    for newline in ("\n", None):
+        with pytest.raises(TypeError):
+            cli._to_json(value, newline)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   [{"a": np.float64("nan")}]], ids=repr)
+def test_report_writer_refuses_non_finite_floats(value):
+    for newline in ("\n", None):
+        with pytest.raises(ValueError, match="not finite"):
+            cli._to_json(value, newline)
+
+
 def test_simulate_quantum_json_and_determinism():
     argv = ("simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
             "--trials", "50", "--seed", "3", "--threads", "1")
@@ -476,6 +593,24 @@ def test_simulate_past_the_trial_budget_exits_2_under_an_address_space_limit():
                         str(TRIAL_MAX_N), "--m", "2", "--trials", "1",
                         preexec_fn=_limit_address_space)
     assert at_budget.returncode == 0, at_budget.stderr
+
+
+@pytest.mark.parametrize("trials", [38 * 10**21, 10**24])
+def test_simulate_splits_more_blocks_than_int64_holds(monkeypatch, capsys,
+                                                      trials):
+    # Past 2**63 blocks a float or int64 split of the blocks among workers
+    # loses or overflows ranges; every trial must still be counted once.
+    size = game.block_size(3)
+
+    def every_trial_wins(config, first, stop, sink=None):
+        return min(stop * size, config.trials) - first * size, 0, None, []
+
+    monkeypatch.setattr(game, "_run_blocks", every_trial_wins)
+    assert cli.main(["simulate", "--strategy", "quantum", "--n", "3",
+                     "--m", "2", "--trials", str(trials)]) == 0
+    stats = json.loads(capsys.readouterr().out)["statistics"]
+    assert stats["trials"] == stats["wins"] == trials
+    assert stats["win_rate"] == 1.0
 
 
 def test_simulate_plays_steering_runs_at_constant_communication_k():
