@@ -4,7 +4,9 @@ A classical answer set fixes one excluded answer z_y for every size-m subset
 y of positions.  ``brute_force_min_exclusion`` finds the set that rules out
 the fewest strings by branch and bound over one canonical set per orbit of
 x -> x ^ w, never by the closed form, so it can serve as an independent
-check on the closed-form count.  ``build_cover_strategy`` constructs a
+check on the closed-form count.  It and ``excluded_count`` hold the strings
+an answer excludes as an int bitset over the 2**n strings: the AND of one
+position bitset per answer bit.  ``build_cover_strategy`` constructs a
 concrete zero-error protocol: a small set of message strings such that
 every input has a message at Hamming distance at least n - m + 1, chosen
 greedily by coverage counts from Krawtchouk transforms on symmetry orbits.
@@ -27,7 +29,7 @@ from .bounds import gamma
 from .pbr import BitString, GameParameters
 from .qcore import ResourceLimitError, conditional_entropy, fwht
 
-# excluded_count streams one 2**n array per subset; past this n it refuses.
+# Cap on n for excluded_count and the oracle, which hold 2n 2**n-bit masks.
 EXCLUDED_COUNT_MAX_N = 20
 # Cover construction holds a few dense 2**n vectors.
 COVER_MAX_N = 16
@@ -51,51 +53,59 @@ def consistent_answer_set(n: int, m: int, a: int) -> tuple[int, ...]:
                  for y in itertools.combinations(range(1, n + 1), m))
 
 
-def _restriction_indices(n: int, positions: tuple[int, ...]) -> np.ndarray:
-    """For every x in 0..2**n-1, the integer value of x restricted to
-    ``positions`` (1-indexed, MSB-first on both sides)."""
-    x_all = np.arange(1 << n, dtype=np.int64)
-    m = len(positions)
-    sel = np.zeros(1 << n, dtype=np.int64)
-    for j, p in enumerate(positions):
-        sel |= ((x_all >> (n - p)) & 1) << (m - 1 - j)
-    return sel
+def _position_pairs(n: int) -> list[tuple[int, int]]:
+    """(strings with a 0, with a 1) at each position 1..n: int bitsets, bit x
+    for string x, each built by shift-and-OR doubling in O(2**n) time."""
+    pairs = []
+    for half in (1 << (n - p) for p in range(1, n + 1)):
+        ones = ((1 << half) - 1) << half
+        while (width := ones.bit_length()) < 1 << n:
+            ones |= ones << width
+        pairs.append((ones >> half, ones))
+    return pairs
+
+
+def _answer_mask(pairs: list, y: tuple[int, ...], z: int) -> int:
+    """Bitset of the strings whose restriction to ``y`` is the m-bit z."""
+    mask = -1
+    for p in reversed(y):
+        mask &= pairs[p - 1][z & 1]
+        z >>= 1
+    return mask
 
 
 def excluded_count(n: int, m: int, answers: tuple[int, ...]) -> int:
     """Number of strings ruled out by at least one answer of the set, laid
     out as ``consistent_answer_set`` lays it out."""
     GameParameters(n, m)
+    if n > EXCLUDED_COUNT_MAX_N:  # first: C(n, m) grows without bound
+        raise ResourceLimitError(
+            f"excluded_count supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}")
     if len(answers) != math.comb(n, m):
         raise ValueError(f"need one answer per subset: expected "
                          f"{math.comb(n, m)}, got {len(answers)}")
     if any(type(z) is not int or not 0 <= z < 1 << m for z in answers):
         raise ValueError(f"every answer must be an int in [0, 2**{m})")
-    if n > EXCLUDED_COUNT_MAX_N:
-        raise ResourceLimitError(
-            f"excluded_count supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}"
-        )
-    hit = np.zeros(1 << n, dtype=bool)
+    pairs = _position_pairs(n)
+    hit = 0
     for y, z in zip(itertools.combinations(range(1, n + 1), m), answers):
-        hit |= _restriction_indices(n, y) == z
-    return int(hit.sum())
+        hit |= _answer_mask(pairs, y, z)
+    return hit.bit_count()
 
 
 def _canonical_levels(n: int, m: int) -> list[list[tuple[int, int]]]:
     """levels[j] = (z, mask) for every canonical answer z to subset j (in
-    lexicographic order), ascending in z, where mask is the bitmask over x
-    of the strings excluded by that answer.  An answer is canonical when it
-    is 0 at every position of the subset that no earlier subset holds."""
+    lexicographic order), ascending in z, where mask is the int bitset of
+    the strings z excludes, m ANDs of position bitsets.  An answer is
+    canonical when it is 0 at every position no earlier subset holds."""
+    pairs = _position_pairs(n)
     levels: list[list[tuple[int, int]]] = []
     held = set()
     for y in itertools.combinations(range(1, n + 1), m):
         new = sum(1 << (m - 1 - j) for j, p in enumerate(y) if p not in held)
         held.update(y)
-        sel = _restriction_indices(n, y)
-        levels.append([
-            (z, int.from_bytes(np.packbits(sel == z, bitorder="little")
-                               .tobytes(), "little"))
-            for z in range(1 << m) if not z & new])
+        levels.append([(z, _answer_mask(pairs, y, z))
+                       for z in range(1 << m) if not z & new])
     return levels
 
 
@@ -116,6 +126,9 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     optimum, so the first one is canonical.
     """
     GameParameters(n, m)
+    if n > EXCLUDED_COUNT_MAX_N:  # first: C(n, m) grows without bound
+        raise ResourceLimitError(
+            f"the oracle supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}")
     n_subsets = math.comb(n, m)
     # All answer sets number (2**m) ** C(n, m) = 2**(m * C(n, m)).
     log2_space = m * n_subsets
@@ -124,9 +137,6 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
             f"answer-set space 2**{log2_space} exceeds the enumeration "
             f"budget of {ORACLE_BUDGET}"
         )
-    if n > EXCLUDED_COUNT_MAX_N:
-        raise ResourceLimitError(
-            f"the oracle supports n <= {EXCLUDED_COUNT_MAX_N}, got {n}")
     levels = _canonical_levels(n, m)
     choice = [0] * n_subsets
     best_count = (1 << n) + 1

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -101,6 +103,62 @@ def test_excluded_count_resource_cap():
     n = EXCLUDED_COUNT_MAX_N + 1
     with pytest.raises(ResourceLimitError):
         excluded_count(n, n, (0,))
+    # C(10**6, 5 * 10**5) has 301,027 digits: the cap must come before it.
+    with pytest.raises(ResourceLimitError,
+                       match=f"n <= {EXCLUDED_COUNT_MAX_N}"):
+        excluded_count(10**6, 5 * 10**5, (0,))
+
+
+def reference_excluded(n: int, m: int, chosen: tuple[int, ...]) -> set[int]:
+    """Strings x that some answer rules out, by pure-Python bit extraction:
+    x is excluded iff its restriction to some subset j is answer j."""
+    return {x for x in range(1 << n) if any(
+        map(int.__eq__, consistent_answer_set(n, m, x), chosen))}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.randoms(use_true_random=False))))
+def test_excluded_count_matches_bit_extraction(case):
+    n, m, random = case
+    chosen = tuple(random.getrandbits(m) for _ in range(math.comb(n, m)))
+    expected = reference_excluded(n, m, chosen)
+    assert excluded_count(n, m, chosen) == len(expected)
+    # The count is blind to swapping every 0 and 1 (x -> x ^ 1...1), so the
+    # union it counts is checked string by string.
+    pairs = classical._position_pairs(n)
+    union = 0
+    for y, z in zip(itertools.combinations(range(1, n + 1), m), chosen):
+        union |= classical._answer_mask(pairs, y, z)
+    assert union == sum(1 << x for x in expected)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_level_masks_match_bit_extraction(n):
+    for m in range(1, n + 1):
+        rows = [consistent_answer_set(n, m, x) for x in range(1 << n)]
+        for j, level in enumerate(classical._canonical_levels(n, m)):
+            for z, mask in level:
+                assert mask == sum(1 << x for x, row in enumerate(rows)
+                                   if row[j] == z), (m, j, z)
+
+
+def test_oracle_at_the_cap_is_fast_and_small():
+    # (20, 1) is the largest n either function admits: n pairs of 2**20-bit
+    # position masks and 20 answer masks, about 8 MiB.  The bounds refuse a
+    # dense 2**n int64 table per subset (34 MiB) and a mask build quadratic
+    # in 2**n (over a second).
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        count, witness = brute_force_min_exclusion(20, 1)
+        assert excluded_count(20, 1, witness) == count == (1 << 20) - 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 16 << 20
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 2), (4, 3)])
@@ -174,6 +232,10 @@ def test_brute_force_refuses_past_the_counting_cap_before_any_work(
             with pytest.raises(ResourceLimitError,
                                match=f"n <= {EXCLUDED_COUNT_MAX_N}"):
                 brute_force_min_exclusion(n, m)
+    # C(10**6, 5 * 10**5) has 301,027 digits: too long to form or format.
+    with pytest.raises(ResourceLimitError,
+                       match=f"n <= {EXCLUDED_COUNT_MAX_N}"):
+        brute_force_min_exclusion(10**6, 5 * 10**5)
 
 
 def test_brute_force_budget_refusal():

@@ -723,11 +723,13 @@ def test_oracle_refusals():
     assert "budget" in over_budget.stderr
     assert run_cli("oracle", "3", "5").returncode == 2
     # Inside the answer-set budget but past n = 20: refused before any mask.
-    start = time.perf_counter()
-    past_cap = run_cli("oracle", "21", "1")
-    assert time.perf_counter() - start < 5.0
-    assert past_cap.returncode == 2
-    assert past_cap.stdout == "" and "n <= 20" in past_cap.stderr
+    # Far past it, C(n, m) has 301,027 digits: refused before it is formed.
+    for n, m in (("21", "1"), ("1000000", "500000")):
+        start = time.perf_counter()
+        past_cap = run_cli("oracle", n, m)
+        assert time.perf_counter() - start < 5.0
+        assert past_cap.returncode == 2
+        assert past_cap.stdout == "" and "n <= 20" in past_cap.stderr
 
 
 def _limit_address_space_to_1_gib():
