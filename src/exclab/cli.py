@@ -7,10 +7,13 @@
     exclab steering --m-max 16       steering identities as residuals
     exclab choose-k 1.0 0.05         smallest k meeting an abort budget
 
-Exit codes: 0 on success, 1 when a verification command finds a violated
-invariant, 2 on usage errors, unusable files, refused resource budgets or a
-non-finite report value.  Reports are strict JSON (bounds also ships CSV),
-floats at 12 significant digits, byte-identical for equal arguments and seed.
+Each command builds its report and exit code and writes nothing; ``main``
+alone writes the report, to stdout or to ``--output``.  Exit codes: 0 on
+success, 1 when a verification command finds a violated invariant, 2 on
+usage errors, unusable files, refused resource budgets or a non-finite
+report value, each with no report.  Reports are strict JSON (bounds also
+ships CSV, choose-k prints a bare integer), floats at 12 significant
+digits, byte-identical for equal arguments and seed.
 The EXCLAB_SEED environment variable supplies the seed when --seed is not
 given.
 """
@@ -74,26 +77,16 @@ def _to_json(obj, newline: str | None = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
-def _emit_text(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_report(command: str, fields: dict, output: str | None) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
-    _emit_text(_to_json(doc) + "\n", output)
-
-
-def _emit_rows(command: str, m_max: int, row, output: str | None) -> int:
+def _rows(m_max: int, cap: int, row) -> tuple[dict, int]:
     """Report ``row(m)`` for m = 1..m_max, each a dict with its "pass"; exit
-    1 unless every row passes."""
+    1 unless every row passes.  An m_max below 1 is a usage error and one
+    past ``cap`` a refused budget, both before any row is built."""
+    if not 1 <= m_max <= cap:
+        error = ValueError if m_max < 1 else ResourceLimitError
+        raise error(f"m_max must lie in 1..{cap}, got {m_max}")
     rows = [row(m) for m in range(1, m_max + 1)]
     all_pass = all(r["pass"] for r in rows)
-    _emit_report(command, {"m_max": m_max, "rows": rows, "pass": all_pass},
-                 output)
-    return 0 if all_pass else 1
+    return {"m_max": m_max, "rows": rows, "pass": all_pass}, int(not all_pass)
 
 
 SUBCRITICAL_FACTOR = 0.9
@@ -103,11 +96,7 @@ SUBCRITICAL_MARGIN = 1e-6
 STEERING_MAX_M = 1024
 
 
-def cmd_verify_pbr(args: argparse.Namespace) -> int:
-    if not 1 <= args.m_max <= MAX_QUBITS:
-        error = ValueError if args.m_max < 1 else ResourceLimitError
-        raise error(f"m_max must lie in 1..{MAX_QUBITS}, got {args.m_max}")
-
+def cmd_verify_pbr(args: argparse.Namespace) -> tuple[dict, int]:
     def row(m: int) -> dict:
         theta = critical_angle(m)
         overlap = subcritical_overlap = parseval_residual = law_residual = 0.0
@@ -141,13 +130,13 @@ def cmd_verify_pbr(args: argparse.Namespace) -> int:
                      and law_residual <= MATRIX_TOL
                      and subcritical_overlap > SUBCRITICAL_MARGIN),
         }
-    return _emit_rows("verify-pbr", args.m_max, row, args.output)
+    return _rows(args.m_max, MAX_QUBITS, row)
 
 
 _BATCH_FIELDS = {"schema_version", "n_values", "m_rule", "format"}
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
     if args.spec:
         if args.n is not None or args.m_rule is not None:
             raise ValueError("--spec replaces --n and --m-rule")
@@ -194,12 +183,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             lines.append(",".join(str(value) if isinstance(value, int)
                                   else f"{value:.12g}"
                                   for value in row.to_dict().values()))
-        _emit_text("\n".join(lines) + "\n", args.output)
-    else:
-        _emit_report("bounds", {"m_rule": rule_text,
-                                "rows": [row.to_dict() for row in rows]},
-                     args.output)
-    return 0
+        return "\n".join(lines) + "\n", 0
+    return {"m_rule": rule_text, "rows": [row.to_dict() for row in rows]}, 0
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -214,7 +199,7 @@ def _resolve_seed(explicit: int | None) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     config = game.GameConfig(
         n=args.n,
         m=args.m,
@@ -226,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     sink = None
     transcript_file = None
-    if args.transcripts:
+    if args.transcripts is not None:
         # Opened at the first trial, after monte_carlo's refusals, so a
         # refused run leaves the file as it was.
         def sink(transcript: game.Transcript) -> None:
@@ -243,13 +228,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if transcript_file is not None:
             transcript_file.close()
 
-    _emit_report("simulate", {"config": dict(vars(config)),
-                              "statistics": stats.to_dict()}, args.output)
     # Success means the zero-error invariant held: no non-aborted loss.
-    return 0 if stats.wins == stats.trials - stats.aborts else 1
+    return ({"config": dict(vars(config)), "statistics": stats.to_dict()},
+            int(stats.wins != stats.trials - stats.aborts))
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> tuple[dict, int]:
     # The search is serial; --threads is still accepted and checked.
     usable_workers(args.threads, 1)
     count, witness = classical.brute_force_min_exclusion(args.n, args.m)
@@ -260,7 +244,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     )
     recount = classical.excluded_count(args.n, args.m, witness)
     ok = count == closed_form and witness_consistent and recount == count
-    _emit_report("oracle", {
+    return {
         "n": args.n,
         "m": args.m,
         "min_excluded": count,
@@ -270,16 +254,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "witness_excluded_count": recount,
         "witness_answers": [format(z, f"0{args.m}b") for z in witness],
         "pass": ok,
-    }, args.output)
-    return 0 if ok else 1
+    }, int(not ok)
 
 
-def cmd_steering(args: argparse.Namespace) -> int:
-    if args.m_max < 1:
-        raise ValueError(f"m-max must be >= 1, got {args.m_max}")
-    if args.m_max > STEERING_MAX_M:
-        raise ResourceLimitError(
-            f"m-max {args.m_max} is past the cap of {STEERING_MAX_M} rows")
+def cmd_steering(args: argparse.Namespace) -> tuple[dict, int]:
     root_half = 1.0 / math.sqrt(2.0)
 
     def row(m: int) -> dict:
@@ -309,13 +287,11 @@ def cmd_steering(args: argparse.Namespace) -> int:
                      and total_residual <= VECTOR_TOL
                      and fidelity_residual <= VECTOR_TOL),
         }
-    return _emit_rows("steering", args.m_max, row, args.output)
+    return _rows(args.m_max, STEERING_MAX_M, row)
 
 
-def cmd_choose_k(args: argparse.Namespace) -> int:
-    k = steering.choose_k(args.alpha, args.delta)
-    _emit_text(f"{k}\n", args.output)
-    return 0
+def cmd_choose_k(args: argparse.Namespace) -> tuple[str, int]:
+    return f"{steering.choose_k(args.alpha, args.delta)}\n", 0
 
 
 # Built once per process: parse_args fills a fresh namespace on every call.
@@ -389,7 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if isinstance(report, dict):
+            report = _to_json({"schema_version": SCHEMA_VERSION,
+                               "command": args.command, **report}) + "\n"
+        if args.output is not None:
+            Path(args.output).write_text(report, encoding="utf-8")
+        else:
+            sys.stdout.write(report)
+        return code
     except ResourceLimitError as exc:
         print(f"exclab: resource limit: {exc}", file=sys.stderr)
         return 2

@@ -71,10 +71,41 @@ def test_verify_pbr_is_byte_deterministic():
     assert first.returncode == second.returncode == 0
 
 
-def test_verify_pbr_rejects_out_of_range_m_max():
+def test_verify_pbr_rejects_out_of_range_m_max(capsys):
     assert run_cli("verify-pbr", "21").returncode == 2
     below = run_cli("verify-pbr", "0")
     assert below.returncode == 2 and "resource limit" not in below.stderr
+    _assert_rows_refused_outside_1_to_cap(capsys, ["verify-pbr"], 20)
+
+
+def _assert_rows_refused_outside_1_to_cap(capsys, command, cap):
+    """Both row commands state one rule, and only past the cap is it a
+    refused resource budget."""
+    for m_max in (0, -3, cap + 1, 10**12):
+        assert cli.main([*command, str(m_max)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"m_max must lie in 1..{cap}, got {m_max}" in err
+        assert ("resource limit" in err) == (m_max > cap)
+
+
+# sha256 of the `verify-pbr 10` report with every row's max_exclusion_overlap,
+# parseval_residual and distance_law_residual removed, re-serialized with
+# sorted keys.  Those three are left out: their last bits follow libm.
+VERIFY_PBR_10_SHA256 = (
+    "bfe91123dd9b1db1532267fbc4208f51ce11d2f000cd2b6f5f2c138f9a181391")
+
+
+def test_verify_pbr_report_is_pinned_apart_from_libm_residuals(capsys):
+    assert cli.main(["verify-pbr", "10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["rows"]) == 10
+    for row in doc["rows"]:
+        assert 0.0 <= row.pop("max_exclusion_overlap") <= 1e-12
+        assert 0.0 <= row.pop("parseval_residual") <= 1e-10
+        assert 0.0 <= row.pop("distance_law_residual") <= 1e-10
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_PBR_10_SHA256
 
 
 def test_verify_pbr_reaches_twenty_qubits_through_the_transform(tmp_path):
@@ -332,16 +363,83 @@ def test_bounds_reports_are_pinned(capsys, output_format):
     assert digest.hexdigest() == BOUNDS_REPORTS_SHA256[output_format]
 
 
-def test_a_non_finite_report_value_exits_2_with_no_report(monkeypatch,
-                                                         capsys):
+NON_FINITE_BOUNDS = ["bounds", "--n", "8", "--m-rule", "linear:0.5",
+                     "--format", "json"]
+
+
+def _report_a_nan_bound(monkeypatch):
     nan_row = BoundsRow(n=8, m=4, gamma_log2=math.nan, classical_ic_lower=1.0,
                         quantum_entropy_upper=1.0, quantum_ic_upper=2.0)
     monkeypatch.setattr(cli.bounds_mod, "separation_table",
                         lambda n_values, rule: (nan_row,))
-    assert cli.main(["bounds", "--n", "8", "--m-rule", "linear:0.5",
-                     "--format", "json"]) == 2
+
+
+def test_a_non_finite_report_value_exits_2_with_no_report(monkeypatch,
+                                                         capsys):
+    _report_a_nan_bound(monkeypatch)
+    assert cli.main(NON_FINITE_BOUNDS) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not finite" in captured.err
+
+
+# One run of every command; main writes each report, to stdout or --output.
+EVERY_COMMAND = {
+    "verify-pbr": ["verify-pbr", "4"],
+    "bounds-csv": ["bounds", "--n", "100", "1000", "--m-rule", "power:0.75"],
+    "bounds-json": ["bounds", "--n", "100", "1000", "--m-rule", "power:0.75",
+                    "--format", "json"],
+    "simulate": ["simulate", "--strategy", "classical_cover", "--n", "6",
+                 "--m", "3", "--trials", "200", "--seed", "2"],
+    "oracle": ["oracle", "5", "2"],
+    "steering": ["steering", "--m-max", "8"],
+    "choose-k": ["choose-k", "1.0", "0.05"],
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND)
+def test_output_file_holds_exactly_what_stdout_would(tmp_path, capsys, argv):
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and printed.out
+    target = tmp_path / "report"
+    assert cli.main([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == printed.out.encode()
+
+
+REFUSED_COMMANDS = {
+    "verify-pbr": ["verify-pbr", "21"],
+    "bounds": ["bounds", "--n", "0", "--m-rule", "power:0.75"],
+    "simulate": ["simulate", "--strategy", "quantum", "--n", "2000000",
+                 "--m", "2", "--trials", "1"],
+    "oracle": ["oracle", "21", "1"],
+    "steering": ["steering", "--m-max", "1025"],
+    "choose-k": ["choose-k", "1.5", "0.05"],
+    "non-finite": NON_FINITE_BOUNDS,
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_COMMANDS)
+def test_a_refusal_with_an_output_file_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch, name):
+    if name == "non-finite":
+        _report_a_nan_bound(monkeypatch)
+    target = tmp_path / "report"
+    assert cli.main([*REFUSED_COMMANDS[name], "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("exclab: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["choose-k", "1", "0.05", "--output", ""],
+    ["simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
+     "--trials", "3", "--transcripts", ""],
+], ids=["output", "transcripts"])
+def test_an_empty_path_exits_2_and_prints_nothing(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("exclab: ")
 
 
 def _round_floats(obj):
@@ -788,8 +886,10 @@ def test_steering_report_is_pinned_apart_from_fidelity_residuals(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == STEERING_32_SHA256
 
 
-def test_steering_rejects_bad_m_max():
+def test_steering_rejects_bad_m_max(capsys):
     assert run_cli("steering", "--m-max", "0").returncode == 2
+    _assert_rows_refused_outside_1_to_cap(capsys, ["steering", "--m-max"],
+                                          cli.STEERING_MAX_M)
 
 
 def test_steering_past_the_row_cap_exits_2_before_any_row(capsys):
