@@ -75,7 +75,7 @@ def gamma(n: int, m: int) -> int:
         raise ResourceLimitError(
             f"exact gamma supports n <= {EXACT_GAMMA_MAX_N}; use gamma_log2"
         )
-    return sum(math.comb(n, i) for i in range(m))
+    return sum(map(math.comb, [n] * m, range(m)))
 
 
 def _gamma_and_lower(params: GameParameters) -> tuple[float, float]:

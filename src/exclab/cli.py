@@ -49,27 +49,47 @@ SCHEMA_VERSION = "1"
 CSV_COLUMNS = tuple(field.name for field in fields(bounds_mod.BoundsRow))
 
 
+def _float_json(x: float) -> str:
+    text = f"{x:.12g}"
+    if "e" not in text:  # fixed notation, or inf or nan
+        if "n" not in text:
+            return text if "." in text else text + ".0"
+    elif text[-4:] not in _REPR_FIXED and abs(x) >= sys.float_info.min:
+        return text
+    if not math.isfinite(x):
+        raise ValueError(f"report value {x!r} is not finite")
+    return float.__repr__(float(text))
+
+
+_REPR_FIXED = frozenset({"e+12", "e+13", "e+14", "e+15"})
+# Found by exact type in containers; bool precedes int for isinstance.
+_SCALARS = {float: _float_json, str: encode_basestring_ascii,
+            bool: ("false", "true").__getitem__, type(None): lambda _: "null",
+            int: int.__repr__}
+
+
 def _to_json(obj, newline: str | None = "\n") -> str:
     """``json.dumps(obj, sort_keys=True)``, floats rounded to 12 significant
     digits, indented by 2 below the line break ``newline`` or on one line
     when it is None.  Refuses what json refuses and non-str keys with
-    TypeError, and NaN and infinities (not JSON) with ValueError."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"report value {obj!r} is not finite")
-        return float.__repr__(float(f"{obj:.12g}"))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    TypeError, and NaN and infinities (not JSON) with ValueError.
+
+    A float is written as ``float.__repr__(float(f"{x:.12g}"))``, mostly
+    as the ``.12g`` text: a normal double keeps every decimal of up to 15
+    digits (DBL_DIG), so only the notation can differ.  repr adds ".0" to
+    an integral fixed value and keeps fixed notation in [1e12, 1e16); that
+    window, subnormals (fewer digits), NaN and infinities take the repr."""
+    for kind, scalar in _SCALARS.items():  # subclasses, e.g. np.float64, too
+        if isinstance(obj, kind):
+            return scalar(obj)
     inner = newline and newline + "  "
+    get, nested = _SCALARS.get, functools.partial(_to_json, newline=inner)
     if isinstance(obj, (list, tuple)):
-        items, ends = [_to_json(value, inner) for value in obj], "[]"
+        items, ends = [get(type(value), nested)(value) for value in obj], "[]"
     elif isinstance(obj, dict):  # encode_basestring_ascii refuses other keys
         items, ends = [encode_basestring_ascii(key) + ": "
-                       + _to_json(obj[key], inner) for key in sorted(obj)], "{}"
+                       + get(type(obj[key]), nested)(obj[key])
+                       for key in sorted(obj)], "{}"
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     if inner is None or not items:
@@ -137,7 +157,7 @@ _BATCH_FIELDS = {"schema_version", "n_values", "m_rule", "format"}
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
-    if args.spec:
+    if args.spec is not None:
         if args.n is not None or args.m_rule is not None:
             raise ValueError("--spec replaces --n and --m-rule")
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))

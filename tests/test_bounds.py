@@ -44,6 +44,9 @@ def test_gamma_small_values():
     assert gamma(6, 1) == 1
     # m = n leaves exactly one string unexcluded short of everything.
     assert gamma(6, 6) == (1 << 6) - 1
+    for n in range(1, EXACT_GAMMA_MAX_N + 1):
+        for m in range(1, n + 1):
+            assert gamma(n, m) == sum(math.comb(n, i) for i in range(m))
 
 
 def test_gamma_exact_cap():

@@ -431,15 +431,18 @@ def test_a_refusal_with_an_output_file_writes_nothing(tmp_path, capsys,
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["choose-k", "1", "0.05", "--output", ""],
-    ["simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
-     "--trials", "3", "--transcripts", ""],
-], ids=["output", "transcripts"])
-def test_an_empty_path_exits_2_and_prints_nothing(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["choose-k", "1", "0.05", "--output", ""], "Is a directory"),
+    (["simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
+      "--trials", "3", "--transcripts", ""], "Is a directory"),
+    (["bounds", "--spec", "", "--n", "8", "--m-rule", "power:0.75"],
+     "--spec replaces --n and --m-rule"),
+    (["bounds", "--spec", ""], "Is a directory"),
+], ids=["output", "transcripts", "spec-with-n", "spec"])
+def test_an_empty_path_exits_2_and_prints_nothing(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("exclab: ")
+    assert out == "" and err.startswith("exclab: ") and message in err
 
 
 def _round_floats(obj):
@@ -490,10 +493,30 @@ def test_report_writer_matches_json_after_rounding(obj):
     (1.2345678901234567e20, "1.23456789012e+20"),
     (1.7976931348623157e308, "1.79769313486e+308"),
     (np.float64(0.1), "0.1"),
+    # .12g rounds up to 1e+12, which repr writes in fixed notation.
+    (999999999999.5, "1000000000000.0"),
+    (1.5e15, "1500000000000000.0"),
+    (1e100, "1e+100"),
+    # Rounds across into fixed notation.
+    (9.99999999999995e-05, "0.0001"),
+    (1e-05, "1e-05"),
+    (1e-300, "1e-300"),
+    # The smallest normal and the largest subnormal.
+    (2.2250738585072014e-308, "2.22507385851e-308"),
+    (2.225073858507201e-308, "2.22507385851e-308"),
+    (-1e-320, "-1e-320"),
 ], ids=repr)
 def test_report_writer_float_edges(value, text):
     assert cli._to_json(value) == cli._to_json(value, None) == text
     _assert_writes_as_json_does([value, {"v": value}])
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_report_writer_floats_take_the_rounded_repr(x):
+    reference = float.__repr__(float(f"{x:.12g}"))
+    assert cli._to_json(x) == cli._to_json(x, None) == reference
+    assert cli._to_json([x], None) == f"[{reference}]"
 
 
 @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1: 2},
