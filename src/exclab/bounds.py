@@ -53,7 +53,8 @@ class MRule:
         return cls(kind, float(raw))
 
     def apply(self, n: int) -> int:
-        GameParameters(n, 1)  # refuses n < 1 before n meets a power
+        if n < 1:  # refused before n meets a power; a row checks (n, m) once
+            GameParameters(n, 1)
         if self.kind == "power":
             m = math.floor(n ** self.value)
         else:
@@ -70,7 +71,8 @@ def gamma(n: int, m: int) -> int:
     of the message.  Exact integers only up to n = EXACT_GAMMA_MAX_N; larger
     instances must go through ``gamma_log2``.
     """
-    GameParameters(n, m)
+    if not 1 <= m <= n:  # built only to refuse: a bounds row checked (n, m)
+        GameParameters(n, m)
     if n > EXACT_GAMMA_MAX_N:
         raise ResourceLimitError(
             f"exact gamma supports n <= {EXACT_GAMMA_MAX_N}; use gamma_log2"

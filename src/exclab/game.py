@@ -7,8 +7,8 @@ differs from the true restriction of x on y:
 * ``quantum``: the sender ships the n-qubit product encoding at the critical
   angle; the receiver applies the exclusion measurement to the qubits in y.
   The encoding is a product state, so the receiver's view is the encoding of
-  the restriction alone, and its outcome is sampled in closed form from the
-  distance law of ``pbr.measure_exclusion``.
+  the restriction alone, and its outcome lies at a distance d >= 1 from the
+  truth, drawn from the distance law of ``pbr.sample_distance``.
 * ``classical_cover``: the sender announces a covering message; the receiver
   answers with its restriction, which by construction never equals the truth.
 * ``entanglement_assisted``: the sender announces the first shared set that
@@ -17,18 +17,24 @@ differs from the true restriction of x on y:
 
 Trials are played in blocks of ``block_size(n)``: block b holds trials
 b * block_size(n) onward and draws only from its own counter-based substream,
-child b of SeedSequence(seed), in a fixed order (the block's inputs, its
-subsets, then the strategy's draws for the whole block).  Block boundaries
-depend on n alone, so statistics are identical however blocks are
-distributed over workers.  ``GameConfig`` refuses n past TRIAL_MAX_N, so
-every entry point refuses an oversized trial before it draws.
+child b of SeedSequence(seed).  Block boundaries depend on n alone, so
+statistics are identical however blocks are distributed over workers.
+``GameConfig`` refuses n past TRIAL_MAX_N, so every entry point refuses an
+oversized trial before it draws.  A block runs in three stages:
 
-``classical_cover`` counts the observed inputs, and H(X | M) sums over the
-observed inputs only.  A worker folds its input indices into 2**n counts
-once 2**n of them are pending and returns the rest as they are;
-``monte_carlo`` counts those leftovers once for the whole run, in 2**n
-cells only when the run has at least 2**n / DENSE_COUNT_RATIO of them or
-some worker folded.
+1. Referee (``referee_draw``): x, then n subset keys per trial.
+2. Scoring (``_score``): ``classical_cover`` selects y (``select_subsets``)
+   and compares its answer bits with the truth.  A quantum trial or a
+   completed round wins iff d >= 1, so those strategies draw only [the
+   steering rounds and] one d per trial, and select no subset.
+3. Sink (``_transcripts``), only for a transcript sink: select y, gather the
+   truth, flip d of its positions (``pbr.flip_positions``, m keys per trial)
+   and build the Transcripts.
+
+So a block draws x, the subset keys, [the steering rounds], d, [the flip
+keys], the order of the pinned reports and transcripts.  The flip keys come
+last, so a run without a sink skips them and moves no other draw: its
+report does not depend on whether transcripts are written.
 """
 
 from __future__ import annotations
@@ -37,12 +43,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .classical import CoverStrategy, build_cover_strategy
-from .pbr import BitString, GameParameters, IndexSubset, measure_exclusion, restrict
+from .pbr import (BitString, GameParameters, IndexSubset, flip_positions,
+                  restrict, sample_distance)
 from .qcore import (
     ResourceLimitError,
     conditional_entropy,
@@ -51,7 +58,7 @@ from .qcore import (
     usable_workers,
 )
 # Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 1).
-from .pbr import product_state  # noqa: F401
+from .pbr import measure_exclusion, product_state  # noqa: F401
 from .qcore import tensor_product  # noqa: F401
 from .steering import run_steering_round  # noqa: F401
 from .steering import SteeringParameters, draw_rounds
@@ -169,15 +176,18 @@ class RunStatistics:
         return dict(vars(self))
 
 
-def referee_draw(n: int, m: int, rng: np.random.Generator,
+def referee_draw(n: int, rng: np.random.Generator,
                  size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``size`` uniform inputs and uniform size-m subsets, in that draw order:
-    x as a (size, n) int8 array of bits, then y as the (size, m) sorted
-    0-based positions of the m smallest of n uniform keys per row."""
-    x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
-    keys = rng.random((size, n))
-    y = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
-    return x, y
+    """``size`` uniform inputs and subset keys, in that draw order: x as a
+    (size, n) int8 array of bits, then (size, n) uniform keys, whose m
+    smallest per row are that row's subset (``select_subsets``)."""
+    return rng.integers(0, 2, size=(size, n), dtype=np.int8), rng.random((size, n))
+
+
+def select_subsets(keys: np.ndarray, m: int) -> np.ndarray:
+    """The (rows, m) sorted 0-based positions of each row's m smallest keys:
+    a uniform size-m subset per row of uniform keys."""
+    return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -191,47 +201,76 @@ def block_size(n: int) -> int:
     return max(1, min(BLOCK_TRIALS, TRIAL_MAX_N // n))
 
 
-def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
-                first: int = 0,
-                sink: Callable[[Transcript], None] | None = None):
-    """Play trials first .. first + size - 1, drawing only from ``rng``: the
-    referee's inputs and subsets for the whole block, then the strategy's
-    draws.  Returns (wins, aborts, x_index or None): for ``classical_cover``
-    the block's input indices, unsorted, which ``monte_carlo`` counts; the
-    message is a function of x, so the counts of x fix H(X | M)."""
-    n, m = config.n, config.m
-    x, y = referee_draw(n, m, rng, size)
-    truth = np.take_along_axis(x, y, axis=1)
+class _Scored(NamedTuple):
+    """The scoring stage's output: what the report counts, what the sink
+    stage reads, and either the distances d or the cover's y and answers."""
+
+    won: np.ndarray
+    aborted: np.ndarray
+    x_index: np.ndarray | None
+    messages: Iterable[dict]
+    d: np.ndarray | None = None
+    y: np.ndarray | None = None
+    answer: np.ndarray | None = None
+
+
+def _score(config: GameConfig, x: np.ndarray, keys: np.ndarray,
+           rng: np.random.Generator) -> _Scored:
+    """The scoring stage (module docstring): each trial's verdict, drawing
+    from ``rng`` only what the strategy needs for it."""
+    n, m, size = config.n, config.m, len(x)
     aborted = np.zeros(size, dtype=bool)
-    x_index = None
-    if config.strategy == STRATEGY_QUANTUM:
-        answer = measure_exclusion(truth, rng)
-        messages = ({"kind": "quantum_state", "qubits": n} for _ in x)
-    elif config.strategy == STRATEGY_CLASSICAL_COVER:
+    if config.strategy == STRATEGY_CLASSICAL_COVER:
         cover = _cover(n, m)
         x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         chosen = cover.assignment[x_index]
+        y = select_subsets(keys, m)
         answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
-        messages = ({"kind": "classical_message",
-                     "bits": str(cover.messages[c])} for c in chosen)
-    else:
+        won = (answer != np.take_along_axis(x, y, axis=1)).any(axis=1)
+        messages = ({"kind": "classical_message", "bits": str(cover.messages[c])}
+                    for c in chosen)
+        return _Scored(won, aborted, x_index, messages, y=y, answer=answer)
+    messages = ({"kind": "quantum_state", "qubits": n} for _ in x)
+    if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
         aborted, set_index = draw_rounds(
             SteeringParameters(n, m, config.k, config.delta), rng, size)
-        answer = measure_exclusion(truth, rng)
         messages = ({"kind": "abort"} if a else
                     {"kind": "set_index", "value": int(j)}
                     for a, j in zip(aborted, set_index))
-    won = (answer != truth).any(axis=1) & ~aborted
+    d = sample_distance(m, rng, size)
+    return _Scored((d > 0) & ~aborted, aborted, None, messages, d)
+
+
+def _transcripts(m: int, x: np.ndarray, keys: np.ndarray, scored: _Scored,
+                 rng: np.random.Generator, first: int,
+                 sink: Callable[[Transcript], None]) -> None:
+    """The sink stage (module docstring): one Transcript per trial, in order."""
+    y, answer = scored.y, scored.answer
+    if y is None:
+        y = select_subsets(keys, m)
+        answer = flip_positions(np.take_along_axis(x, y, axis=1), scored.d, rng)
+    for row, message in enumerate(scored.messages):
+        done = not scored.aborted[row]
+        sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
+                        message=message,
+                        answer=BitString(answer[row]) if done else None,
+                        aborted=not done,
+                        won=bool(scored.won[row]) if done else None,
+                        trial=first + row))
+
+
+def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
+                first: int = 0,
+                sink: Callable[[Transcript], None] | None = None):
+    """Play trials first .. first + size - 1, drawing only from ``rng``.
+    Returns (wins, aborts, x_index or None): for ``classical_cover`` the
+    block's input indices, unsorted, which ``monte_carlo`` counts; the
+    message is a function of x, so the counts of x fix H(X | M)."""
+    x, keys = referee_draw(config.n, rng, size)
+    scored = _score(config, x, keys, rng)
     if sink is not None:
-        for row, message in enumerate(messages):
-            done = not aborted[row]
-            sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
-                            message=message,
-                            answer=BitString(answer[row]) if done else None,
-                            aborted=not done,
-                            won=bool(won[row]) if done else None,
-                            trial=first + row))
-    return int(won.sum()), int(aborted.sum()), x_index
+        _transcripts(config.m, x, keys, scored, rng, first, sink)
+    return int(scored.won.sum()), int(scored.aborted.sum()), scored.x_index
 
 
 def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:

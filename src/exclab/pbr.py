@@ -26,10 +26,12 @@ where r = (1 - t)/(1 + t).  At the critical angle (1 + t)**m = 2, so the
 amplitude is proportional to 1 - r**d and vanishes at d = 0 only.  Summing
 C(m, d) (1 - r**d)**2 over d gives Z = 2**m - 2 (1 + r)**m + (1 + r**2)**m,
 so the outcome's distance from the truth has P(d) = C(m, d) (1 - r**d)**2 / Z,
-shared evenly by the C(m, d) outcomes at that distance.  ``measure_exclusion``
-samples this law for a block of truths at once, for quantum trials and
-completed steering rounds alike; ``verify-pbr`` checks it against the
-transform, and the tests check the transform against the dense
+shared evenly by the C(m, d) outcomes at that distance.  Sampling an outcome
+for a block of truths takes two steps: ``sample_distance`` draws d, one
+uniform per row, and ``flip_positions`` flips d uniform positions, m keys
+per row.  P(0) = 0, so a trial's win is fixed by d alone, and the game runs
+the flip step only to write transcripts.  ``verify-pbr`` checks the law
+against the transform, and the tests check the transform against the dense
 ``exclusion_measurement``.
 """
 
@@ -230,19 +232,23 @@ def distance_distribution(m: int) -> tuple[np.ndarray, np.ndarray]:
     return probabilities, cdf
 
 
-def measure_exclusion(truth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample the exclusion measurement on the product encoding of each row of
-    the (rows, m) 0/1 int8 array ``truth`` at the critical angle; returns the
-    outcomes as a like array, no row of which equals its truth row.
+def sample_distance(m: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Distances d >= 1 of ``rows`` length-m exclusion outcomes from their
+    truths, one uniform each by inverse CDF (side="right" skips P(d) = 0)."""
+    return np.searchsorted(distance_distribution(m)[1], rng.random(rows),
+                           side="right")
 
-    One uniform variate per row picks the distance d by inverse CDF
-    (side="right" skips every d of probability 0); then the d smallest of m
-    uniform keys per row, taken by rank, are a uniform set of d positions to
-    flip.
-    """
-    rows, m = truth.shape
-    cdf = distance_distribution(m)[1]
-    d = np.searchsorted(cdf, rng.random(rows), side="right")
-    ranks = rng.random((rows, m)).argsort(axis=1).argsort(axis=1)
+
+def flip_positions(truth: np.ndarray, d: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Row i of the (rows, m) 0/1 int8 ``truth`` with d[i] uniform positions
+    flipped: the d[i] smallest of m uniform keys per row, taken by rank."""
+    ranks = rng.random(truth.shape).argsort(axis=1).argsort(axis=1)
     return truth ^ (ranks < d[:, None])
 
+
+def measure_exclusion(truth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sampled exclusion outcomes of the product encodings of the rows of
+    ``truth`` at the critical angle: both steps, d and then the flips."""
+    m = truth.shape[1]
+    return flip_positions(truth, sample_distance(m, rng, len(truth)), rng)

@@ -326,3 +326,28 @@ def test_bounds_row_evaluates_gamma_and_the_entropy_once(monkeypatch):
         assert row.gamma_log2 == gamma_log2(row.n, row.m)
         assert row.classical_ic_lower == classical_ic_lower_bound(
             GameParameters(row.n, row.m))
+
+
+def test_a_bounds_table_checks_each_game_size_once(monkeypatch):
+    # One GameParameters per row, exact (n <= 64) and log-domain alike: the
+    # rule, the row and gamma do not each check (n, m) again.
+    checks = []
+    original = GameParameters.__post_init__
+
+    def counting(self):
+        checks.append((self.n, self.m))
+        original(self)
+
+    monkeypatch.setattr(GameParameters, "__post_init__", counting)
+    rule = MRule.parse("power:0.75")
+    rows = separation_table(range(8, 68), rule)
+    assert len(rows) == 60
+    assert checks == [(row.n, row.m) for row in rows]
+    # The public entry points keep their own checks.
+    checks.clear()
+    assert gamma(8, 3) == 37 and checks == []
+    for n, m in ((4, 5), (0, 0), (3, 0)):
+        with pytest.raises(ValueError):
+            gamma(n, m)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rule.apply(0)

@@ -29,8 +29,9 @@ from exclab.game import (
     monte_carlo,
     referee_draw,
     run_trial,
+    select_subsets,
 )
-from exclab.pbr import BitString, IndexSubset, restrict
+from exclab.pbr import BitString, IndexSubset, distance_distribution, restrict
 from exclab.classical import build_cover_strategy
 from exclab.qcore import (
     ResourceLimitError,
@@ -38,7 +39,13 @@ from exclab.qcore import (
     conditional_entropy,
     make_rng,
 )
-from exclab.steering import choose_k, p_abort, p_global_steer
+from exclab.steering import (
+    SteeringParameters,
+    choose_k,
+    draw_rounds,
+    p_abort,
+    p_global_steer,
+)
 from test_pbr import THREE_SIGMA_TAIL, chi2_sf, outcome_indices
 
 
@@ -110,8 +117,10 @@ def test_transcript_consistency_rules():
 def test_referee_draw_shapes_and_marginals():
     rng = make_rng(2718)
     n, m, draws = 3, 2, 6000
-    x, y = referee_draw(n, m, rng, draws)
+    x, keys = referee_draw(n, rng, draws)
     assert x.shape == (draws, n) and x.dtype == np.int8
+    assert keys.shape == (draws, n)
+    y = select_subsets(keys, m)
     assert y.shape == (draws, m)
     assert ((x == 0) | (x == 1)).all()
     # Positions are 0-based, distinct and sorted within each row.
@@ -132,7 +141,8 @@ def test_referee_draw_is_uniform_over_inputs_and_subsets():
     # Chi-square goodness of fit at the suite's one-sided 3-sigma level: the
     # C(6, 3) = 20 subsets and the 2**6 = 64 inputs, each against uniform.
     n, m, draws = 6, 3, 20000
-    x, y = referee_draw(n, m, make_rng(1618), draws)
+    x, keys = referee_draw(n, make_rng(1618), draws)
+    y = select_subsets(keys, m)
     subsets = {y: i for i, y in
                enumerate(itertools.combinations(range(1, n + 1), m))}
     subset_counts = np.bincount(
@@ -355,26 +365,28 @@ def test_steering_runs_past_the_dense_qubit_cap_play_with_zero_loss():
 
 def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
     # A completed round leaves the receiver holding the product encoding of
-    # its truth (criterion 7), so a block's truths go to the sampler of the
-    # quantum strategy; the outcomes of aborted rows are dropped.
-    measured = []
-    original = game.measure_exclusion
+    # its truth (criterion 7), so the sink stage flips d positions of every
+    # truth of the block, as for the quantum strategy; the outcomes of
+    # aborted rows are dropped.
+    flipped = []
+    original = game.flip_positions
 
-    def recording(truth, rng):
-        outcomes = original(truth, rng)
-        measured.append((truth.copy(), outcomes))
+    def recording(truth, d, rng):
+        outcomes = original(truth, d, rng)
+        flipped.append((truth.copy(), d.copy(), outcomes))
         return outcomes
 
-    monkeypatch.setattr(game, "measure_exclusion", recording)
+    monkeypatch.setattr(game, "flip_positions", recording)
     config = GameConfig(n=6, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
                         trials=200, seed=0, k=3, delta=0.05)
     seen: list[Transcript] = []
     stats = monte_carlo(config, transcript_sink=seen.append)
     assert 0 < stats.aborts < stats.trials
     assert stats.wins == stats.trials - stats.aborts
-    assert len(measured) == 1
-    truth, outcomes = measured[0]
+    assert len(flipped) == 1
+    truth, d, outcomes = flipped[0]
     assert len(truth) == len(seen) == config.trials
+    assert ((outcomes != truth).sum(axis=1) == d).all() and (d >= 1).all()
     for transcript, row_truth, row_outcome in zip(seen, truth, outcomes):
         assert BitString(row_truth) == restrict(transcript.x, transcript.y)
         if transcript.aborted:
@@ -383,6 +395,104 @@ def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
             assert transcript.answer == BitString(row_outcome)
             assert transcript.message["kind"] == "set_index"
             assert 0 <= transcript.message["value"] < config.k
+
+
+def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
+                    first: int) -> tuple[int, int, list[dict]]:
+    """A block played in one pass, the reference for the staged block: it
+    selects every subset, gathers every truth and measures every quantum
+    trial and completed round, whether or not transcripts are wanted.
+    Returns (wins, aborts, transcript records)."""
+    n, m = config.n, config.m
+    x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
+    keys = rng.random((size, n))
+    y = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+    truth = np.take_along_axis(x, y, axis=1)
+    aborted = np.zeros(size, dtype=bool)
+    if config.strategy == STRATEGY_CLASSICAL_COVER:
+        cover = build_cover_strategy(n, m)
+        chosen = cover.assignment[outcome_indices(x)]
+        answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
+        messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
+                    for c in chosen]
+    else:
+        messages = [{"kind": "quantum_state", "qubits": n}] * size
+        if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
+            aborted, set_index = draw_rounds(
+                SteeringParameters(n, m, config.k, config.delta), rng, size)
+            messages = [{"kind": "abort"} if a else
+                        {"kind": "set_index", "value": int(j)}
+                        for a, j in zip(aborted, set_index)]
+        # The sampler as one step: d by inverse CDF, then d flips by rank.
+        d = np.searchsorted(distance_distribution(m)[1], rng.random(size),
+                            side="right")
+        ranks = rng.random((size, m)).argsort(axis=1).argsort(axis=1)
+        answer = truth ^ (ranks < d[:, None])
+    won = (answer != truth).any(axis=1) & ~aborted
+    records = [{"x": "".join(map(str, x[row])),
+                "y": [int(p) + 1 for p in y[row]],
+                "message": messages[row],
+                "answer": None if aborted[row] else "".join(map(str, answer[row])),
+                "aborted": bool(aborted[row]),
+                "won": None if aborted[row] else bool(won[row]),
+                "trial": first + row} for row in range(size)]
+    return int(won.sum()), int(aborted.sum()), records
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    (STRATEGY_QUANTUM, {}),
+    (STRATEGY_CLASSICAL_COVER, {}),
+    (STRATEGY_ENTANGLEMENT_ASSISTED, {"k": 3, "delta": 0.05}),
+])
+def test_staged_blocks_equal_the_one_stage_reference(strategy, extra):
+    # Several seeds, m = 1, m = n, and a 4,097-trial run of two blocks.
+    for n, m, trials, seed in ((5, 1, 300, 0), (5, 5, 300, 1), (6, 3, 200, 2),
+                               (6, 3, 200, 9), (4, 2, 4097, 3)):
+        config = GameConfig(n=n, m=m, strategy=strategy, trials=trials,
+                            seed=seed, **extra)
+        size = block_size(n)
+        wins = aborts = 0
+        expected: list[dict] = []
+        for block in range(-(-trials // size)):
+            rng = make_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+            w, a, records = reference_block(
+                config, rng, min(size, trials - block * size), block * size)
+            wins, aborts, expected = wins + w, aborts + a, expected + records
+        seen: list[Transcript] = []
+        stats = monte_carlo(config, transcript_sink=seen.append)
+        assert (stats.wins, stats.aborts) == (wins, aborts)
+        assert [t.to_dict() for t in seen] == expected
+        assert monte_carlo(config) == stats
+        if strategy == STRATEGY_ENTANGLEMENT_ASSISTED and trials > 1000:
+            assert 0 < aborts < trials
+
+
+def test_sinkless_quantum_and_steering_blocks_select_no_subset(monkeypatch):
+    # Without a sink, a quantum trial or a completed round is scored from its
+    # sampled distance alone: no subset is selected and no flip key drawn.
+    # The cover scores with its subsets, and a sink needs them all.
+    def refuse(*args):
+        raise AssertionError("reached a transcript-only step")
+
+    configs = [GameConfig(n=6, m=3, strategy=strategy, trials=300, seed=4,
+                          **extra)
+               for strategy, extra in ((STRATEGY_QUANTUM, {}),
+                                       (STRATEGY_ENTANGLEMENT_ASSISTED,
+                                        {"k": 3, "delta": 0.05}),
+                                       (STRATEGY_CLASSICAL_COVER, {}))]
+    for step in ("select_subsets", "flip_positions"):
+        with monkeypatch.context() as patch:
+            patch.setattr(game, step, refuse)
+            for config in configs[:2]:
+                stats = monte_carlo(config)
+                assert stats.wins == stats.trials - stats.aborts > 0
+                with pytest.raises(AssertionError, match="transcript-only"):
+                    monte_carlo(config, transcript_sink=[].append)
+                with pytest.raises(AssertionError, match="transcript-only"):
+                    run_trial(config, make_rng(0))
+            if step == "select_subsets":
+                with pytest.raises(AssertionError, match="transcript-only"):
+                    monte_carlo(configs[2])
 
 
 def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
@@ -439,7 +549,7 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
     stats = monte_carlo(config)
     cover = build_cover_strategy(16, 8)
     block_rng = make_rng(np.random.SeedSequence(3, spawn_key=(0,)))
-    x, _ = referee_draw(16, 8, block_rng, 400)
+    x, _ = referee_draw(16, block_rng, 400)
     x_index = x @ (1 << np.arange(15, -1, -1, dtype=np.int64))
     joint = np.zeros((1 << 16, len(cover.messages)))
     np.add.at(joint, (x_index, cover.assignment[x_index]), 1.0)
@@ -471,7 +581,7 @@ def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
     counts = np.zeros(1 << n, dtype=np.int64)
     for block in range(full_blocks + 1):
         rng = make_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        x, _ = referee_draw(n, m, rng, min(size, trials - block * size))
+        x, _ = referee_draw(n, rng, min(size, trials - block * size))
         counts += np.bincount(x @ (1 << np.arange(n - 1, -1, -1)),
                               minlength=1 << n)
     expected = conditional_entropy(counts, game._cover(n, m).assignment)
@@ -499,7 +609,7 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
         counted.clear()
         stats = monte_carlo(GameConfig(n=8, m=3, trials=trials, seed=11,
                                        strategy=STRATEGY_CLASSICAL_COVER))
-        x, _ = referee_draw(8, 3, make_rng(np.random.SeedSequence(
+        x, _ = referee_draw(8, make_rng(np.random.SeedSequence(
             11, spawn_key=(0,))), trials)
         counts = np.bincount(x @ (1 << np.arange(7, -1, -1)), minlength=256)
         assert stats.empirical_conditional_entropy == conditional_entropy(
@@ -515,7 +625,7 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
     assert pool_sizes == [2]
     counts = np.zeros(1 << 16, dtype=np.int64)
     for block in range(2):
-        x, _ = referee_draw(16, 8, make_rng(np.random.SeedSequence(
+        x, _ = referee_draw(16, make_rng(np.random.SeedSequence(
             11, spawn_key=(block,))), 4096)
         counts += np.bincount(x @ (1 << np.arange(15, -1, -1)),
                               minlength=1 << 16)

@@ -21,6 +21,7 @@ from exclab.pbr import (
     measure_exclusion,
     product_state,
     restrict,
+    sample_distance,
 )
 from exclab.qcore import (
     MATRIX_TOL,
@@ -448,6 +449,30 @@ def test_sampled_distance_histogram_fits_the_distance_law(m, trials, seed):
     assert expected.min() >= 10.0
     statistic = float(((counts[1:] - expected) ** 2 / expected).sum())
     assert chi2_sf(statistic, m - 1) >= THREE_SIGMA_TAIL, statistic
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_distance_sampler_fits_the_law_at_m_10_4(seed):
+    # The sampler the game scores from, alone: 50,000 distances at m = 10**4
+    # against distance_distribution, the bins of expected count below 10
+    # pooled with their neighbours toward the middle.
+    m, trials = 10**4, 50000
+    counts = np.bincount(sample_distance(m, make_rng(seed), trials),
+                         minlength=m + 1)
+    expected = trials * distance_distribution(m)[0]
+    pooled_counts, pooled_expected, count, mass = [], [], 0, 0.0
+    for c, e in zip(counts, expected):
+        count, mass = count + c, mass + e
+        if mass >= 10.0:
+            pooled_counts.append(count)
+            pooled_expected.append(mass)
+            count, mass = 0, 0.0
+    pooled_counts[-1] += count
+    pooled_expected[-1] += mass
+    observed, expected = np.array(pooled_counts), np.array(pooled_expected)
+    assert observed.sum() == trials and len(observed) > 250
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2_sf(statistic, len(observed) - 1) >= THREE_SIGMA_TAIL, statistic
 
 
 def test_sampled_outcome_is_uniform_within_its_distance_shell():
