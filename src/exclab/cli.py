@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -153,58 +152,18 @@ def cmd_verify_pbr(args: argparse.Namespace) -> tuple[dict, int]:
     return _rows(args.m_max, MAX_QUBITS, row)
 
 
-_BATCH_FIELDS = {"schema_version", "n_values", "m_rule", "format"}
-
-
 def cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
-    if args.spec is not None:
-        if args.n is not None or args.m_rule is not None:
-            raise ValueError("--spec replaces --n and --m-rule")
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("batch file must hold a JSON object")
-        unknown = set(doc) - _BATCH_FIELDS
-        if unknown:
-            raise ValueError(f"unknown batch fields: {sorted(unknown)}")
-        if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported schema_version {doc.get('schema_version')!r}"
-            )
-        if "n_values" not in doc or "m_rule" not in doc:
-            raise ValueError("batch file needs n_values and m_rule")
-        n_values = doc["n_values"]
-        rule_text = doc["m_rule"]
-        # type() is int refuses bools and floats, which isinstance would pass.
-        if not isinstance(n_values, list) or any(type(n) is not int
-                                                 for n in n_values):
-            raise ValueError(f"n_values must be a list of integers, "
-                             f"got {n_values!r}")
-        if not isinstance(rule_text, str):
-            raise ValueError(f"m_rule must be a string, got {rule_text!r}")
-        output_format = doc.get("format", args.format or "csv")
-        if output_format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {output_format!r}")
-        if args.format not in (None, output_format):
-            raise ValueError(f"--format {args.format} disagrees with the "
-                             f"batch file's format {output_format!r}")
-    else:
-        if args.n is None or args.m_rule is None:
-            raise ValueError("need --n and --m-rule (or --spec)")
-        n_values = args.n
-        rule_text = args.m_rule
-        output_format = args.format or "csv"
+    rule = bounds_mod.MRule.parse(args.m_rule)
+    rows = bounds_mod.separation_table(args.n, rule)
 
-    rule = bounds_mod.MRule.parse(rule_text)
-    rows = bounds_mod.separation_table(n_values, rule)
-
-    if output_format == "csv":
+    if args.format == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for row in rows:  # the fields, in CSV_COLUMNS order by construction
             lines.append(",".join(str(value) if isinstance(value, int)
                                   else f"{value:.12g}"
                                   for value in row.to_dict().values()))
         return "\n".join(lines) + "\n", 0
-    return {"m_rule": rule_text, "rows": [row.to_dict() for row in rows]}, 0
+    return {"m_rule": args.m_rule, "rows": [row.to_dict() for row in rows]}, 0
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -331,13 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds_cmd = commands.add_parser(
         "bounds", help="tabulate classical and quantum information bounds")
-    bounds_cmd.add_argument("--n", type=int, nargs="*", default=None)
-    bounds_cmd.add_argument("--m-rule", default=None,
+    bounds_cmd.add_argument("--n", type=int, nargs="*", required=True)
+    bounds_cmd.add_argument("--m-rule", required=True,
                             help="power:C for m=floor(n**C), "
                                  "linear:A for m=floor(A*n)")
-    bounds_cmd.add_argument("--spec", default=None,
-                            help="JSON batch file with n_values and m_rule")
-    bounds_cmd.add_argument("--format", choices=("csv", "json"), default=None)
+    bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     bounds_cmd.add_argument("--output", default=None)
     bounds_cmd.set_defaults(func=cmd_bounds)
 

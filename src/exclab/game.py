@@ -232,8 +232,7 @@ def _score(config: GameConfig, x: np.ndarray, keys: np.ndarray,
         return _Scored(won, aborted, x_index, messages, y=y, answer=answer)
     messages = ({"kind": "quantum_state", "qubits": n} for _ in x)
     if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
-        aborted, set_index = draw_rounds(
-            SteeringParameters(n, m, config.k, config.delta), rng, size)
+        aborted, set_index = draw_rounds(config, rng, size)  # checked n, m, k
         messages = ({"kind": "abort"} if a else
                     {"kind": "set_index", "value": int(j)}
                     for a, j in zip(aborted, set_index))

@@ -180,7 +180,8 @@ def run_steering_round(params: SteeringParameters, x: BitString,
 
 def draw_rounds(params: SteeringParameters, rng: np.random.Generator,
                 size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abort flags and first steered set indices J of ``size`` rounds.
+    """Abort flags and first steered set indices J of ``size`` rounds of
+    ``params``, read for its n, m and k only (game passes its GameConfig).
 
     Sets steer independently with p_g = p_global_steer(n, m), so one uniform
     U per round gives the geometric J = floor(ln(1 - U) / ln(1 - p_g)) by

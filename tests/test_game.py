@@ -495,6 +495,26 @@ def test_sinkless_quantum_and_steering_blocks_select_no_subset(monkeypatch):
                     monte_carlo(configs[2])
 
 
+def test_a_steering_run_checks_its_parameters_once(monkeypatch):
+    # GameConfig checks n, m, k and delta; the blocks reuse its values.
+    checks = []
+    original = SteeringParameters.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(SteeringParameters, "__post_init__", counting)
+    config = GameConfig(n=8, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
+                        trials=3 * game.block_size(8) + 1, seed=5, k=3,
+                        delta=0.05)
+    assert len(checks) == 1
+    stats = monte_carlo(config)
+    assert 0 < stats.aborts < stats.trials
+    assert stats.wins == stats.trials - stats.aborts
+    assert len(checks) == 1
+
+
 def test_quantum_trials_build_no_dense_measurement_or_state_vector(monkeypatch):
     dense_builds = []
     monkeypatch.setattr(pbr, "exclusion_measurement", dense_builds.append)
