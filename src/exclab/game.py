@@ -20,21 +20,21 @@ b * block_size(n) onward and draws only from its own counter-based substream,
 child b of SeedSequence(seed).  Block boundaries depend on n alone, so
 statistics are identical however blocks are distributed over workers.
 ``GameConfig`` refuses n past TRIAL_MAX_N, so every entry point refuses an
-oversized trial before it draws.  A block runs in three stages:
+oversized trial before it draws.  A block runs in two stages:
 
-1. Referee (``referee_draw``): x, then n subset keys per trial.
-2. Scoring (``_score``): ``classical_cover`` selects y (``select_subsets``)
-   and compares its answer bits with the truth.  A quantum trial or a
-   completed round wins iff d >= 1, so those strategies draw only [the
-   steering rounds and] one d per trial, and select no subset.
-3. Sink (``_transcripts``), only for a transcript sink: select y, gather the
-   truth, flip d of its positions (``pbr.flip_positions``, m keys per trial)
-   and build the Transcripts.
+1. Scoring (``_score``) draws only what a verdict reads.  ``classical_cover``
+   draws x (``referee_draw``) and wins iff its message serves x: the two
+   differ in more than n - m positions, so on every size-m subset.  A
+   quantum trial or a completed round wins iff d >= 1, so those strategies
+   draw only [the steering rounds and] one d per trial.
+2. Sink (``_transcripts``), only for a transcript sink: draw x [quantum,
+   steering], select y (``select_subsets``, n keys per trial), answer with
+   the message's bits at y or the truth with d positions flipped
+   (``pbr.flip_positions``, m keys per trial), and build the Transcripts.
 
-So a block draws x, the subset keys, [the steering rounds], d, [the flip
-keys], the order of the pinned reports and transcripts.  The flip keys come
-last, so a run without a sink skips them and moves no other draw: its
-report does not depend on whether transcripts are written.
+So a block draws [x (cover)], [the rounds], [d], then only with a sink [x
+(quantum, steering)], the subset keys, [the flip keys]: a sinkless run
+draws a prefix of that, so its report is the same with or without a sink.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .classical import CoverStrategy, build_cover_strategy
 from .pbr import (BitString, GameParameters, IndexSubset, flip_positions,
-                  restrict, sample_distance)
+                  sample_distance)
 from .qcore import (
     ResourceLimitError,
     conditional_entropy,
@@ -58,7 +58,7 @@ from .qcore import (
     usable_workers,
 )
 # Unused here; bound for perfbench/spans.py's tracer (ROADMAP item 1).
-from .pbr import measure_exclusion, product_state  # noqa: F401
+from .pbr import measure_exclusion, product_state, restrict  # noqa: F401
 from .qcore import tensor_product  # noqa: F401
 from .steering import run_steering_round  # noqa: F401
 from .steering import SteeringParameters, draw_rounds
@@ -71,8 +71,8 @@ STRATEGIES = (
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
 )
-# Largest n one trial may draw, and the most input bits a block draws.  The
-# draw holds 17 bytes per bit (int8 bits, float64 keys, int64 positions).
+# Largest n one trial may draw, and the most input bits a block draws.  A
+# sink draws 17 bytes per bit (int8 bits, float64 keys, int64 positions).
 TRIAL_MAX_N = 10**6
 # Trials per block below that budget.
 BLOCK_TRIALS = 4096
@@ -144,7 +144,10 @@ class Transcript:
         else:
             if self.answer is None or self.won is None:
                 raise ValueError("completed trials need an answer and verdict")
-            if self.won != (self.answer != restrict(self.x, self.y)):
+            if self.y.indices[-1] > len(self.x):
+                raise ValueError("subset index exceeds string length")
+            truth = tuple(self.x.bits[i - 1] for i in self.y.indices)
+            if self.won != (self.answer.bits != truth):
                 raise ValueError("verdict disagrees with answer")
 
     def to_dict(self) -> dict:
@@ -176,12 +179,9 @@ class RunStatistics:
         return dict(vars(self))
 
 
-def referee_draw(n: int, rng: np.random.Generator,
-                 size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``size`` uniform inputs and subset keys, in that draw order: x as a
-    (size, n) int8 array of bits, then (size, n) uniform keys, whose m
-    smallest per row are that row's subset (``select_subsets``)."""
-    return rng.integers(0, 2, size=(size, n), dtype=np.int8), rng.random((size, n))
+def referee_draw(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform inputs x, as a (size, n) int8 array of bits."""
+    return rng.integers(0, 2, size=(size, n), dtype=np.int8)
 
 
 def select_subsets(keys: np.ndarray, m: int) -> np.ndarray:
@@ -202,51 +202,52 @@ def block_size(n: int) -> int:
 
 
 class _Scored(NamedTuple):
-    """The scoring stage's output: what the report counts, what the sink
-    stage reads, and either the distances d or the cover's y and answers."""
+    """The scoring stage's output: the verdicts, and what the sink reads."""
 
     won: np.ndarray
     aborted: np.ndarray
-    x_index: np.ndarray | None
     messages: Iterable[dict]
+    x: np.ndarray | None = None
+    x_index: np.ndarray | None = None
+    sent: np.ndarray | None = None
     d: np.ndarray | None = None
-    y: np.ndarray | None = None
-    answer: np.ndarray | None = None
 
 
-def _score(config: GameConfig, x: np.ndarray, keys: np.ndarray,
-           rng: np.random.Generator) -> _Scored:
+def _score(config: GameConfig, rng: np.random.Generator, size: int) -> _Scored:
     """The scoring stage (module docstring): each trial's verdict, drawing
-    from ``rng`` only what the strategy needs for it."""
-    n, m, size = config.n, config.m, len(x)
+    from ``rng`` only what the verdict reads."""
+    n, m = config.n, config.m
     aborted = np.zeros(size, dtype=bool)
     if config.strategy == STRATEGY_CLASSICAL_COVER:
         cover = _cover(n, m)
+        x = referee_draw(n, rng, size)
         x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         chosen = cover.assignment[x_index]
-        y = select_subsets(keys, m)
-        answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
-        won = (answer != np.take_along_axis(x, y, axis=1)).any(axis=1)
+        sent = cover.values[chosen]
+        won = np.bitwise_count(sent ^ x_index) > n - m
         messages = ({"kind": "classical_message", "bits": str(cover.messages[c])}
                     for c in chosen)
-        return _Scored(won, aborted, x_index, messages, y=y, answer=answer)
-    messages = ({"kind": "quantum_state", "qubits": n} for _ in x)
+        return _Scored(won, aborted, messages, x, x_index, sent)
+    messages = ({"kind": "quantum_state", "qubits": n} for _ in range(size))
     if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
         aborted, set_index = draw_rounds(config, rng, size)  # checked n, m, k
         messages = ({"kind": "abort"} if a else
                     {"kind": "set_index", "value": int(j)}
                     for a, j in zip(aborted, set_index))
     d = sample_distance(m, rng, size)
-    return _Scored((d > 0) & ~aborted, aborted, None, messages, d)
+    return _Scored((d > 0) & ~aborted, aborted, messages, d=d)
 
 
-def _transcripts(m: int, x: np.ndarray, keys: np.ndarray, scored: _Scored,
+def _transcripts(config: GameConfig, scored: _Scored,
                  rng: np.random.Generator, first: int,
                  sink: Callable[[Transcript], None]) -> None:
     """The sink stage (module docstring): one Transcript per trial, in order."""
-    y, answer = scored.y, scored.answer
-    if y is None:
-        y = select_subsets(keys, m)
+    n, size = config.n, len(scored.won)
+    x = referee_draw(n, rng, size) if scored.x is None else scored.x
+    y = select_subsets(rng.random((size, n)), config.m)
+    if scored.d is None:
+        answer = (scored.sent[:, None] >> (n - 1 - y)) & 1
+    else:
         answer = flip_positions(np.take_along_axis(x, y, axis=1), scored.d, rng)
     for row, message in enumerate(scored.messages):
         done = not scored.aborted[row]
@@ -265,10 +266,9 @@ def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
     Returns (wins, aborts, x_index or None): for ``classical_cover`` the
     block's input indices, unsorted, which ``monte_carlo`` counts; the
     message is a function of x, so the counts of x fix H(X | M)."""
-    x, keys = referee_draw(config.n, rng, size)
-    scored = _score(config, x, keys, rng)
+    scored = _score(config, rng, size)
     if sink is not None:
-        _transcripts(config.m, x, keys, scored, rng, first, sink)
+        _transcripts(config, scored, rng, first, sink)
     return int(scored.won.sum()), int(scored.aborted.sum()), scored.x_index
 
 

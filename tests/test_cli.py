@@ -543,7 +543,7 @@ SIMULATE_PINNED_RUNS = [
     ("classical_cover", 5, 2, 300, 7, ("--transcripts", "{tmp}/trials.jsonl")),
 ]
 SIMULATE_REPORTS_SHA256 = (
-    "f923e180bca5e9ff08622722b30a1144f2778a74a65fdd855862bae93012e6f0")
+    "62a430eebe58c26e92b4936a085fcc93e625bc8252a7fb8296178c496996a669")
 
 
 def test_simulate_reports_are_pinned(tmp_path, capsys, pool_sizes):

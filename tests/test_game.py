@@ -117,10 +117,9 @@ def test_transcript_consistency_rules():
 def test_referee_draw_shapes_and_marginals():
     rng = make_rng(2718)
     n, m, draws = 3, 2, 6000
-    x, keys = referee_draw(n, rng, draws)
+    x = referee_draw(n, rng, draws)
     assert x.shape == (draws, n) and x.dtype == np.int8
-    assert keys.shape == (draws, n)
-    y = select_subsets(keys, m)
+    y = select_subsets(rng.random((draws, n)), m)
     assert y.shape == (draws, m)
     assert ((x == 0) | (x == 1)).all()
     # Positions are 0-based, distinct and sorted within each row.
@@ -141,8 +140,9 @@ def test_referee_draw_is_uniform_over_inputs_and_subsets():
     # Chi-square goodness of fit at the suite's one-sided 3-sigma level: the
     # C(6, 3) = 20 subsets and the 2**6 = 64 inputs, each against uniform.
     n, m, draws = 6, 3, 20000
-    x, keys = referee_draw(n, make_rng(1618), draws)
-    y = select_subsets(keys, m)
+    rng = make_rng(1618)
+    x = referee_draw(n, rng, draws)
+    y = select_subsets(rng.random((draws, n)), m)
     subsets = {y: i for i, y in
                enumerate(itertools.combinations(range(1, n + 1), m))}
     subset_counts = np.bincount(
@@ -401,20 +401,14 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
                     first: int) -> tuple[int, int, list[dict]]:
     """A block played in one pass, the reference for the staged block: it
     selects every subset, gathers every truth and measures every quantum
-    trial and completed round, whether or not transcripts are wanted.
+    trial and completed round, whether or not transcripts are wanted, and
+    scores each trial on its sampled subset.  Draw order: [x (cover)],
+    [rounds], [d], [x (quantum, steering)], the subset keys, [flips].
     Returns (wins, aborts, transcript records)."""
     n, m = config.n, config.m
-    x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
-    keys = rng.random((size, n))
-    y = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
-    truth = np.take_along_axis(x, y, axis=1)
     aborted = np.zeros(size, dtype=bool)
     if config.strategy == STRATEGY_CLASSICAL_COVER:
-        cover = build_cover_strategy(n, m)
-        chosen = cover.assignment[outcome_indices(x)]
-        answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
-        messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
-                    for c in chosen]
+        x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
     else:
         messages = [{"kind": "quantum_state", "qubits": n}] * size
         if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
@@ -426,6 +420,17 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
         # The sampler as one step: d by inverse CDF, then d flips by rank.
         d = np.searchsorted(distance_distribution(m)[1], rng.random(size),
                             side="right")
+        x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
+    keys = rng.random((size, n))
+    y = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+    truth = np.take_along_axis(x, y, axis=1)
+    if config.strategy == STRATEGY_CLASSICAL_COVER:
+        cover = build_cover_strategy(n, m)
+        chosen = cover.assignment[outcome_indices(x)]
+        answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
+        messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
+                    for c in chosen]
+    else:
         ranks = rng.random((size, m)).argsort(axis=1).argsort(axis=1)
         answer = truth ^ (ranks < d[:, None])
     won = (answer != truth).any(axis=1) & ~aborted
@@ -467,12 +472,14 @@ def test_staged_blocks_equal_the_one_stage_reference(strategy, extra):
             assert 0 < aborts < trials
 
 
-def test_sinkless_quantum_and_steering_blocks_select_no_subset(monkeypatch):
-    # Without a sink, a quantum trial or a completed round is scored from its
-    # sampled distance alone: no subset is selected and no flip key drawn.
-    # The cover scores with its subsets, and a sink needs them all.
+def test_sinkless_blocks_draw_only_what_they_score(monkeypatch):
+    # Without a sink every trial is scored from what decides its verdict:
+    # the cover's input by its serve test, a quantum trial or a completed
+    # round by its sampled distance.  No subset is selected and no flip key
+    # drawn, and quantum and steering blocks draw no input; a sink needs
+    # them all.
     def refuse(*args):
-        raise AssertionError("reached a transcript-only step")
+        raise AssertionError("reached a refused step")
 
     configs = [GameConfig(n=6, m=3, strategy=strategy, trials=300, seed=4,
                           **extra)
@@ -480,19 +487,45 @@ def test_sinkless_quantum_and_steering_blocks_select_no_subset(monkeypatch):
                                        (STRATEGY_ENTANGLEMENT_ASSISTED,
                                         {"k": 3, "delta": 0.05}),
                                        (STRATEGY_CLASSICAL_COVER, {}))]
-    for step in ("select_subsets", "flip_positions"):
+    for step, sinkless in (("select_subsets", configs),
+                           ("flip_positions", configs),
+                           ("referee_draw", configs[:2])):
         with monkeypatch.context() as patch:
             patch.setattr(game, step, refuse)
-            for config in configs[:2]:
+            for config in sinkless:
                 stats = monte_carlo(config)
                 assert stats.wins == stats.trials - stats.aborts > 0
-                with pytest.raises(AssertionError, match="transcript-only"):
+            # A sink reaches every step but the cover's flips.
+            for config in configs[:2] if step == "flip_positions" else configs:
+                with pytest.raises(AssertionError, match="refused step"):
                     monte_carlo(config, transcript_sink=[].append)
-                with pytest.raises(AssertionError, match="transcript-only"):
+                with pytest.raises(AssertionError, match="refused step"):
                     run_trial(config, make_rng(0))
-            if step == "select_subsets":
-                with pytest.raises(AssertionError, match="transcript-only"):
+            if step == "referee_draw":
+                # The cover's verdict reads its input.
+                with pytest.raises(AssertionError, match="refused step"):
                     monte_carlo(configs[2])
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    (STRATEGY_QUANTUM, {}),
+    (STRATEGY_CLASSICAL_COVER, {}),
+    (STRATEGY_ENTANGLEMENT_ASSISTED, {"k": 3, "delta": 0.05}),
+])
+def test_transcripts_check_their_verdicts_without_restrict(monkeypatch,
+                                                           strategy, extra):
+    # Transcript reads the truth from x's bits by index; the validated
+    # BitString that pbr.restrict builds is off the sink path.
+    def refuse(*args):
+        raise AssertionError("built a restriction")
+
+    monkeypatch.setattr(game, "restrict", refuse)
+    config = GameConfig(n=4, m=2, strategy=strategy,
+                        trials=block_size(4) + 3, seed=6, **extra)
+    seen: list[Transcript] = []
+    stats = monte_carlo(config, transcript_sink=seen.append)
+    assert len(seen) == config.trials
+    assert stats.wins == sum(1 for t in seen if t.won)
 
 
 def test_a_steering_run_checks_its_parameters_once(monkeypatch):
@@ -569,7 +602,7 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
     stats = monte_carlo(config)
     cover = build_cover_strategy(16, 8)
     block_rng = make_rng(np.random.SeedSequence(3, spawn_key=(0,)))
-    x, _ = referee_draw(16, block_rng, 400)
+    x = referee_draw(16, block_rng, 400)
     x_index = x @ (1 << np.arange(15, -1, -1, dtype=np.int64))
     joint = np.zeros((1 << 16, len(cover.messages)))
     np.add.at(joint, (x_index, cover.assignment[x_index]), 1.0)
@@ -601,7 +634,7 @@ def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
     counts = np.zeros(1 << n, dtype=np.int64)
     for block in range(full_blocks + 1):
         rng = make_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        x, _ = referee_draw(n, rng, min(size, trials - block * size))
+        x = referee_draw(n, rng, min(size, trials - block * size))
         counts += np.bincount(x @ (1 << np.arange(n - 1, -1, -1)),
                               minlength=1 << n)
     expected = conditional_entropy(counts, game._cover(n, m).assignment)
@@ -629,7 +662,7 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
         counted.clear()
         stats = monte_carlo(GameConfig(n=8, m=3, trials=trials, seed=11,
                                        strategy=STRATEGY_CLASSICAL_COVER))
-        x, _ = referee_draw(8, make_rng(np.random.SeedSequence(
+        x = referee_draw(8, make_rng(np.random.SeedSequence(
             11, spawn_key=(0,))), trials)
         counts = np.bincount(x @ (1 << np.arange(7, -1, -1)), minlength=256)
         assert stats.empirical_conditional_entropy == conditional_entropy(
@@ -645,7 +678,7 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
     assert pool_sizes == [2]
     counts = np.zeros(1 << 16, dtype=np.int64)
     for block in range(2):
-        x, _ = referee_draw(16, make_rng(np.random.SeedSequence(
+        x = referee_draw(16, make_rng(np.random.SeedSequence(
             11, spawn_key=(block,))), 4096)
         counts += np.bincount(x @ (1 << np.arange(15, -1, -1)),
                               minlength=1 << 16)
