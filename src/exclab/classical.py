@@ -10,15 +10,12 @@ position bitset per answer bit.  ``build_cover_strategy`` constructs a
 concrete zero-error protocol: a small set of message strings such that
 every input has a message at Hamming distance at least n - m + 1, chosen
 greedily by coverage counts from Krawtchouk transforms on symmetry orbits.
-The greedy's state lives on those orbits too, one entry per orbit; only
-when the orbits have become single inputs, or once at the end, does it
-reach the 2**n inputs.  Its ``assignment``, one read-only int64 array of
-each input's message index, gives ``exact_information_cost`` the 2**n
-preimage sizes directly.
+The greedy's state, and the strategy it returns, live on those orbits too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +24,7 @@ import numpy as np
 
 from .bounds import gamma
 from .pbr import BitString, GameParameters
-from .qcore import ResourceLimitError, conditional_entropy, fwht
+from .qcore import ResourceLimitError, fwht
 
 # Cap on n for excluded_count and the oracle, which hold 2n 2**n-bit masks.
 EXCLUDED_COUNT_MAX_N = 20
@@ -135,8 +132,7 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     if log2_space > math.log2(ORACLE_BUDGET):
         raise ResourceLimitError(
             f"answer-set space 2**{log2_space} exceeds the enumeration "
-            f"budget of {ORACLE_BUDGET}"
-        )
+            f"budget of {ORACLE_BUDGET}")
     levels = _canonical_levels(n, m)
     choice = [0] * n_subsets
     best_count = (1 << n) + 1
@@ -159,51 +155,64 @@ def brute_force_min_exclusion(n: int, m: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class CoverStrategy:
-    """Zero-error messaging strategy: a message list and ``assignment``, the
-    index of the message announced on each input x (always one that serves
-    x) as an int64 array, plus ``values``, each message's MSB-first integer
-    value as an int64 array.  Both arrays are read-only, as callers share
-    them."""
+    """Zero-error messaging strategy on an orbit lattice: messages, cells
+    (bitmasks) partitioning the n positions, and ``first``, the message index
+    at each lattice point.  ``values`` holds each message's MSB-first value,
+    ``assignment``, built when first read, each input's message index: all
+    three are read-only int64 arrays, as callers share them."""
 
     n: int
     m: int
     messages: tuple[BitString, ...]
-    assignment: np.ndarray
+    cells: tuple[int, ...]
+    first: np.ndarray
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         GameParameters(self.n, self.m)
-        if not self.messages:
-            raise ValueError("strategy needs at least one message")
-        if any(len(msg) != self.n for msg in self.messages):
-            raise ValueError("messages must have length n")
-        given = np.asarray(self.assignment)
-        if given.shape != (1 << self.n,):
-            raise ValueError("assignment must cover all 2**n inputs")
+        if not self.messages or any(len(a) != self.n for a in self.messages):
+            raise ValueError("need one or more messages, of length n")
+        cells = tuple(self.cells)
+        # A sum has as many ones as its summands only when none overlap.
+        if (any(type(c) is not int or c <= 0 for c in cells)
+                or sum(c.bit_count() for c in cells) != self.n
+                or sum(cells) != (1 << self.n) - 1):
+            raise ValueError("cells must partition the n positions")
+        reps, _ = _cell_lattice(list(cells))
+        given = np.asarray(self.first)
+        if given.shape != reps.shape:
+            raise ValueError("first needs one entry per lattice point")
         # numpy reads a bool among ints as 0 or 1, so look at the entries.
-        if given.dtype.kind not in "iu" or given is not self.assignment and (
-                any(isinstance(i, (bool, np.bool_)) for i in self.assignment)):
-            raise ValueError("assignment entries must be integers")
-        if given.min() < 0 or given.max() >= len(self.messages):
-            raise ValueError("assignment indexes outside the message list")
+        if (given.dtype.kind not in "iu" or given.min() < 0
+                or given.max() >= len(self.messages) or given is not self.first
+                and any(isinstance(i, (bool, np.bool_)) for i in self.first)):
+            raise ValueError("first entries must be integers < len(messages)")
         indices = given.astype(np.int64)  # a copy, so no caller can write it
-        values = np.array([msg.to_index() for msg in self.messages],
-                          dtype=np.int64)
-        # Each input's message XOR the input, in uint32: at n <= 16 the
-        # narrower uint16 popcount and gather run slower.
-        apart = np.take(values.astype(np.uint32), indices)
-        apart ^= np.arange(1 << self.n, dtype=np.uint32)
+        values = np.array([a.to_index() for a in self.messages], np.int64)
+        # A message constant on every cell is as far from all of a point's
+        # orbit as from its representative: checking that covers all 2**n.
+        part = np.bitwise_and.outer(values, cells)
+        if not ((part == 0) | (part == cells)).all():
+            raise ValueError("some message cuts a cell")
+        apart = values.astype(np.int32)[indices]  # as narrow as reps
+        apart ^= reps
         if np.bitwise_count(apart).min() < self.n - self.m + 1:
-            raise ValueError("assignment maps some input to a message that "
-                             "does not serve it")
+            raise ValueError("some point's message does not serve it")
         indices.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "assignment", indices)
-        object.__setattr__(self, "values", values)
+        vars(self).update(cells=cells, first=indices, values=values)
 
-    # Off the trial path, which indexes the arrays; bound for
-    # perfbench/spans.py's tracer and kept for single-input callers.
+    @functools.cached_property
+    def assignment(self) -> np.ndarray:
+        table = _pull_back(self.first, [1 << b for b in range(self.n)],
+                           list(self.cells))  # a view if already the cube
+        table.setflags(write=False)
+        return table
+
+    # Off the trial path, which indexes the arrays; perfbench wraps it.
     def message_for(self, x: BitString) -> BitString:
+        if len(x) != self.n:
+            raise ValueError(f"input has length {len(x)}, not n = {self.n}")
         return self.messages[self.assignment[x.to_index()]]
 
 
@@ -224,16 +233,15 @@ def _krawtchouk_tables(n: int) -> np.ndarray:
 def _lattice_order(cells: list[int]) -> list[int]:
     """The cells (bitmasks) in lattice axis order: cells of 2+ bits first,
     then the singletons, each group by descending mask."""
-    cells = sorted(cells, reverse=True)
-    return ([c for c in cells if c & (c - 1)]
-            + [c for c in cells if not c & (c - 1)])
+    return sorted(cells, key=lambda c: (not c & (c - 1), -c))
 
 
 def _outer_sum(axes, dtype) -> np.ndarray:
-    """Outer sum of integer sequences, one axis each."""
-    total = np.asarray(axes[0], dtype=dtype)
-    for axis in axes[1:]:
-        total = np.add.outer(total, axis, dtype=dtype)
+    """Outer sum of integer sequences, one axis each, built from the last
+    axis out: numpy's inner loop then runs over the long one."""
+    total = np.asarray(axes[-1], dtype=dtype)
+    for axis in reversed(axes[:-1]):
+        total = np.add.outer(axis, total, dtype=dtype)
     return total
 
 
@@ -266,15 +274,9 @@ def _pull_back(values: np.ndarray, cells: list[int],
         parts = [d for d in new if d & old[axis]]
         taken[:0] = parts
         if len(parts) > 1:
-            # Cells of 2+ bits, then singletons: their subsets fill one axis.
-            axes = [np.arange(d.bit_count() + 1) for d in parts if d & (d - 1)]
-            if ones := len(parts) - len(axes):
-                axes.append(np.bitwise_count(np.arange(1 << ones)))
-            sums = _outer_sum(axes, np.intp)
-            values = np.take(values, sums.reshape(
-                [d.bit_count() + 1 for d in parts]), axis=axis)
-    where = {d: i for i, d in enumerate(taken)}
-    return values.transpose([where[d] for d in new]).ravel()
+            sums = [np.arange(d.bit_count() + 1) for d in parts]
+            values = np.take(values, _outer_sum(sums, np.intp), axis=axis)
+    return values.transpose([taken.index(d) for d in new]).ravel()
 
 
 def build_cover_strategy(n: int, m: int) -> CoverStrategy:
@@ -293,15 +295,13 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     that serves its orbit, -1 while none does, so u is where it is -1.  A
     round serves the points at distance >= t from the message, which is
     constant on every cell once the cells it splits are refined; the state
-    is then pulled back onto the finer lattice.  The 2**n ``assignment`` is
-    read off it once, at the end, by one more pull-back onto the cube (a
-    view when the lattice already is the cube).
+    is then pulled back onto the finer lattice.  The strategy keeps the
+    final cells and state.
     """
     GameParameters(n, m)
     if n > COVER_MAX_N:
         raise ResourceLimitError(
-            f"cover construction supports n <= {COVER_MAX_N}, got {n}"
-        )
+            f"cover construction supports n <= {COVER_MAX_N}, got {n}")
     size = 1 << n
     threshold = n - m + 1
     # A message serves gamma(n, m) inputs, so the cover needs at least
@@ -310,8 +310,7 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     if work > COVER_BUDGET:
         raise ResourceLimitError(
             f"cover construction at ({n}, {m}) needs at least {work} "
-            f"input visits, past the budget of {COVER_BUDGET}"
-        )
+            f"input visits, past the budget of {COVER_BUDGET}")
     tables = _krawtchouk_tables(n)
     kernel_transform = tables[n, threshold:].sum(axis=0)  # by weight
 
@@ -327,11 +326,10 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
                                .reshape(math.prod(shape[:axis]), points, -1))
         return fwht(values.reshape(shape)).ravel()
     while (uncovered := first < 0).any():
-        cube = len(cells) == n
         spectrum = transform(uncovered)
         spectrum *= lattice_kernel
         coverage = transform(spectrum)
-        message = int(np.argmax(coverage) if cube else
+        message = int(np.argmax(coverage) if len(cells) == n else
                       reps[coverage == coverage.max()].min())
         split = [c & s for c in cells for s in (message, ~message) if c & s]
         if len(split) > len(cells):
@@ -345,14 +343,16 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         first[served & uncovered] = len(message_values)
         message_values.append(message)
 
-    assignment = _pull_back(first, [1 << b for b in range(n)], cells)
     return CoverStrategy(
         n, m, tuple(BitString.from_index(v, n) for v in message_values),
-        assignment)
+        tuple(cells), first)
 
 
 def exact_information_cost(strategy: CoverStrategy) -> float:
-    """n - H(X | M) for uniform inputs under the strategy's assignment, where
-    H(X | M) = sum over messages of (c / 2**n) log2 c for preimage sizes c."""
-    return strategy.n - conditional_entropy(np.ones(1 << strategy.n),
-                                            strategy.assignment)
+    """n - H(X | M) = H(M) for uniform inputs: a message's preimage sums the
+    orbits of its lattice points, each of prod_c C(|c|, w_c) inputs."""
+    sizes = functools.reduce(np.multiply.outer, (
+        [math.comb(c.bit_count(), w) for w in range(c.bit_count() + 1)]
+        for c in _lattice_order(list(strategy.cells))), 1)
+    shares = np.bincount(strategy.first, np.ravel(sizes)) / (1 << strategy.n)
+    return -math.fsum(p * math.log2(p) for p in shares.tolist() if p)

@@ -246,6 +246,12 @@ def test_brute_force_budget_refusal():
         brute_force_min_exclusion(2, 3)
 
 
+def cube(n: int) -> tuple[int, ...]:
+    """The n singleton cells, whose lattice is the cube: point x is input x,
+    so a strategy's ``first`` on it is an explicit 2**n input table."""
+    return tuple(1 << b for b in range(n))
+
+
 def serves(a: BitString, x: BitString, m: int) -> bool:
     """Whether CoverStrategy accepts message ``a`` as the one announced on
     input ``x`` (every other input keeps its greedy-cover message)."""
@@ -254,7 +260,7 @@ def serves(a: BitString, x: BitString, m: int) -> bool:
     assignment = list(base.assignment)
     assignment[x.to_index()] = len(base.messages)
     try:
-        CoverStrategy(n, m, base.messages + (a,), tuple(assignment))
+        CoverStrategy(n, m, base.messages + (a,), cube(n), tuple(assignment))
     except ValueError:
         return False
     return True
@@ -268,9 +274,10 @@ def test_is_valid_message_hand_cases():
     assert not serves(bits("111"), bits("111"), 2)
     base = build_cover_strategy(3, 2)
     with pytest.raises(ValueError, match="length n"):
-        CoverStrategy(3, 2, base.messages + (bits("0000"),), base.assignment)
+        CoverStrategy(3, 2, base.messages + (bits("0000"),), cube(3),
+                      base.assignment)
     with pytest.raises(ValueError):
-        CoverStrategy(3, 4, base.messages, base.assignment)
+        CoverStrategy(3, 4, base.messages, cube(3), base.assignment)
 
 
 def test_is_valid_message_matches_subset_semantics():
@@ -289,16 +296,16 @@ def test_is_valid_message_matches_subset_semantics():
 def test_cover_strategy_validation():
     good = build_cover_strategy(3, 2)
     with pytest.raises(ValueError):
-        CoverStrategy(3, 2, (), good.assignment)
+        CoverStrategy(3, 2, (), cube(3), good.assignment)
     with pytest.raises(ValueError):
-        CoverStrategy(3, 2, (bits("00"),), good.assignment)
+        CoverStrategy(3, 2, (bits("00"),), cube(3), good.assignment)
     with pytest.raises(ValueError):
-        CoverStrategy(3, 2, good.messages, good.assignment[:-1])
+        CoverStrategy(3, 2, good.messages, cube(3), good.assignment[:-1])
     with pytest.raises(ValueError):
-        CoverStrategy(3, 2, good.messages, (9,) * 8)
+        CoverStrategy(3, 2, good.messages, cube(3), (9,) * 8)
     # x = 000 assigned to message 000 (distance 0 < 2): not serving.
     with pytest.raises(ValueError, match="serve"):
-        CoverStrategy(3, 2, (bits("000"), bits("111")), (0,) * 8)
+        CoverStrategy(3, 2, (bits("000"), bits("111")), cube(3), (0,) * 8)
 
 
 def test_cover_strategy_refuses_one_unserved_input_at_n_16():
@@ -310,14 +317,15 @@ def test_cover_strategy_refuses_one_unserved_input_at_n_16():
         assignment[x] = len(good.messages)
         with pytest.raises(ValueError, match="serve"):
             CoverStrategy(16, 8, good.messages + (BitString.from_index(x, 16),),
-                          assignment)
-    CoverStrategy(16, 8, good.messages, good.assignment)
+                          cube(16), assignment)
+    CoverStrategy(16, 8, good.messages, cube(16), good.assignment)
 
 
 def test_cover_strategy_refuses_float_and_bool_entries():
     good = build_cover_strategy(3, 2)
-    CoverStrategy(3, 2, good.messages, good.assignment.tolist())
-    CoverStrategy(3, 2, good.messages, good.assignment.astype(np.uint8))
+    CoverStrategy(3, 2, good.messages, cube(3), good.assignment.tolist())
+    CoverStrategy(3, 2, good.messages, cube(3),
+                  good.assignment.astype(np.uint8))
     # 1.4 would have been kept by a tuple and truncated to 1 by an array.
     floats = (1.4, 1.4, 1.4, 0.4, 1.0, 0.0, 0.0, 0.0)
     assert np.array_equal(good.assignment, np.trunc(floats))
@@ -327,16 +335,42 @@ def test_cover_strategy_refuses_float_and_bool_entries():
                        good.assignment.astype(bool),
                        [np.bool_(i) for i in good.assignment]):
         with pytest.raises(ValueError, match="integers"):
-            CoverStrategy(3, 2, good.messages, assignment)
+            CoverStrategy(3, 2, good.messages, cube(3), assignment)
 
 
 def test_cover_strategy_keeps_a_copy_of_the_assignment():
     good = build_cover_strategy(3, 2)
     given = good.assignment.copy()
-    strategy = CoverStrategy(3, 2, good.messages, given)
+    strategy = CoverStrategy(3, 2, good.messages, cube(3), given)
     given[:] = 0
     assert np.array_equal(strategy.assignment, good.assignment)
+    assert np.array_equal(strategy.first, good.assignment)
     assert not strategy.assignment.flags.writeable
+    assert not strategy.first.flags.writeable
+
+
+def test_the_input_table_is_built_once_and_only_when_read():
+    # (16, 8) stops on a 32-point lattice: its build peaks near 50 KiB, and
+    # near 1,584 KiB when it also pulled the 2**16 table back and checked it.
+    tracemalloc.start()
+    try:
+        strategy = build_cover_strategy(16, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10
+    assert "assignment" not in vars(strategy)
+    table = strategy.assignment
+    assert table is strategy.assignment
+    assert table.dtype == np.int64 and table.shape == (1 << 16,)
+    assert not table.flags.writeable
+
+
+def test_message_for_refuses_inputs_of_the_wrong_length():
+    strategy = build_cover_strategy(3, 2)
+    for text in ("0110", "1", "00"):
+        with pytest.raises(ValueError, match="length"):
+            strategy.message_for(bits(text))
 
 
 def test_build_cover_minimal_pair_for_three_choose_two():
@@ -395,6 +429,58 @@ def test_build_cover_matches_a_transform_free_greedy(n):
         messages, assignment = direct_greedy(n, m)
         assert [a.to_index() for a in strategy.messages] == messages, m
         assert np.array_equal(strategy.assignment, assignment), m
+        # The lattice check the build passed, and the 2**n check it
+        # replaced, accept the cover in either form.
+        assert cube_check(n, m, strategy.values, strategy.assignment), m
+        CoverStrategy(n, m, strategy.messages, strategy.cells, strategy.first)
+        CoverStrategy(n, m, strategy.messages, cube(n), assignment)
+
+
+def cube_check(n: int, m: int, values, table) -> bool:
+    """The 2**n distance check that the lattice check replaced: whether
+    each input x's message ``values[table[x]]`` is at distance >= n - m + 1
+    from x."""
+    apart = np.asarray(values)[table] ^ np.arange(1 << n)
+    return np.bitwise_count(apart).min() >= n - m + 1
+
+
+def test_the_lattice_check_refuses_what_the_cube_check_refuses():
+    good = build_cover_strategy(16, 8)
+    reps, _ = classical._cell_lattice(list(good.cells))
+    assert len(reps) == len(good.first) == 32
+
+    def on_cube(first):
+        return classical._pull_back(first, list(cube(16)), list(good.cells))
+
+    # A point sent to a message that does not serve its representative.
+    values = good.values.tolist()
+    for point, rep in enumerate(reps.tolist()):
+        for k, value in enumerate(values):
+            if (value ^ rep).bit_count() < 9:
+                first = good.first.copy()
+                first[point] = k
+                assert not cube_check(16, 8, values, on_cube(first))
+                with pytest.raises(ValueError, match="serve"):
+                    CoverStrategy(16, 8, good.messages, good.cells, first)
+    # A message that cuts a cell serves the representative of the point of
+    # weight 7 on the 15-position cell and 0 on bit 15 (distance 16), but
+    # not 0x7F00 in its orbit (distance 2): only the cut check catches it.
+    assert sorted(good.cells) == [32767, 32768]
+    point = reps.tolist().index(0x7F)
+    first = good.first.copy()
+    first[point] = len(values)
+    assert not cube_check(16, 8, values + [0xFF80], on_cube(first))
+    cut = BitString.from_index(0xFF80, 16)
+    with pytest.raises(ValueError, match="cuts a cell"):
+        CoverStrategy(16, 8, good.messages + (cut,), good.cells, first)
+    with pytest.raises(ValueError, match="serve"):
+        CoverStrategy(16, 8, good.messages + (cut,), cube(16), on_cube(first))
+    # Cells that overlap, miss a position, or are not positive ints.
+    for cells in ((32768 | 1, 32767), (32768, 32766), (32768 | 1, 32765),
+                  (32768, 32767, 0), (65535,) * 2, (32768.0, 32767),
+                  (True, 65534), (65536 | 32767, 32768)):
+        with pytest.raises(ValueError, match="partition"):
+            CoverStrategy(16, 8, good.messages, cells, good.first)
 
 
 # Taken from the build before the transform took constant-geometry form and
@@ -582,12 +668,15 @@ def test_exact_information_cost_respects_counting_lower_bound(n, m):
 
 
 def test_exact_information_cost_against_direct_class_sizes():
-    # Deterministic assignment: n - H(X|M) = sum_c (|c|/2^n) (n - log2 |c|).
-    strategy = build_cover_strategy(5, 2)
-    sizes = Counter(strategy.assignment)
-    total = 1 << strategy.n
-    expected = sum(
-        (size / total) * (strategy.n - math.log2(size))
-        for size in sizes.values()
-    )
-    assert exact_information_cost(strategy) == pytest.approx(expected, abs=1e-10)
+    # Deterministic assignment: n - H(X|M) = sum_c (|c|/2^n) (n - log2 |c|)
+    # over the classes c of inputs that share a message.  The cost sums
+    # orbit sizes on the lattice; this counts the 2**n table, on every shape
+    # with n <= 12 and the pinned larger ones.
+    shapes = [(n, m) for n in range(1, 13) for m in range(1, n + 1)]
+    for n, m in shapes + sorted(PINNED_COVERS):
+        strategy = build_cover_strategy(n, m)
+        sizes = Counter(strategy.assignment.tolist())
+        expected = sum((size / (1 << n)) * (n - math.log2(size))
+                       for size in sizes.values())
+        assert exact_information_cost(strategy) == pytest.approx(
+            expected, abs=1e-12), (n, m)

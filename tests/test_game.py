@@ -706,7 +706,7 @@ def test_the_cached_cover_cannot_be_written():
     # Every classical_cover run in a process shares this one strategy.
     cover = game._cover(4, 2)
     assert game._cover(4, 2) is cover
-    for array in (cover.assignment, cover.values):
+    for array in (cover.assignment, cover.first, cover.values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -722,6 +722,7 @@ from exclab.pbr import BitString
 n = 16
 cover = classical.CoverStrategy(
     n, 2, tuple(BitString.from_index(v, n) for v in range(1 << n)),
+    tuple(1 << b for b in range(n)),
     tuple(int(v) for v in ((1 << n) - 1) ^ np.arange(1 << n)))
 game._cover = lambda n, m: cover
 stats = game.monte_carlo(game.GameConfig(
