@@ -10,7 +10,8 @@ position bitset per answer bit.  ``build_cover_strategy`` constructs a
 concrete zero-error protocol: a small set of message strings such that
 every input has a message at Hamming distance at least n - m + 1, chosen
 greedily by coverage counts from Krawtchouk transforms on symmetry orbits.
-The greedy's state, and the strategy it returns, live on those orbits too.
+The greedy's state, and the strategy it returns, live on those orbits too:
+an input's orbit is indexed by its weight on each cell.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ class CoverStrategy:
     """Zero-error messaging strategy on an orbit lattice: messages, cells
     (bitmasks) partitioning the n positions, and ``first``, the message index
     at each lattice point.  ``values`` holds each message's MSB-first value,
-    ``assignment``, built when first read, each input's message index: all
-    three are read-only int64 arrays, as callers share them."""
+    ``assignment``, built when first read, each input's message index, read
+    from ``first`` at the input's lattice index: all three are read-only
+    int64 arrays, as callers share them."""
 
     n: int
     m: int
@@ -204,8 +206,8 @@ class CoverStrategy:
 
     @functools.cached_property
     def assignment(self) -> np.ndarray:
-        table = _pull_back(self.first, [1 << b for b in range(self.n)],
-                           list(self.cells))  # a view if already the cube
+        inputs = np.arange(1 << self.n, dtype=np.int32)  # as narrow as reps
+        table = self.first[_lattice_index(inputs, list(self.cells))]
         table.setflags(write=False)
         return table
 
@@ -213,7 +215,8 @@ class CoverStrategy:
     def message_for(self, x: BitString) -> BitString:
         if len(x) != self.n:
             raise ValueError(f"input has length {len(x)}, not n = {self.n}")
-        return self.messages[self.assignment[x.to_index()]]
+        return self.messages[
+            self.first[_lattice_index(x.to_index(), list(self.cells))]]
 
 
 def _krawtchouk_tables(n: int) -> np.ndarray:
@@ -236,12 +239,12 @@ def _lattice_order(cells: list[int]) -> list[int]:
     return sorted(cells, key=lambda c: (not c & (c - 1), -c))
 
 
-def _outer_sum(axes, dtype) -> np.ndarray:
-    """Outer sum of integer sequences, one axis each, built from the last
-    axis out: numpy's inner loop then runs over the long one."""
-    total = np.asarray(axes[-1], dtype=dtype)
+def _outer_sum(axes) -> np.ndarray:
+    """Outer sum of integer sequences, one axis each, as int32, built from
+    the last axis out: numpy's inner loop then runs over the long one."""
+    total = np.asarray(axes[-1], dtype=np.int32)
     for axis in reversed(axes[:-1]):
-        total = np.add.outer(axis, total, dtype=dtype)
+        total = np.add.outer(axis, total, dtype=np.int32)
     return total
 
 
@@ -254,29 +257,22 @@ def _cell_lattice(cells: list[int]) -> tuple[np.ndarray, tuple[int, ...]]:
     order = _lattice_order(cells)
     reps = _outer_sum([list(itertools.accumulate(
         [1 << b for b in range(c.bit_length()) if c >> b & 1], initial=0))
-        for c in order], np.int32).ravel()
+        for c in order]).ravel()
     return reps, tuple(
         c.bit_count() + 1 for c in order if c.bit_count() > 1) + (-1,)
 
 
-def _pull_back(values: np.ndarray, cells: list[int],
-               coarse: list[int]) -> np.ndarray:
-    """``values`` on the lattice of ``coarse``, read at each point of the
-    lattice of ``cells``: a partition with every cell inside one of
-    coarse's, such as the n singletons, whose lattice is the cube.  A coarse
-    cell's weight is the sum of the weights of the cells inside it, so one
-    take along each split coarse axis, by those sums, replaces the axis by
-    its cells' axes; a final transpose puts them in lattice order."""
-    old, new = _lattice_order(coarse), _lattice_order(cells)
-    values = values.reshape([c.bit_count() + 1 for c in old])
-    taken: list[int] = []
-    for axis in reversed(range(len(old))):
-        parts = [d for d in new if d & old[axis]]
-        taken[:0] = parts
-        if len(parts) > 1:
-            sums = [np.arange(d.bit_count() + 1) for d in parts]
-            values = np.take(values, _outer_sum(sums, np.intp), axis=axis)
-    return values.transpose([taken.index(d) for d in new]).ravel()
+def _lattice_index(points, cells: list[int]) -> np.ndarray:
+    """Index of each int input in ``points`` on the C-order lattice of
+    ``cells``: its weight on each cell, in ``_lattice_order``, read as the
+    digits of a number whose digit for cell c runs over |c| + 1 values.
+    int32, as the lattice's representatives are."""
+    points = np.asarray(points)
+    index = np.zeros(points.shape, np.int32)
+    for c in _lattice_order(cells):
+        index *= c.bit_count() + 1
+        index += np.bitwise_count(points & c)
+    return index
 
 
 def build_cover_strategy(n: int, m: int) -> CoverStrategy:
@@ -294,9 +290,9 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
     The greedy's state is one entry per lattice point: the first message
     that serves its orbit, -1 while none does, so u is where it is -1.  A
     round serves the points at distance >= t from the message, which is
-    constant on every cell once the cells it splits are refined; the state
-    is then pulled back onto the finer lattice.  The strategy keeps the
-    final cells and state.
+    constant on every cell once the cells it splits are refined; each point
+    of the finer lattice then reads the state at its representative's index
+    on the old one.  The strategy keeps the final cells and state.
     """
     GameParameters(n, m)
     if n > COVER_MAX_N:
@@ -334,10 +330,10 @@ def build_cover_strategy(n: int, m: int) -> CoverStrategy:
         split = [c & s for c in cells for s in (message, ~message) if c & s]
         if len(split) > len(cells):
             # The message is constant on the new cells only: refine first.
-            first = _pull_back(first, split, cells)
+            reps, shape = _cell_lattice(split)
+            first = first[_lattice_index(reps, cells)]
             uncovered = first < 0
             cells = split
-            reps, shape = _cell_lattice(cells)
             lattice_kernel = kernel_transform[np.bitwise_count(reps)]
         served = np.bitwise_count(reps ^ message) >= threshold
         first[served & uncovered] = len(message_values)

@@ -351,7 +351,7 @@ def test_cover_strategy_keeps_a_copy_of_the_assignment():
 
 def test_the_input_table_is_built_once_and_only_when_read():
     # (16, 8) stops on a 32-point lattice: its build peaks near 50 KiB, and
-    # near 1,584 KiB when it also pulled the 2**16 table back and checked it.
+    # near 1,584 KiB when it also built the 2**16 table and checked it.
     tracemalloc.start()
     try:
         strategy = build_cover_strategy(16, 8)
@@ -364,6 +364,23 @@ def test_the_input_table_is_built_once_and_only_when_read():
     assert table is strategy.assignment
     assert table.dtype == np.int64 and table.shape == (1 << 16,)
     assert not table.flags.writeable
+
+
+def test_message_for_answers_from_the_lattice_without_the_input_table():
+    # Every input of every shape with n <= 8, and 2,000 seeded inputs of
+    # shapes on lattices of 24 and 32 points and on the cube.
+    cases = [(n, m, range(1 << n)) for n in range(1, 9)
+             for m in range(1, n + 1)]
+    rng = np.random.default_rng(2000)
+    cases += [(n, m, rng.integers(0, 1 << n, size=2000).tolist())
+              for n, m in ((12, 6), (16, 8), (16, 6))]
+    for n, m, inputs in cases:
+        strategy = build_cover_strategy(n, m)
+        answers = [strategy.message_for(BitString.from_index(x, n))
+                   for x in inputs]
+        assert "assignment" not in vars(strategy), (n, m)
+        assert answers == [strategy.messages[strategy.assignment[x]]
+                           for x in inputs], (n, m)
 
 
 def test_message_for_refuses_inputs_of_the_wrong_length():
@@ -450,7 +467,7 @@ def test_the_lattice_check_refuses_what_the_cube_check_refuses():
     assert len(reps) == len(good.first) == 32
 
     def on_cube(first):
-        return classical._pull_back(first, list(cube(16)), list(good.cells))
+        return first[classical._lattice_index(np.arange(1 << 16), good.cells)]
 
     # A point sent to a message that does not serve its representative.
     values = good.values.tolist()
@@ -583,6 +600,9 @@ def test_cell_lattice_representatives_are_the_smallest_orbit_members(n):
         assert sorted(shape[:-1], reverse=True) == big and shape[-1] == -1
         singles = sum(c.bit_count() == 1 for c in cells)
         assert len(reps) == math.prod(shape[:-1]) << singles
+        # first is indexed in C order: each representative is its own index.
+        assert np.array_equal(classical._lattice_index(reps, cells),
+                              np.arange(len(reps)))
     # All singletons: the lattice is the cube, in its own order.
     reps, shape = classical._cell_lattice(partitions[1])
     assert shape == (-1,) and np.array_equal(reps, np.arange(1 << n))
@@ -592,11 +612,11 @@ def test_cell_lattice_representatives_are_the_smallest_orbit_members(n):
 @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=5),
     st.integers(0, 5))))
-def test_pull_back_reads_each_point_at_its_coarse_orbit(case):
+def test_lattice_index_reads_each_point_at_its_coarse_orbit(case):
     # The coarse cells are cut by the first k masks, the fine ones by all of
     # them; the n singletons give the cube, whose point x is input x.  Each
-    # fine point must read the coarse point whose representative has the
-    # same weight on every coarse cell: its orbit there.
+    # fine point must be sent to the coarse point whose representative has
+    # the same weight on every coarse cell: its orbit there.
     n, masks, k = case
     coarse = cut_cells(n, masks[:k])
     coarse_reps, _ = classical._cell_lattice(coarse)
@@ -605,12 +625,10 @@ def test_pull_back_reads_each_point_at_its_coarse_orbit(case):
         return tuple((x & cell).bit_count() for cell in coarse)
 
     lookup = {orbit(int(r)): i for i, r in enumerate(coarse_reps)}
-    values = np.arange(len(coarse_reps), dtype=np.int64)
-    fine = cut_cells(n, masks)
-    reps, _ = classical._cell_lattice(fine)
-    pulled = classical._pull_back(values, fine, coarse)
-    assert pulled.tolist() == [lookup[orbit(int(r))] for r in reps]
-    cube = classical._pull_back(values, [1 << b for b in range(n)], coarse)
+    reps, _ = classical._cell_lattice(cut_cells(n, masks))
+    fine = classical._lattice_index(reps, coarse)
+    assert fine.tolist() == [lookup[orbit(int(r))] for r in reps]
+    cube = classical._lattice_index(np.arange(1 << n), coarse)
     assert cube.tolist() == [lookup[orbit(x)] for x in range(1 << n)]
 
 
