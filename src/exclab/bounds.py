@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .pbr import GameParameters, critical_angle
 from .qcore import ResourceLimitError, binary_entropy
@@ -25,6 +25,7 @@ EXACT_GAMMA_MAX_N = 64
 # Largest n the log-domain path accepts: near m = n/2 a row needs about
 # 4.6*sqrt(n) terms, some 5 million (about a second) at this n.
 BOUNDS_MAX_N = 10**12
+_Size = NamedTuple("_Size", [("n", int), ("m", int)])  # checked by a table's rule
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,7 @@ class MRule:
     def apply(self, n: int) -> int:
         if n < 1:  # refused before n meets a power; a row checks (n, m) once
             GameParameters(n, 1)
-        if self.kind == "power":
-            m = math.floor(n ** self.value)
-        else:
-            m = math.floor(self.value * n)
+        m = math.floor(n ** self.value if self.kind == "power" else self.value * n)
         if not 1 <= m <= n:
             raise ValueError(f"rule {self.kind}:{self.value} gives m={m} at n={n}")
         return m
@@ -178,8 +176,12 @@ def quantum_message_entropy_upper(params: GameParameters) -> float:
     sine form is evaluated because at large m the cosine eigenvalue sits next
     to 1 and would lose digits to cancellation inside the entropy.
     """
-    half = 0.5 * critical_angle(params.m)
-    return params.n * binary_entropy(math.sin(half) ** 2)
+    return params.n * _per_qubit_entropy(params.m)
+
+
+def _per_qubit_entropy(m: int) -> float:
+    """H2(sin^2(theta_m / 2)), the entropy budget of one encoded qubit."""
+    return binary_entropy(math.sin(0.5 * critical_angle(m)) ** 2)
 
 
 def quantum_ic_upper_bound(params: GameParameters) -> float:
@@ -187,8 +189,7 @@ def quantum_ic_upper_bound(params: GameParameters) -> float:
     return 2.0 * quantum_message_entropy_upper(params)
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     """One row of a separation table; field names match the CSV columns."""
 
     n: int
@@ -199,24 +200,27 @@ class BoundsRow:
     quantum_ic_upper: float
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-def bounds_row(params: GameParameters) -> BoundsRow:
-    """All four bound quantities for one game size, each evaluated once."""
+def bounds_row(params: GameParameters, per_qubit: float | None = None) -> BoundsRow:
+    """All four bounds of one size; per_qubit, if given, is _per_qubit_entropy(m)."""
     log2_gamma, lower = _gamma_and_lower(params)
-    entropy = quantum_message_entropy_upper(params)
-    return BoundsRow(n=params.n, m=params.m, gamma_log2=log2_gamma,
-                     classical_ic_lower=lower, quantum_entropy_upper=entropy,
-                     quantum_ic_upper=2.0 * entropy)
+    if per_qubit is None:
+        per_qubit = _per_qubit_entropy(params.m)
+    entropy = params.n * per_qubit
+    return BoundsRow(params.n, params.m, log2_gamma, lower, entropy, 2.0 * entropy)
 
 
-def separation_table(n_values: Sequence[int], rule: MRule) -> tuple[BoundsRow, ...]:
+def separation_table(n_values: Iterable[int], rule: MRule) -> tuple[BoundsRow, ...]:
     """Bound rows for each n with m drawn from ``rule``, in input order.
 
     An empty ``n_values`` yields an empty table (downstream, a header-only
-    CSV), not an error.  An n past BOUNDS_MAX_N is refused before any row is
-    computed.
+    CSV), not an error.  An n past BOUNDS_MAX_N or one the rule refuses stops
+    the table before any row is computed; ``rule.apply`` checks each (n, m) once.
     """
+    n_values = tuple(n_values)
     _refuse_past_cap(n_values)
-    return tuple(bounds_row(GameParameters(n, rule.apply(n))) for n in n_values)
+    sizes = [_Size(n, rule.apply(n)) for n in n_values]
+    per_qubit = {m: _per_qubit_entropy(m) for m in {size.m for size in sizes}}
+    return tuple([bounds_row(size, per_qubit=per_qubit[size.m]) for size in sizes])

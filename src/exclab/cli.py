@@ -25,7 +25,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -44,8 +43,6 @@ from .pbr import (
 from .qcore import MATRIX_TOL, VECTOR_TOL, ResourceLimitError, usable_workers
 
 SCHEMA_VERSION = "1"
-
-CSV_COLUMNS = tuple(field.name for field in fields(bounds_mod.BoundsRow))
 
 
 def _float_json(x: float) -> str:
@@ -78,22 +75,35 @@ def _to_json(obj, newline: str | None = "\n") -> str:
     digits (DBL_DIG), so only the notation can differ.  repr adds ".0" to
     an integral fixed value and keeps fixed notation in [1e12, 1e16); that
     window, subnormals (fewer digits), NaN and infinities take the repr."""
-    for kind, scalar in _SCALARS.items():  # subclasses, e.g. np.float64, too
-        if isinstance(obj, kind):
-            return scalar(obj)
-    inner = newline and newline + "  "
-    get, nested = _SCALARS.get, functools.partial(_to_json, newline=inner)
-    if isinstance(obj, (list, tuple)):
-        items, ends = [get(type(value), nested)(value) for value in obj], "[]"
-    elif isinstance(obj, dict):  # encode_basestring_ascii refuses other keys
-        items, ends = [encode_basestring_ascii(key) + ": "
-                       + get(type(obj[key]), nested)(obj[key])
-                       for key in sorted(obj)], "{}"
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    if inner is None or not items:
-        return ends[0] + ", ".join(items) + ends[1]
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+    parts: list[str] = []
+    put, get, labels = parts.append, _SCALARS.get, {}
+
+    def write(obj, newline: str | None) -> None:
+        keys, ends = (sorted(obj), "{}") if isinstance(obj, dict) else (None, "[]")
+        if keys is None and not isinstance(obj, (list, tuple)):
+            for kind, scalar in _SCALARS.items():  # subclasses, e.g. np.float64
+                if isinstance(obj, kind):
+                    return put(scalar(obj))
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        if not obj:
+            return put(ends)
+        inner = newline and newline + "  "
+        separator, first = ", " if inner is None else "," + inner, len(parts)
+        for item in obj if keys is None else keys:
+            put(separator)
+            if keys is not None:  # encode_basestring_ascii refuses other keys
+                put(labels.get(item) or labels.setdefault(
+                    item, encode_basestring_ascii(item) + ": "))
+                item = obj[item]
+            if (scalar := get(type(item))) is None:  # exact type; write() the rest
+                write(item, inner)
+            else:
+                put(scalar(item))
+        parts[first] = ends[0] + (inner or "")  # over the first separator
+        put((newline or "") + ends[1])
+
+    write(obj, newline)
+    return "".join(parts)
 
 
 def _rows(m_max: int, cap: int, row) -> tuple[dict, int]:
@@ -153,15 +163,11 @@ def cmd_verify_pbr(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
-    rule = bounds_mod.MRule.parse(args.m_rule)
-    rows = bounds_mod.separation_table(args.n, rule)
-
-    if args.format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:  # the fields, in CSV_COLUMNS order by construction
-            lines.append(",".join(str(value) if isinstance(value, int)
-                                  else f"{value:.12g}"
-                                  for value in row.to_dict().values()))
+    rows = bounds_mod.separation_table(args.n, bounds_mod.MRule.parse(args.m_rule))
+    if args.format == "csv":  # a row's fields are the columns, in order
+        lines = [",".join(bounds_mod.BoundsRow._fields), *(",".join(
+            str(value) if isinstance(value, int) else f"{value:.12g}"
+            for value in row) for row in rows)]
         return "\n".join(lines) + "\n", 0
     return {"m_rule": args.m_rule, "rows": [row.to_dict() for row in rows]}, 0
 

@@ -306,21 +306,26 @@ def test_game_parameters_has_one_home_in_pbr():
 
 
 def test_bounds_row_evaluates_gamma_and_the_entropy_once(monkeypatch):
+    # gamma or _series_log2 once per row; the per-qubit entropy once per row
+    # from bounds_row, and once per distinct m in a table, whose rows of that
+    # m share it.
     calls = Counter()
-    for name in ("gamma", "_series_log2", "quantum_message_entropy_upper"):
+    for name in ("gamma", "_series_log2", "binary_entropy"):
         def counted(*args, _name=name, _original=getattr(bounds, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(bounds, name, counted)
     exact = bounds_row(GameParameters(EXACT_GAMMA_MAX_N, 22))
-    assert calls == {"gamma": 1, "quantum_message_entropy_upper": 1}
+    assert calls == {"gamma": 1, "binary_entropy": 1}
     calls.clear()
     series = bounds_row(GameParameters(EXACT_GAMMA_MAX_N + 1, 22))
-    assert calls == {"_series_log2": 1, "quantum_message_entropy_upper": 1}
+    assert calls == {"_series_log2": 1, "binary_entropy": 1}
     calls.clear()
-    separation_table(range(60, 71), MRule.parse("power:0.75"))
-    assert calls == {"gamma": 5, "_series_log2": 6,
-                     "quantum_message_entropy_upper": 11}
+    rows = separation_table([*range(60, 71), 64, 10**6],
+                            MRule.parse("power:0.75"))
+    assert calls == {"gamma": 6, "_series_log2": 7,
+                     "binary_entropy": len({row.m for row in rows})}
+    assert len({row.m for row in rows}) == 5 < len(rows)
     for row in (exact, series):
         assert row.quantum_ic_upper == 2.0 * row.quantum_entropy_upper
         assert row.gamma_log2 == gamma_log2(row.n, row.m)
@@ -329,25 +334,63 @@ def test_bounds_row_evaluates_gamma_and_the_entropy_once(monkeypatch):
 
 
 def test_a_bounds_table_checks_each_game_size_once(monkeypatch):
-    # One GameParameters per row, exact (n <= 64) and log-domain alike: the
-    # rule, the row and gamma do not each check (n, m) again.
-    checks = []
-    original = GameParameters.__post_init__
+    # rule.apply is each row's one check of (n, m), exact (n <= 64) and
+    # log-domain alike: no row builds a GameParameters to check it again.
+    checks, applied = [], []
+    original_check, original_apply = GameParameters.__post_init__, MRule.apply
 
-    def counting(self):
+    def counting_check(self):
         checks.append((self.n, self.m))
-        original(self)
+        original_check(self)
 
-    monkeypatch.setattr(GameParameters, "__post_init__", counting)
+    def counting_apply(self, n):
+        applied.append(n)
+        return original_apply(self, n)
+
+    monkeypatch.setattr(GameParameters, "__post_init__", counting_check)
+    monkeypatch.setattr(MRule, "apply", counting_apply)
     rule = MRule.parse("power:0.75")
-    rows = separation_table(range(8, 68), rule)
-    assert len(rows) == 60
-    assert checks == [(row.n, row.m) for row in rows]
+    n_values = [*range(8, 68), 100, 10**6]
+    rows = separation_table(n_values, rule)
+    assert len(rows) == 62
+    assert applied == [row.n for row in rows] == n_values
+    assert checks == []
     # The public entry points keep their own checks.
-    checks.clear()
     assert gamma(8, 3) == 37 and checks == []
     for n, m in ((4, 5), (0, 0), (3, 0)):
         with pytest.raises(ValueError):
             gamma(n, m)
     with pytest.raises(ValueError, match="n must be >= 1"):
         rule.apply(0)
+
+
+def test_separation_table_takes_a_one_shot_iterable(monkeypatch):
+    rule = MRule.parse("power:0.75")
+    table = separation_table((n for n in (8, 9, 100)), rule)
+    assert len(table) == 3
+    assert table == separation_table([8, 9, 100], rule)
+    computed = []
+    monkeypatch.setattr(bounds, "bounds_row", computed.append)
+    with pytest.raises(ResourceLimitError):
+        separation_table((n for n in (100, BOUNDS_MAX_N + 1)), rule)
+    assert computed == []
+
+
+@pytest.mark.parametrize("rule, n_values", [
+    ("power:0.75", range(1, 201)),
+    # linear:0.9 takes the 2*gamma > 2**n branch on most exact rows and the
+    # series complement on the three log-domain ones.
+    ("linear:0.9", [*range(2, 65), 65, 100, 10**6]),
+], ids=["power:0.75", "linear:0.9"])
+def test_table_rows_equal_the_one_quantity_functions(rule, n_values):
+    rows = separation_table(n_values, MRule.parse(rule))
+    assert [row.n for row in rows] == list(n_values)
+    for row in rows:
+        params = GameParameters(row.n, row.m)
+        entropy = quantum_message_entropy_upper(params)
+        assert row.gamma_log2 == gamma_log2(row.n, row.m)
+        assert row.classical_ic_lower == classical_ic_lower_bound(params)
+        assert row.quantum_entropy_upper == entropy
+        assert row.quantum_ic_upper == 2.0 * entropy
+        assert row.quantum_ic_upper == quantum_ic_upper_bound(params)
+        assert row == bounds_row(params)

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclab import cli, game, qcore
@@ -407,8 +407,20 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+def _small_m_bounds_report() -> dict:
+    """The benchmark's small-m bounds report as main hands it to the writer:
+    60 rows, each a dict with the same keys."""
+    args = cli.build_parser().parse_args([
+        "bounds", "--n", *map(str, [*range(8, 65), 100, 1000, 10000]),
+        "--m-rule", "power:0.75", "--format", "json"])
+    report, _ = args.func(args)
+    assert len(report["rows"]) == 60
+    return {"schema_version": cli.SCHEMA_VERSION, "command": "bounds", **report}
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(JSON_VALUES)
+@example(_small_m_bounds_report())
 def test_report_writer_matches_json_after_rounding(obj):
     _assert_writes_as_json_does(obj)
 
