@@ -175,13 +175,11 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
 def _resolve_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
-    env = os.environ.get("EXCLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"EXCLAB_SEED must be an integer, got {env!r}") from exc
-    return 0
+    env = os.environ.get("EXCLAB_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValueError(f"EXCLAB_SEED must be an integer, got {env!r}") from exc
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
@@ -194,8 +192,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
         delta=args.delta,
         k=args.k,
     )
-    sink = None
-    transcript_file = None
+    sink = transcript_file = None
     if args.transcripts is not None:
         # Opened at the first trial, after monte_carlo's refusals, so a
         # refused run leaves the file as it was.
@@ -223,10 +220,11 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[dict, int]:
     usable_workers(args.threads, 1)
     count, witness = classical.brute_force_min_exclusion(args.n, args.m)
     closed_form = (1 << args.n) - bounds_mod.gamma(args.n, args.m)
-    witness_consistent = any(
-        witness == classical.consistent_answer_set(args.n, args.m, a)
-        for a in range(1 << args.n)
-    )
+    # Only one a can fit: answers to (1..m), then (1..m-1, p > m), spell it.
+    a = functools.reduce(lambda bits, z: bits << 1 | z & 1,
+                         witness[1:args.n - args.m + 1], witness[0])
+    witness_consistent = witness == classical.consistent_answer_set(
+        args.n, args.m, a)
     recount = classical.excluded_count(args.n, args.m, witness)
     ok = count == closed_form and witness_consistent and recount == count
     return {
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify-pbr", help="verify the exclusion measurement up to m_max")
     verify.add_argument("m_max", type=int)
-    verify.add_argument("--output", default=None)
     verify.set_defaults(func=cmd_verify_pbr)
 
     bounds_cmd = commands.add_parser(
@@ -301,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="power:C for m=floor(n**C), "
                                  "linear:A for m=floor(A*n)")
     bounds_cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-    bounds_cmd.add_argument("--output", default=None)
     bounds_cmd.set_defaults(func=cmd_bounds)
 
     simulate = commands.add_parser(
@@ -315,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--delta", type=float, default=None)
     simulate.add_argument("--k", type=int, default=None)
     simulate.add_argument("--threads", type=int, default=1)
-    simulate.add_argument("--output", default=None)
     simulate.add_argument("--transcripts", default=None,
                           help="write one JSON transcript per line here")
     simulate.set_defaults(func=cmd_simulate)
@@ -326,36 +321,51 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("m", type=int)
     oracle.add_argument("--threads", type=int, default=1,
                         help="checked (>= 1) but unused: the search is serial")
-    oracle.add_argument("--output", default=None)
     oracle.set_defaults(func=cmd_oracle)
 
     steer = commands.add_parser(
         "steering", help="check the steering identities as residuals")
     steer.add_argument("--m-max", type=int, default=32)
-    steer.add_argument("--output", default=None)
     steer.set_defaults(func=cmd_steering)
 
     choose = commands.add_parser(
         "choose-k", help="smallest set count meeting an abort budget")
     choose.add_argument("alpha", type=float)
     choose.add_argument("delta", type=float)
-    choose.add_argument("--output", default=None)
     choose.set_defaults(func=cmd_choose_k)
 
+    for command in commands.choices.values():  # main writes every report
+        command.add_argument("--output", default=None)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing a command's tokens once,
+    with its own parser; other argv and leftovers go to the full parser."""
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, code = args.func(args)
         if isinstance(report, dict):
             report = _to_json({"schema_version": SCHEMA_VERSION,
                                "command": args.command, **report}) + "\n"
-        if args.output is not None:
-            Path(args.output).write_text(report, encoding="utf-8")
-        else:
+        if args.output is None:
             sys.stdout.write(report)
+        else:  # unbuffered: one write, repeated only if the system cuts it
+            data = report.encode("utf-8")
+            with open(Path(args.output), "wb", buffering=0) as file:
+                while data:
+                    data = data[file.write(data):]
         return code
     except ResourceLimitError as exc:
         print(f"exclab: resource limit: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ def pool_map(workers: int, fn, *iterables) -> list:
     when ``workers == 1``, else over a pool of ``workers`` processes."""
     if workers == 1:
         return list(map(fn, *iterables))
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *iterables))
 

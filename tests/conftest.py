@@ -1,10 +1,9 @@
 """Shared fixtures."""
 
+import concurrent.futures
 import os
 
 import pytest
-
-from exclab import qcore
 
 FAKE_CPUS = 3
 
@@ -13,11 +12,11 @@ FAKE_CPUS = 3
 def pool_sizes(monkeypatch):
     """Run process pools in process on a pretend 3-CPU host.
 
-    ``ProcessPoolExecutor`` in ``exclab.qcore``, the one home of the pool
-    (``qcore.pool_map``), is replaced by a stand-in that maps in this process
-    and records the ``max_workers`` it was asked for; the returned list
-    collects them.  No worker process starts, so a huge request is safe to
-    test.
+    ``concurrent.futures.ProcessPoolExecutor``, which ``qcore.pool_map`` (the
+    one home of the pool) imports when it starts a pool, is replaced by a
+    stand-in that maps in this process and records the ``max_workers`` it
+    was asked for; the returned list collects them.  No worker process
+    starts, so a huge request is safe to test.
     """
     sizes = []
 
@@ -34,7 +33,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(qcore, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(FAKE_CPUS)), raising=False)
     return sizes

@@ -1,6 +1,8 @@
 """End-to-end command-line checks via subprocess."""
 
+import concurrent.futures
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exclab import cli, game, qcore
+from exclab import classical, cli, game
 from exclab.bounds import (
     BoundsRow,
     GameParameters,
@@ -339,6 +341,24 @@ def test_output_file_holds_exactly_what_stdout_would(tmp_path, capsys, argv):
     assert cli.main([*argv, "--output", str(target)]) == 0
     assert capsys.readouterr() == ("", "")
     assert target.read_bytes() == printed.out.encode()
+
+
+def test_output_file_holds_every_byte_after_short_writes(tmp_path, capsys,
+                                                        monkeypatch):
+    # main writes --output unbuffered; a raw write may take only some bytes.
+    class ShortWrites(io.FileIO):
+        def write(self, data):
+            return super().write(bytes(data[:100]))
+
+    argv = EVERY_COMMAND["bounds-json"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert len(printed) > 300
+    monkeypatch.setattr(cli, "open", lambda path, mode, buffering:
+                        ShortWrites(path, mode), raising=False)
+    target = tmp_path / "report"
+    assert cli.main([*argv, "--output", str(target)]) == 0
+    assert target.read_bytes() == printed.encode()
 
 
 REFUSED_COMMANDS = {
@@ -703,11 +723,13 @@ def test_threads_default_to_one_worker():
 
 
 def test_importing_the_cli_loads_no_scipy():
+    # Nor the process pool: qcore.pool_map imports it only to start one.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run(
         [sys.executable, "-c",
          "import exclab.cli, sys; print(sorted(name for name in sys.modules "
-         "if name == 'scipy' or name.startswith('scipy.')))"],
+         "if name.split('.')[0] in ('scipy', 'multiprocessing') "
+         "or name.split('.')[:2] == ['concurrent', 'futures']))"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
@@ -730,6 +752,37 @@ def test_cached_parser_gives_fresh_results_after_a_usage_error(capsys):
                  ("oracle", "4", "2")):
         assert cli.main(list(argv)) == 0
         assert capsys.readouterr().out == run_cli(*argv).stdout
+
+
+# argv and the exit code of its parse (None: it parses), for main's parse
+# and build_parser().parse_args alike.
+PARSE_CASES = {
+    **{name: (argv, None) for name, argv in EVERY_COMMAND.items()},
+    "abbreviated": (["simulate", "--strategy", "quantum", "--n", "4", "--m",
+                     "2", "--trials", "5", "--thr", "2"], None),
+    "missing-required": (["simulate", "--strategy", "quantum", "--n", "4"],
+                         2),
+    "bad-int": (["oracle", "five", "2"], 2),
+    "retired-spec": (["bounds", "--spec", "x"], 2),
+    "leftover-token": (["oracle", "5", "2", "--bogus"], 2),
+    "no-arguments": ([], 2),
+    "unknown-command": (["nosuch"], 2),
+    "help": (["-h"], 0),
+    "command-help": (["simulate", "--help"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_main_parses_as_the_full_parser_does(capsys, argv, code):
+    def parse(parse_args):
+        try:
+            return vars(parse_args(list(argv))), capsys.readouterr()
+        except SystemExit as stop:
+            return stop.code, capsys.readouterr()
+
+    once = parse(cli._parse_args)
+    assert once == parse(cli.build_parser().parse_args)
+    assert once[0] == code if code is not None else "func" in once[0]
 
 
 def test_oracle_small_instance():
@@ -756,11 +809,33 @@ def test_oracle_threads_start_no_pool(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("the oracle started a process pool")
 
-    monkeypatch.setattr(qcore, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert cli.main(["oracle", "5", "4", "--threads", "1"]) == 0
     serial = capsys.readouterr()
     assert cli.main(["oracle", "5", "4", "--threads", "2"]) == 0
     assert capsys.readouterr() == serial
+
+
+@pytest.mark.parametrize("m, consistent", [(1, True), (2, False)],
+                         ids=["consistent", "inconsistent"])
+def test_oracle_checks_its_witness_without_scanning_every_string(
+        monkeypatch, capsys, m, consistent):
+    # At n = 20, scanning the strings for one the witness fits took over 10 s.
+    # Every m = 1 witness fits one; at m = 2, one wrong answer fits none.
+    witness = list(classical.consistent_answer_set(20, m, (1 << 20) - 1))
+    if not consistent:
+        witness[7] ^= 1  # (1, 9) now says bit 9 is 0; (2, 9) still says 1
+    witness = tuple(witness)
+    monkeypatch.setattr(classical, "brute_force_min_exclusion",
+                        lambda n, m: (classical.excluded_count(n, m, witness),
+                                      witness))
+    start = time.perf_counter()
+    code = cli.main(["oracle", "20", str(m)])
+    assert time.perf_counter() - start < 2.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness_consistent"] is consistent
+    if not consistent:
+        assert code == 1 and report["pass"] is False
 
 
 # sha256 over the stdout of `oracle n m`, in ascending (n, m), for every

@@ -1,5 +1,6 @@
 """The transform, state vectors, measurements, sampling, and entropies."""
 
+import concurrent.futures
 import itertools
 import math
 
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exclab import qcore
 from exclab.qcore import (
     MATRIX_TOL,
     VECTOR_TOL,
@@ -287,7 +287,7 @@ def test_pool_map_keeps_input_order_and_one_worker_starts_no_pool(monkeypatch):
         raise AssertionError("one worker must not construct a pool")
 
     with monkeypatch.context() as patch:
-        patch.setattr(qcore, "ProcessPoolExecutor", no_pool)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert pool_map(1, pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
         assert pool_map(1, pow, [], []) == []
     squares = pool_map(2, pow, range(40), itertools.repeat(2))
