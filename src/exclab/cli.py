@@ -277,9 +277,10 @@ def cmd_choose_k(args: argparse.Namespace) -> tuple[str, int]:
     return f"{steering.choose_k(args.alpha, args.delta)}\n", 0
 
 
-# Built once per process: parse_args fills a fresh namespace on every call.
+# The full parser and each command's own parser by name, built once per
+# process: parse_args fills a fresh namespace on every call.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="exclab",
         description="Exclusion-game simulator and bounds toolkit.",
@@ -336,14 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command in commands.choices.values():  # main writes every report
         command.add_argument("--output", default=None)
-    return parser
+    return parser, commands.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, parsing a command's tokens once,
     with its own parser; other argv and leftovers go to the full parser."""
-    parser = build_parser()
-    commands = parser._subparsers._group_actions[0].choices
+    parser, commands = _parsers()
     if argv and argv[0] in commands:
         args, extras = commands[argv[0]].parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))

@@ -20,17 +20,17 @@ b * block_size(n) onward and draws only from its own counter-based substream,
 child b of SeedSequence(seed).  Block boundaries depend on n alone, so
 statistics are identical however blocks are distributed over workers.
 ``GameConfig`` refuses n past TRIAL_MAX_N, so every entry point refuses an
-oversized trial before it draws.  A block runs in two stages:
+oversized trial before it draws.  One function plays each strategy's
+block, and ``_send`` turns a block into Transcripts for a sink:
 
-1. Scoring (``_score``) draws only what a verdict reads.  ``classical_cover``
-   draws x (``referee_draw``) and wins iff its message serves x: the two
-   differ in more than n - m positions, so on every size-m subset.  A
-   quantum trial or a completed round wins iff d >= 1, so those strategies
-   draw only [the steering rounds and] one d per trial.
-2. Sink (``_transcripts``), only for a transcript sink: draw x [quantum,
-   steering], select y (``select_subsets``, n keys per trial), answer with
-   the message's bits at y or the truth with d positions flipped
-   (``pbr.flip_positions``, m keys per trial), and build the Transcripts.
+* ``_cover_block`` draws x (``referee_draw``) and wins iff its message
+  serves x: the two differ in more than n - m positions, so on every size-m
+  subset.  With a sink it selects y (``select_subsets``, n keys per trial)
+  and answers with the message's bits at y.
+* ``_quantum_block`` plays ``quantum`` and, after the steering rounds,
+  ``entanglement_assisted``: a trial or completed round wins iff d >= 1.
+  With a sink it draws x, selects y and flips d positions of the truth
+  (``pbr.flip_positions``, m keys per trial).
 
 So a block draws [x (cover)], [the rounds], [d], then only with a sink [x
 (quantum, steering)], the subset keys, [the flip keys]: a sinkless run
@@ -43,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -201,33 +201,47 @@ def block_size(n: int) -> int:
     return max(1, min(BLOCK_TRIALS, TRIAL_MAX_N // n))
 
 
-class _Scored(NamedTuple):
-    """The scoring stage's output: the verdicts, and what the sink reads."""
+def _send(sink: Callable[[Transcript], None], first: int, x: np.ndarray,
+          y: np.ndarray, messages: Iterable[dict], answer: np.ndarray,
+          won: np.ndarray, aborted: np.ndarray) -> None:
+    """One Transcript per row of a block to ``sink``, in trial order."""
+    for row, message in enumerate(messages):
+        done = not aborted[row]
+        sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
+                        message=message,
+                        answer=BitString(answer[row]) if done else None,
+                        aborted=not done,
+                        won=bool(won[row]) if done else None,
+                        trial=first + row))
 
-    won: np.ndarray
-    aborted: np.ndarray
-    messages: Iterable[dict]
-    x: np.ndarray | None = None
-    x_index: np.ndarray | None = None
-    sent: np.ndarray | None = None
-    d: np.ndarray | None = None
 
-
-def _score(config: GameConfig, rng: np.random.Generator, size: int) -> _Scored:
-    """The scoring stage (module docstring): each trial's verdict, drawing
-    from ``rng`` only what the verdict reads."""
+def _cover_block(config: GameConfig, rng: np.random.Generator, size: int,
+                 first: int, sink: Callable[[Transcript], None] | None):
+    """A ``classical_cover`` block; returns (wins, 0, x_index), its input
+    indices, unsorted, which ``monte_carlo`` counts: the message is a
+    function of x, so the counts of x fix H(X | M)."""
     n, m = config.n, config.m
-    aborted = np.zeros(size, dtype=bool)
-    if config.strategy == STRATEGY_CLASSICAL_COVER:
-        cover = _cover(n, m)
-        x = referee_draw(n, rng, size)
-        x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-        chosen = cover.assignment[x_index]
-        sent = cover.values[chosen]
-        won = np.bitwise_count(sent ^ x_index) > n - m
+    cover = _cover(n, m)
+    x = referee_draw(n, rng, size)
+    x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    chosen = cover.assignment[x_index]
+    sent = cover.values[chosen]
+    won = np.bitwise_count(sent ^ x_index) > n - m
+    if sink is not None:
+        y = select_subsets(rng.random((size, n)), m)
         messages = ({"kind": "classical_message", "bits": str(cover.messages[c])}
                     for c in chosen)
-        return _Scored(won, aborted, messages, x, x_index, sent)
+        _send(sink, first, x, y, messages, (sent[:, None] >> (n - 1 - y)) & 1,
+              won, np.zeros(size, dtype=bool))
+    return int(won.sum()), 0, x_index
+
+
+def _quantum_block(config: GameConfig, rng: np.random.Generator, size: int,
+                   first: int, sink: Callable[[Transcript], None] | None):
+    """A ``quantum`` or ``entanglement_assisted`` block; returns (wins,
+    aborts, None)."""
+    n, m = config.n, config.m
+    aborted = np.zeros(size, dtype=bool)
     messages = ({"kind": "quantum_state", "qubits": n} for _ in range(size))
     if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
         aborted, set_index = draw_rounds(config, rng, size)  # checked n, m, k
@@ -235,47 +249,28 @@ def _score(config: GameConfig, rng: np.random.Generator, size: int) -> _Scored:
                     {"kind": "set_index", "value": int(j)}
                     for a, j in zip(aborted, set_index))
     d = sample_distance(m, rng, size)
-    return _Scored((d > 0) & ~aborted, aborted, messages, d=d)
-
-
-def _transcripts(config: GameConfig, scored: _Scored,
-                 rng: np.random.Generator, first: int,
-                 sink: Callable[[Transcript], None]) -> None:
-    """The sink stage (module docstring): one Transcript per trial, in order."""
-    n, size = config.n, len(scored.won)
-    x = referee_draw(n, rng, size) if scored.x is None else scored.x
-    y = select_subsets(rng.random((size, n)), config.m)
-    if scored.d is None:
-        answer = (scored.sent[:, None] >> (n - 1 - y)) & 1
-    else:
-        answer = flip_positions(np.take_along_axis(x, y, axis=1), scored.d, rng)
-    for row, message in enumerate(scored.messages):
-        done = not scored.aborted[row]
-        sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
-                        message=message,
-                        answer=BitString(answer[row]) if done else None,
-                        aborted=not done,
-                        won=bool(scored.won[row]) if done else None,
-                        trial=first + row))
+    won = (d > 0) & ~aborted
+    if sink is not None:
+        x = referee_draw(n, rng, size)
+        y = select_subsets(rng.random((size, n)), m)
+        answer = flip_positions(np.take_along_axis(x, y, axis=1), d, rng)
+        _send(sink, first, x, y, messages, answer, won, aborted)
+    return int(won.sum()), int(aborted.sum()), None
 
 
 def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
-                first: int = 0,
-                sink: Callable[[Transcript], None] | None = None):
-    """Play trials first .. first + size - 1, drawing only from ``rng``.
-    Returns (wins, aborts, x_index or None): for ``classical_cover`` the
-    block's input indices, unsorted, which ``monte_carlo`` counts; the
-    message is a function of x, so the counts of x fix H(X | M)."""
-    scored = _score(config, rng, size)
-    if sink is not None:
-        _transcripts(config, scored, rng, first, sink)
-    return int(scored.won.sum()), int(scored.aborted.sum()), scored.x_index
+                first: int, sink: Callable[[Transcript], None] | None):
+    """Play trials first .. first + size - 1, drawing only from ``rng``;
+    returns (wins, aborts, x_index or None)."""
+    play = (_cover_block if config.strategy == STRATEGY_CLASSICAL_COVER
+            else _quantum_block)
+    return play(config, rng, size, first, sink)
 
 
 def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
     """Play one trial, the block of size 1, drawing only from ``rng``."""
     transcripts: list[Transcript] = []
-    _play_block(config, rng, 1, sink=transcripts.append)
+    _play_block(config, rng, 1, 0, transcripts.append)
     return transcripts[0]
 
 
@@ -288,7 +283,7 @@ def _message_bits(config: GameConfig) -> dict:
     # encoding needs ceil(log2 k) index bits plus one extra abort symbol.
     return {
         "set_index_bits": math.log2(config.k),
-        "set_index_bits_ceil": math.ceil(math.log2(config.k)),
+        "set_index_bits_ceil": (config.k - 1).bit_length(),
         "alphabet_with_abort": config.k + 1,
     }
 

@@ -365,8 +365,8 @@ def test_steering_runs_past_the_dense_qubit_cap_play_with_zero_loss():
 
 def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
     # A completed round leaves the receiver holding the product encoding of
-    # its truth (criterion 7), so the sink stage flips d positions of every
-    # truth of the block, as for the quantum strategy; the outcomes of
+    # its truth (criterion 7), so with a sink the block flips d positions of
+    # every truth of the block, as for the quantum strategy; the outcomes of
     # aborted rows are dropped.
     flipped = []
     original = game.flip_positions
@@ -399,10 +399,11 @@ def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
 
 def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
                     first: int) -> tuple[int, int, list[dict]]:
-    """A block played in one pass, the reference for the staged block: it
-    selects every subset, gathers every truth and measures every quantum
-    trial and completed round, whether or not transcripts are wanted, and
-    scores each trial on its sampled subset.  Draw order: [x (cover)],
+    """A block played in one pass, the reference for the block functions,
+    which draw for a sink only after every verdict: it selects every
+    subset, gathers every truth and measures every quantum trial and
+    completed round, whether or not transcripts are wanted, and scores each
+    trial on its sampled subset.  Draw order: [x (cover)],
     [rounds], [d], [x (quantum, steering)], the subset keys, [flips].
     Returns (wins, aborts, transcript records)."""
     n, m = config.n, config.m
@@ -450,9 +451,14 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
     (STRATEGY_ENTANGLEMENT_ASSISTED, {"k": 3, "delta": 0.05}),
 ])
 def test_staged_blocks_equal_the_one_stage_reference(strategy, extra):
-    # Several seeds, m = 1, m = n, and a 4,097-trial run of two blocks.
+    # Several seeds, m = 1, m = n, and a 4,097-trial run of two blocks.  At
+    # n = 300 a block holds block_size(300) = 3,333 trials, so two blocks
+    # meet at a boundary set by n; n = 16 is the largest cover admitted.
+    large = ((16, 8, block_size(16) + 1, 4)
+             if strategy == STRATEGY_CLASSICAL_COVER
+             else (300, 200, block_size(300) + 1, 4))
     for n, m, trials, seed in ((5, 1, 300, 0), (5, 5, 300, 1), (6, 3, 200, 2),
-                               (6, 3, 200, 9), (4, 2, 4097, 3)):
+                               (6, 3, 200, 9), (4, 2, 4097, 3), large):
         config = GameConfig(n=n, m=m, strategy=strategy, trials=trials,
                             seed=seed, **extra)
         size = block_size(n)
@@ -773,6 +779,15 @@ def test_monte_carlo_plays_steering_rounds_at_any_k():
     # A k far past 2**64 and the float range still runs.
     stats = monte_carlo(steering_config(n=4, m=2, k=10**400, trials=3))
     assert stats.aborts == 0
+
+
+@pytest.mark.parametrize("k, bits", [(1, 0), (47, 6), (2**49, 49),
+                                     (2**49 + 1, 50), (2**53 + 1, 54)])
+def test_set_index_bits_ceil_counts_index_bits_exactly(k, bits):
+    # The float log2 of 2**49 + 1 rounds down to 49.0, so ceil(log2 k)
+    # would undercount: k indices need exactly (k - 1).bit_length() bits.
+    stats = monte_carlo(steering_config(n=4, m=2, k=k, trials=3))
+    assert stats.message_bits["set_index_bits_ceil"] == bits
 
 
 def test_strategy_listing():
