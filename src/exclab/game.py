@@ -15,13 +15,12 @@ differs from the true restriction of x on y:
   steered (``steering.draw_rounds``) or aborts; a completed round leaves the
   receiver holding the product encoding (criterion 7), measured as above.
 
-Trials are played in blocks of ``block_size(n)``: block b holds trials
-b * block_size(n) onward and draws only from its own counter-based substream,
-child b of SeedSequence(seed).  Block boundaries depend on n alone, so
+Block b holds trials b * BLOCK_TRIALS onward, whatever n is, and draws only
+from its own counter-based substream, child b of SeedSequence(seed), so
 statistics are identical however blocks are distributed over workers.
 ``GameConfig`` refuses n past TRIAL_MAX_N, so every entry point refuses an
 oversized trial before it draws.  One function plays each strategy's
-block, and ``_send`` turns a block into Transcripts for a sink:
+block, and ``_send`` turns rows into Transcripts for a sink:
 
 * ``_cover_block`` draws x (``referee_draw``) and wins iff its message
   serves x: the two differ in more than n - m positions, so on every size-m
@@ -30,11 +29,12 @@ block, and ``_send`` turns a block into Transcripts for a sink:
 * ``_quantum_block`` plays ``quantum`` and, after the steering rounds,
   ``entanglement_assisted``: a trial or completed round wins iff d >= 1.
   With a sink it draws x, selects y and flips d positions of the truth
-  (``pbr.flip_positions``, m keys per trial).
+  (``pbr.flip_positions``, m keys per trial), max(1, TRIAL_MAX_N // n) rows
+  at a time, so that a sink draws at most TRIAL_MAX_N input bits at once.
 
 So a block draws [x (cover)], [the rounds], [d], then only with a sink [x
-(quantum, steering)], the subset keys, [the flip keys]: a sinkless run
-draws a prefix of that, so its report is the same with or without a sink.
+(quantum, steering)], the subset keys, [the flip keys], chunk by chunk: a
+sinkless run draws a prefix of that, so its report is the same either way.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -71,10 +71,10 @@ STRATEGIES = (
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
 )
-# Largest n one trial may draw, and the most input bits a block draws.  A
-# sink draws 17 bytes per bit (int8 bits, float64 keys, int64 positions).
+# Largest n one trial may draw, and the most input bits a sink draws at a
+# time: 17 bytes per bit (int8 bits, float64 keys, int64 positions).
 TRIAL_MAX_N = 10**6
-# Trials per block below that budget.
+# Trials per block, whatever n is.
 BLOCK_TRIALS = 4096
 # A run whose workers never fill 2**n inputs counts them in 2**n cells
 # while 2**n <= DENSE_COUNT_RATIO * its inputs, else with ``np.unique``,
@@ -141,25 +141,17 @@ class Transcript:
         if self.aborted:
             if self.answer is not None or self.won is not None:
                 raise ValueError("aborted trials carry no answer or verdict")
-        else:
-            if self.answer is None or self.won is None:
-                raise ValueError("completed trials need an answer and verdict")
-            if self.y.indices[-1] > len(self.x):
-                raise ValueError("subset index exceeds string length")
-            truth = tuple(self.x.bits[i - 1] for i in self.y.indices)
-            if self.won != (self.answer.bits != truth):
-                raise ValueError("verdict disagrees with answer")
+        elif self.answer is None or self.won is None:
+            raise ValueError("completed trials need an answer and verdict")
+        elif self.y.indices[-1] > len(self.x):
+            raise ValueError("subset index exceeds string length")
+        elif self.won != (self.answer.bits != tuple(
+                self.x.bits[i - 1] for i in self.y.indices)):
+            raise ValueError("verdict disagrees with answer")
 
     def to_dict(self) -> dict:
-        return {
-            "x": str(self.x),
-            "y": list(self.y.indices),
-            "message": self.message,
-            "answer": None if self.answer is None else str(self.answer),
-            "aborted": self.aborted,
-            "won": self.won,
-            "trial": self.trial,
-        }
+        return {**vars(self), "x": str(self.x), "y": list(self.y.indices),
+                "answer": None if self.answer is None else str(self.answer)}
 
 
 @dataclass(frozen=True)
@@ -195,16 +187,10 @@ def _cover(n: int, m: int) -> CoverStrategy:
     return build_cover_strategy(n, m)
 
 
-def block_size(n: int) -> int:
-    """Trials per block: BLOCK_TRIALS, or fewer so that a block draws at most
-    TRIAL_MAX_N input bits (one trial at n = TRIAL_MAX_N)."""
-    return max(1, min(BLOCK_TRIALS, TRIAL_MAX_N // n))
-
-
 def _send(sink: Callable[[Transcript], None], first: int, x: np.ndarray,
-          y: np.ndarray, messages: Iterable[dict], answer: np.ndarray,
+          y: np.ndarray, messages: list[dict], answer: np.ndarray,
           won: np.ndarray, aborted: np.ndarray) -> None:
-    """One Transcript per row of a block to ``sink``, in trial order."""
+    """One Transcript per row, trials first onward, to ``sink`` in order."""
     for row, message in enumerate(messages):
         done = not aborted[row]
         sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
@@ -229,8 +215,8 @@ def _cover_block(config: GameConfig, rng: np.random.Generator, size: int,
     won = np.bitwise_count(sent ^ x_index) > n - m
     if sink is not None:
         y = select_subsets(rng.random((size, n)), m)
-        messages = ({"kind": "classical_message", "bits": str(cover.messages[c])}
-                    for c in chosen)
+        messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
+                    for c in chosen]
         _send(sink, first, x, y, messages, (sent[:, None] >> (n - 1 - y)) & 1,
               won, np.zeros(size, dtype=bool))
     return int(won.sum()), 0, x_index
@@ -241,20 +227,24 @@ def _quantum_block(config: GameConfig, rng: np.random.Generator, size: int,
     """A ``quantum`` or ``entanglement_assisted`` block; returns (wins,
     aborts, None)."""
     n, m = config.n, config.m
-    aborted = np.zeros(size, dtype=bool)
-    messages = ({"kind": "quantum_state", "qubits": n} for _ in range(size))
+    aborted, set_index = np.zeros(size, dtype=bool), None
     if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
         aborted, set_index = draw_rounds(config, rng, size)  # checked n, m, k
-        messages = ({"kind": "abort"} if a else
-                    {"kind": "set_index", "value": int(j)}
-                    for a, j in zip(aborted, set_index))
     d = sample_distance(m, rng, size)
     won = (d > 0) & ~aborted
-    if sink is not None:
-        x = referee_draw(n, rng, size)
-        y = select_subsets(rng.random((size, n)), m)
-        answer = flip_positions(np.take_along_axis(x, y, axis=1), d, rng)
-        _send(sink, first, x, y, messages, answer, won, aborted)
+    step = max(1, TRIAL_MAX_N // n)  # rows per chunk of a sink's draws
+    for start in range(0, size if sink is not None else 0, step):
+        rows = slice(start, start + step)
+        x = referee_draw(n, rng, len(d[rows]))
+        y = select_subsets(rng.random(x.shape), m)
+        answer = flip_positions(np.take_along_axis(x, y, axis=1), d[rows], rng)
+        messages = ([{"kind": "quantum_state", "qubits": n} for _ in x]
+                    if set_index is None else
+                    [{"kind": "abort"} if a else
+                     {"kind": "set_index", "value": int(j)}
+                     for a, j in zip(aborted[rows], set_index[rows])])
+        _send(sink, first + start, x, y, messages, answer, won[rows],
+              aborted[rows])
     return int(won.sum()), int(aborted.sum()), None
 
 
@@ -292,14 +282,14 @@ def _run_blocks(config: GameConfig, first: int, stop: int,
                 sink: Callable[[Transcript], None] | None = None):
     """Aggregate blocks [first, stop); returns (wins, aborts, counts of x or
     None, leftover input indices).  Block b plays trials from b *
-    block_size(n) on, from its own substream, child b of
-    SeedSequence(seed), constructed directly so that workers need not
-    materialize the whole spawn list.  Input indices wait until 2**n of
-    them are pending; one ``bincount`` then folds them into 2**n counts, a
-    fold paid for by 2**n trials or more.  The indices still pending at the
-    end, fewer than 2**n + block_size(n), are returned as the list of the
-    blocks' arrays, empty when no block drew inputs."""
-    size, cells = block_size(config.n), 1 << config.n
+    BLOCK_TRIALS on, from its own substream, child b of SeedSequence(seed),
+    constructed directly so that workers need not materialize the whole
+    spawn list.  Input indices wait until 2**n of them are pending; one
+    ``bincount`` then folds them into 2**n counts, a fold paid for by 2**n
+    trials or more.  The indices still pending at the end, fewer than 2**n +
+    BLOCK_TRIALS, are returned as the list of the blocks' arrays, empty when
+    no block drew inputs."""
+    size, cells = BLOCK_TRIALS, 1 << config.n
     wins = aborts = held = 0
     pending: list[np.ndarray] = []
     counts = None
@@ -337,7 +327,7 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     decides for the whole run.  A worker holds at most one 2**n count array
     and the parent each worker's counts and leftovers.
     """
-    blocks = -(-config.trials // block_size(config.n))
+    blocks = -(-config.trials // BLOCK_TRIALS)
     workers = usable_workers(workers,
                              blocks if transcript_sink is None else 1)
     if config.strategy == STRATEGY_CLASSICAL_COVER:

@@ -38,6 +38,7 @@ against the transform, and the tests check the transform against the dense
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -69,6 +70,15 @@ class GameParameters:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 
 
+def _integers(values) -> tuple[int, ...]:
+    """``values`` as Python ints by ``operator.index``, in C: no float."""
+    try:
+        return tuple(map(operator.index, values.tolist() if isinstance(
+            values, np.ndarray) else values))
+    except TypeError:
+        raise ValueError(f"{values!r:.60} holds a non-integer") from None
+
+
 @dataclass(frozen=True)
 class BitString:
     """Immutable bit string with 1-indexed access and MSB-first integer value.
@@ -80,10 +90,10 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
+        bits = _integers(self.bits)
         if not bits:
             raise ValueError("bit string must be nonempty")
-        if any(b not in (0, 1) for b in bits):
+        if not {0, 1}.issuperset(bits):
             raise ValueError(f"bits must be 0 or 1, got {self.bits!r}")
         object.__setattr__(self, "bits", bits)
 
@@ -128,10 +138,10 @@ class IndexSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        indices = tuple(int(i) for i in self.indices)
+        indices = _integers(self.indices)
         if not indices:
             raise ValueError("subset must be nonempty")
-        if indices[0] < 1 or any(a >= b for a, b in zip(indices, indices[1:])):
+        if indices[0] < 1 or not all(map(operator.lt, indices, indices[1:])):
             raise ValueError("indices must be strictly increasing and >= 1")
         object.__setattr__(self, "indices", indices)
 

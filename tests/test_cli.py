@@ -562,6 +562,38 @@ def test_simulate_transcript_stream(tmp_path):
     assert stats["aborts"] == sum(1 for r in records if r["aborted"])
 
 
+@pytest.mark.parametrize("strategy, m, extra", [
+    ("quantum", 20, ()),
+    ("entanglement_assisted", 200, ("--k", "3", "--delta", "0.05")),
+])
+def test_simulate_at_n_300_does_not_depend_on_threads_or_the_sink(
+        tmp_path, capsys, pool_sizes, strategy, m, extra):
+    # BLOCK_TRIALS + 1 trials are two blocks, and a sink at n = 300 draws
+    # 3,333 rows at a time, so the first block is two chunks.  The report
+    # must not depend on the worker count or the sink, nor the transcripts
+    # on the worker count.
+    trials = game.BLOCK_TRIALS + 1
+    argv = ["simulate", "--strategy", strategy, "--n", "300", "--m", str(m),
+            "--trials", str(trials), "--seed", "8", *extra]
+    reports, streams = set(), set()
+    for threads in ("1", "2", "3"):
+        assert cli.main([*argv, "--threads", threads]) == 0
+        reports.add(capsys.readouterr().out)
+        path = tmp_path / f"trials-{threads}.jsonl"
+        assert cli.main([*argv, "--threads", threads,
+                         "--transcripts", str(path)]) == 0
+        reports.add(capsys.readouterr().out)
+        streams.add(path.read_bytes())
+    assert pool_sizes == [2, 2]
+    assert len(reports) == len(streams) == 1
+    records = [json.loads(line) for line in streams.pop().splitlines()]
+    assert [record["trial"] for record in records] == list(range(trials))
+    stats = json.loads(reports.pop())["statistics"]
+    assert stats["aborts"] == sum(record["aborted"] for record in records)
+    if strategy == "entanglement_assisted":
+        assert 0 < stats["aborts"] < trials
+
+
 # sha256 over the stdout of each `simulate` run below, in order, then the
 # transcript stream of the last.  The (3, 2) run has workers that fold their
 # inputs into 2**n counts.
@@ -686,7 +718,7 @@ def test_simulate_splits_more_blocks_than_int64_holds(monkeypatch, capsys,
                                                       trials):
     # Past 2**63 blocks a float or int64 split of the blocks among workers
     # loses or overflows ranges; every trial must still be counted once.
-    size = game.block_size(3)
+    size = game.BLOCK_TRIALS
 
     def every_trial_wins(config, first, stop, sink=None):
         return min(stop * size, config.trials) - first * size, 0, None, []

@@ -21,18 +21,18 @@ from exclab.game import (
     STRATEGY_CLASSICAL_COVER,
     STRATEGY_ENTANGLEMENT_ASSISTED,
     STRATEGY_QUANTUM,
+    BLOCK_TRIALS,
     TRIAL_MAX_N,
     GameConfig,
     RunStatistics,
     Transcript,
-    block_size,
     monte_carlo,
     referee_draw,
     run_trial,
     select_subsets,
 )
 from exclab.pbr import BitString, IndexSubset, distance_distribution, restrict
-from exclab.classical import build_cover_strategy
+from exclab.classical import COVER_MAX_N, build_cover_strategy
 from exclab.qcore import (
     ResourceLimitError,
     StateVector,
@@ -176,7 +176,7 @@ def test_run_trial_classical_announces_a_cover_message():
     # Every row of a two-block run answers with the restriction of the
     # message it announced, the cover's message for its input.
     config = GameConfig(n=10, m=4, strategy=STRATEGY_CLASSICAL_COVER,
-                        trials=block_size(10) + 50, seed=5)
+                        trials=BLOCK_TRIALS + 50, seed=5)
     transcripts = []
     monte_carlo(config, transcript_sink=transcripts.append)
     assert [t.trial for t in transcripts] == list(range(config.trials))
@@ -249,7 +249,7 @@ def test_monte_carlo_entanglement_assisted_zero_loss_and_abort_rate():
 def test_monte_carlo_parallel_matches_serial():
     # Three full blocks and a partial fourth, so that the pool's contiguous
     # block ranges and the merge of their counts are both exercised.
-    trials = 3 * block_size(3) + 7
+    trials = 3 * BLOCK_TRIALS + 7
     for strategy, extra in ((STRATEGY_QUANTUM, {}),
                             (STRATEGY_CLASSICAL_COVER, {}),
                             (STRATEGY_ENTANGLEMENT_ASSISTED,
@@ -269,21 +269,72 @@ def test_monte_carlo_caps_workers_at_cpus_and_trials(pool_sizes):
     one_block = quantum_config(trials=50)
     assert monte_carlo(one_block, workers=10**6) == monte_carlo(one_block)
     assert pool_sizes == []
-    size = block_size(one_block.n)
-    many = quantum_config(trials=5 * size)
+    many = quantum_config(trials=5 * BLOCK_TRIALS)
     assert monte_carlo(many, workers=10**6) == monte_carlo(many, workers=1)
-    few = quantum_config(trials=size + 1)
+    few = quantum_config(trials=BLOCK_TRIALS + 1)
     assert monte_carlo(few, workers=10**6) == monte_carlo(few, workers=1)
     # Three usable CPUs cap the first pool, two blocks the second.
     assert pool_sizes == [3, 2]
 
 
-def test_block_size_keeps_a_block_within_the_trial_budget():
-    assert block_size(1) == block_size(12) == block_size(244) == 4096
-    # Past n = 244 a block of 4096 would draw more than TRIAL_MAX_N bits.
-    assert block_size(245) == 4081 == TRIAL_MAX_N // 245
-    assert block_size(TRIAL_MAX_N // 2) == 2
-    assert block_size(TRIAL_MAX_N // 2 + 1) == block_size(TRIAL_MAX_N) == 1
+def test_a_sink_draws_at_most_trial_max_n_input_bits_at_a_time(monkeypatch):
+    # A block holds BLOCK_TRIALS trials whatever n is.  Only a sink draws n
+    # bits per row, so it takes a quantum or steering block in chunks of
+    # max(1, TRIAL_MAX_N // n) rows.  With the budget cut to 100 bits, a
+    # two-block run at n = 7 (14 rows a chunk) and at n = 100 (one row) draws
+    # every input once, never more than 100 bits in one call, and sends its
+    # transcripts in trial order; its report is the sinkless run's.
+    monkeypatch.setattr(game, "TRIAL_MAX_N", 100)
+    draws = []
+
+    def recording(n, rng, size):
+        draws.append(n * size)
+        return referee_draw(n, rng, size)
+
+    monkeypatch.setattr(game, "referee_draw", recording)
+    for strategy, extra in ((STRATEGY_QUANTUM, {}),
+                            (STRATEGY_ENTANGLEMENT_ASSISTED,
+                             {"k": 3, "delta": 0.05})):
+        for n in (7, 100):
+            config = GameConfig(n=n, m=3, strategy=strategy,
+                                trials=BLOCK_TRIALS + 5, seed=2, **extra)
+            draws.clear()
+            seen: list[Transcript] = []
+            stats = monte_carlo(config, transcript_sink=seen.append)
+            assert [t.trial for t in seen] == list(range(config.trials))
+            rows = 100 // n  # per chunk, in blocks of BLOCK_TRIALS and 5
+            assert draws == [n * min(rows, size - start)
+                             for size in (BLOCK_TRIALS, 5)
+                             for start in range(0, size, rows)]
+            assert stats == monte_carlo(config)
+    with pytest.raises(ResourceLimitError, match="input bits"):
+        quantum_config(n=101)
+
+
+def test_a_cover_block_draws_within_the_trial_budget():
+    # _cover_block draws its whole block for a sink at once, unchunked, which
+    # holds BLOCK_TRIALS rows of n bits within the budget only while the
+    # cover caps n: lifting COVER_MAX_N past this must chunk that sink too.
+    assert COVER_MAX_N * BLOCK_TRIALS <= TRIAL_MAX_N
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    (STRATEGY_QUANTUM, {}),
+    (STRATEGY_ENTANGLEMENT_ASSISTED, {"k": 47, "delta": 0.05}),
+])
+def test_sinkless_runs_at_the_trial_budget_play_full_blocks(strategy, extra):
+    # A sinkless quantum or steering block draws no input bits, so it holds
+    # BLOCK_TRIALS trials at any n: 10**6 trials at (10**6, 31,622) are 245
+    # blocks, about 0.1 s on a 2-CPU Xeon.  Blocks sized to draw at most
+    # TRIAL_MAX_N bits would be 10**6 blocks of one trial, about 27 s.
+    config = GameConfig(n=10**6, m=31622, strategy=strategy, trials=10**6,
+                        seed=0, **extra)
+    start = time.perf_counter()
+    stats = monte_carlo(config)
+    assert time.perf_counter() - start < 5.0
+    # p_g underflows at n = 10**6, so every steering round aborts.
+    assert stats.wins == stats.trials - stats.aborts
+    assert stats.aborts == (0 if strategy == STRATEGY_QUANTUM else 10**6)
 
 
 def test_monte_carlo_transcript_sink_sees_ordered_trials():
@@ -303,7 +354,7 @@ def test_monte_carlo_transcript_sink_sees_ordered_trials():
     (STRATEGY_ENTANGLEMENT_ASSISTED, {"k": 1, "delta": 0.5}),
 ])
 def test_two_block_transcripts_arrive_in_trial_order(strategy, extra):
-    size = block_size(3)
+    size = BLOCK_TRIALS
     config = GameConfig(n=3, m=2, strategy=strategy, trials=size + 5, seed=3,
                         **extra)
     seen: list[Transcript] = []
@@ -403,12 +454,14 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
     which draw for a sink only after every verdict: it selects every
     subset, gathers every truth and measures every quantum trial and
     completed round, whether or not transcripts are wanted, and scores each
-    trial on its sampled subset.  Draw order: [x (cover)],
-    [rounds], [d], [x (quantum, steering)], the subset keys, [flips].
-    Returns (wins, aborts, transcript records)."""
+    trial on its sampled subset.  Draw order: [x (cover)], [rounds], [d],
+    then per chunk [x (quantum, steering)], the subset keys, [flips], where
+    a quantum or steering chunk holds max(1, TRIAL_MAX_N // n) rows and the
+    cover's the whole block.  Returns (wins, aborts, transcript records)."""
     n, m = config.n, config.m
+    is_cover = config.strategy == STRATEGY_CLASSICAL_COVER
     aborted = np.zeros(size, dtype=bool)
-    if config.strategy == STRATEGY_CLASSICAL_COVER:
+    if is_cover:
         x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
     else:
         messages = [{"kind": "quantum_state", "qubits": n}] * size
@@ -421,19 +474,27 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
         # The sampler as one step: d by inverse CDF, then d flips by rank.
         d = np.searchsorted(distance_distribution(m)[1], rng.random(size),
                             side="right")
-        x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
-    keys = rng.random((size, n))
-    y = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+    rows = size if is_cover else max(1, TRIAL_MAX_N // n)
+    inputs, subsets, ranks = [], [], []
+    for start in range(0, size, rows):
+        count = min(rows, size - start)
+        inputs.append(x[start:start + count] if is_cover else
+                      rng.integers(0, 2, size=(count, n), dtype=np.int8))
+        keys = rng.random((count, n))
+        subsets.append(np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m],
+                               axis=1))
+        if not is_cover:
+            ranks.append(rng.random((count, m)).argsort(axis=1).argsort(axis=1))
+    x, y = np.concatenate(inputs), np.concatenate(subsets)
     truth = np.take_along_axis(x, y, axis=1)
-    if config.strategy == STRATEGY_CLASSICAL_COVER:
+    if is_cover:
         cover = build_cover_strategy(n, m)
         chosen = cover.assignment[outcome_indices(x)]
         answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
         messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
                     for c in chosen]
     else:
-        ranks = rng.random((size, m)).argsort(axis=1).argsort(axis=1)
-        answer = truth ^ (ranks < d[:, None])
+        answer = truth ^ (np.concatenate(ranks) < d[:, None])
     won = (answer != truth).any(axis=1) & ~aborted
     records = [{"x": "".join(map(str, x[row])),
                 "y": [int(p) + 1 for p in y[row]],
@@ -452,16 +513,16 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
 ])
 def test_staged_blocks_equal_the_one_stage_reference(strategy, extra):
     # Several seeds, m = 1, m = n, and a 4,097-trial run of two blocks.  At
-    # n = 300 a block holds block_size(300) = 3,333 trials, so two blocks
-    # meet at a boundary set by n; n = 16 is the largest cover admitted.
-    large = ((16, 8, block_size(16) + 1, 4)
+    # n = 300 a sink draws 3,333 rows at a time, so the first of two blocks
+    # is two chunks; n = 16 is the largest cover admitted.
+    large = ((16, 8, BLOCK_TRIALS + 1, 4)
              if strategy == STRATEGY_CLASSICAL_COVER
-             else (300, 200, block_size(300) + 1, 4))
+             else (300, 200, BLOCK_TRIALS + 1, 4))
     for n, m, trials, seed in ((5, 1, 300, 0), (5, 5, 300, 1), (6, 3, 200, 2),
                                (6, 3, 200, 9), (4, 2, 4097, 3), large):
         config = GameConfig(n=n, m=m, strategy=strategy, trials=trials,
                             seed=seed, **extra)
-        size = block_size(n)
+        size = BLOCK_TRIALS
         wins = aborts = 0
         expected: list[dict] = []
         for block in range(-(-trials // size)):
@@ -527,7 +588,7 @@ def test_transcripts_check_their_verdicts_without_restrict(monkeypatch,
 
     monkeypatch.setattr(game, "restrict", refuse)
     config = GameConfig(n=4, m=2, strategy=strategy,
-                        trials=block_size(4) + 3, seed=6, **extra)
+                        trials=BLOCK_TRIALS + 3, seed=6, **extra)
     seen: list[Transcript] = []
     stats = monte_carlo(config, transcript_sink=seen.append)
     assert len(seen) == config.trials
@@ -545,7 +606,7 @@ def test_a_steering_run_checks_its_parameters_once(monkeypatch):
 
     monkeypatch.setattr(SteeringParameters, "__post_init__", counting)
     config = GameConfig(n=8, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
-                        trials=3 * game.block_size(8) + 1, seed=5, k=3,
+                        trials=3 * BLOCK_TRIALS + 1, seed=5, k=3,
                         delta=0.05)
     assert len(checks) == 1
     stats = monte_carlo(config)
@@ -635,7 +696,7 @@ def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
     # must equal, bit for bit, the one over a dense bincount of the blocks'
     # own referee draws.
     n, m, full_blocks, tail, seed = case
-    size = block_size(n)
+    size = BLOCK_TRIALS
     trials = full_blocks * size + tail
     counts = np.zeros(1 << n, dtype=np.int64)
     for block in range(full_blocks + 1):
@@ -732,7 +793,7 @@ cover = classical.CoverStrategy(
     tuple(int(v) for v in ((1 << n) - 1) ^ np.arange(1 << n)))
 game._cover = lambda n, m: cover
 stats = game.monte_carlo(game.GameConfig(
-    n, 2, "classical_cover", trials=2 * game.block_size(n), seed=0))
+    n, 2, "classical_cover", trials=2 * game.BLOCK_TRIALS, seed=0))
 print(stats.empirical_conditional_entropy,
       classical.exact_information_cost(cover))
 """

@@ -82,6 +82,79 @@ def test_index_subset_validation():
         IndexSubset((3, 1))
 
 
+@pytest.mark.parametrize("cls, values", [
+    (BitString, (0.7, 1.2)),
+    (BitString, (0.0, 1.0)),
+    (BitString, np.array([0.7, 1.2])),
+    (BitString, ("0", "1")),
+    (BitString, "01"),
+    (IndexSubset, (1.9, 2.5)),
+    (IndexSubset, (1, 2.0)),
+    (IndexSubset, np.array([1.9, 2.5])),
+    (IndexSubset, [Decimal(1), Decimal(2)]),
+])
+def test_non_integer_bits_and_indices_are_refused_not_truncated(cls, values):
+    # int() truncates: (0.7, 1.2) would pass as "01", (1.9, 2.5) as (1, 2).
+    with pytest.raises(ValueError, match="non-integer"):
+        cls(values)
+
+
+def test_bits_and_indices_take_bools_and_numpy_integers_as_ints():
+    for values in ((True, False, np.int8(1)), np.array([True, False, True]),
+                   np.array([1, 0, 1], dtype=np.uint8), iter([1, 0, 1])):
+        bits = BitString(values).bits
+        assert bits == (1, 0, 1) and {type(b) for b in bits} == {int}
+    for values in ((True, np.int64(5)), np.array([1, 5], np.uint64),
+                   np.array([1, 5], dtype=object)):
+        indices = IndexSubset(values).indices
+        assert indices == (1, 5) and {type(i) for i in indices} == {int}
+
+
+def _int_bits(values):
+    """BitString's check through int(), which truncated: the bits, or None
+    where it refused."""
+    bits = tuple(int(b) for b in values)
+    return bits if bits and not any(b not in (0, 1) for b in bits) else None
+
+
+def _int_indices(values):
+    """IndexSubset's check through int(), likewise."""
+    indices = tuple(int(i) for i in values)
+    ok = indices and indices[0] >= 1 and not any(
+        a >= b for a, b in zip(indices, indices[1:]))
+    return indices if ok else None
+
+
+def _as_numpy_scalars(values):
+    return tuple(v if isinstance(v, bool) or not -2**63 <= v < 2**63
+                 else np.int64(v) for v in values)
+
+
+def _as_array(values):
+    big = any(not -2**63 <= v < 2**63 for v in values)
+    return np.array(values, dtype=object if big else None)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2, 6), st.booleans(),
+                          st.integers(-2**70, 2**70)), max_size=6),
+       st.sampled_from([tuple, list, iter, _as_numpy_scalars, _as_array]))
+@example(values=[0, 1, True, 1], form=tuple)
+@example(values=[1, 2**70], form=_as_array)
+def test_exact_checks_agree_with_int_on_integers(values, form):
+    # On integer input (Python ints and bools, numpy integers, integer or
+    # bool arrays) the exact checks accept what int() did, with its values.
+    for cls, reference, field in ((BitString, _int_bits, "bits"),
+                                  (IndexSubset, _int_indices, "indices")):
+        expected = reference(form(values))
+        try:
+            got = getattr(cls(form(values)), field)
+        except ValueError:
+            got = None
+        assert got == expected
+        assert got is None or {type(v) for v in got} == {int}
+
+
 def test_critical_angle_known_values():
     assert critical_angle(1) == pytest.approx(math.pi / 2, abs=1e-15)
     assert critical_angle(2) == pytest.approx(math.pi / 4, abs=1e-15)
