@@ -184,14 +184,8 @@ def _resolve_seed(explicit: int | None) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     config = game.GameConfig(
-        n=args.n,
-        m=args.m,
-        strategy=args.strategy,
-        trials=args.trials,
-        seed=_resolve_seed(args.seed),
-        delta=args.delta,
-        k=args.k,
-    )
+        n=args.n, m=args.m, strategy=args.strategy, trials=args.trials,
+        seed=_resolve_seed(args.seed), delta=args.delta, k=args.k)
     sink = transcript_file = None
     if args.transcripts is not None:
         # Opened at the first trial, after monte_carlo's refusals, so a

@@ -22,10 +22,10 @@ statistics are identical however blocks are distributed over workers.
 oversized trial before it draws.  One function plays each strategy's
 block, and ``_send`` turns rows into Transcripts for a sink:
 
-* ``_cover_block`` draws x (``referee_draw``) and wins iff its message
-  serves x: the two differ in more than n - m positions, so on every size-m
-  subset.  With a sink it selects y (``select_subsets``, n keys per trial)
-  and answers with the message's bits at y.
+* ``_cover_block`` draws x (``referee_draw``), reads it as an index, and
+  wins iff its message serves x: the two differ in more than n - m
+  positions, so on every size-m subset.  With a sink it selects y
+  (``select_subsets``, n keys per trial) and answers with the message's bits.
 * ``_quantum_block`` plays ``quantum`` and, after the steering rounds,
   ``entanglement_assisted``: a trial or completed round wins iff d >= 1.
   With a sink it draws x, selects y and flips d positions of the truth
@@ -72,7 +72,7 @@ STRATEGIES = (
     STRATEGY_ENTANGLEMENT_ASSISTED,
 )
 # Largest n one trial may draw, and the most input bits a sink draws at a
-# time: 17 bytes per bit (int8 bits, float64 keys, int64 positions).
+# time: 17 bytes per bit (uint8 bits, float64 keys, int64 positions).
 TRIAL_MAX_N = 10**6
 # Trials per block, whatever n is.
 BLOCK_TRIALS = 4096
@@ -172,8 +172,14 @@ class RunStatistics:
 
 
 def referee_draw(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` uniform inputs x, as a (size, n) int8 array of bits."""
-    return rng.integers(0, 2, size=(size, n), dtype=np.int8)
+    """``size`` uniform inputs x, row i's the first n bits, MSB first, of its
+    ceil(n / 64) uint64 words of ``rng.bit_generator.random_raw``."""
+    return rng.bit_generator.random_raw((size, -(-n // 64)))
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) uint8 bits of ``referee_draw``'s words, by big-endian bytes."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n)
 
 
 def select_subsets(keys: np.ndarray, m: int) -> np.ndarray:
@@ -203,13 +209,13 @@ def _send(sink: Callable[[Transcript], None], first: int, x: np.ndarray,
 
 def _cover_block(config: GameConfig, rng: np.random.Generator, size: int,
                  first: int, sink: Callable[[Transcript], None] | None):
-    """A ``classical_cover`` block; returns (wins, 0, x_index), its input
-    indices, unsorted, which ``monte_carlo`` counts: the message is a
-    function of x, so the counts of x fix H(X | M)."""
+    """A ``classical_cover`` block; returns (wins, 0, x_index), its inputs,
+    unsorted, as the top n bits of one word each (n <= COVER_MAX_N), which
+    ``monte_carlo`` counts: H(X | M) is fixed by them, M a function of X."""
     n, m = config.n, config.m
     cover = _cover(n, m)
-    x = referee_draw(n, rng, size)
-    x_index = x @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    words = referee_draw(n, rng, size)
+    x_index = (words[:, 0] >> (64 - n)).astype(np.int64)
     chosen = cover.assignment[x_index]
     sent = cover.values[chosen]
     won = np.bitwise_count(sent ^ x_index) > n - m
@@ -217,8 +223,8 @@ def _cover_block(config: GameConfig, rng: np.random.Generator, size: int,
         y = select_subsets(rng.random((size, n)), m)
         messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
                     for c in chosen]
-        _send(sink, first, x, y, messages, (sent[:, None] >> (n - 1 - y)) & 1,
-              won, np.zeros(size, dtype=bool))
+        _send(sink, first, _bits(words, n), y, messages,
+              (sent[:, None] >> (n - 1 - y)) & 1, won, np.zeros(size, bool))
     return int(won.sum()), 0, x_index
 
 
@@ -235,7 +241,7 @@ def _quantum_block(config: GameConfig, rng: np.random.Generator, size: int,
     step = max(1, TRIAL_MAX_N // n)  # rows per chunk of a sink's draws
     for start in range(0, size if sink is not None else 0, step):
         rows = slice(start, start + step)
-        x = referee_draw(n, rng, len(d[rows]))
+        x = _bits(referee_draw(n, rng, len(d[rows])), n)
         y = select_subsets(rng.random(x.shape), m)
         answer = flip_positions(np.take_along_axis(x, y, axis=1), d[rows], rng)
         messages = ([{"kind": "quantum_state", "qubits": n} for _ in x]

@@ -113,7 +113,7 @@ class BitString:
         return len(self.bits)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map("01".__getitem__, self.bits))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
@@ -251,8 +251,8 @@ def sample_distance(m: int, rng: np.random.Generator, rows: int) -> np.ndarray:
 
 def flip_positions(truth: np.ndarray, d: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Row i of the (rows, m) 0/1 int8 ``truth`` with d[i] uniform positions
-    flipped: the d[i] smallest of m uniform keys per row, taken by rank."""
+    """Row i of the (rows, m) 0/1 ``truth`` with d[i] uniform positions
+    flipped, in its dtype: the d[i] smallest of m uniform keys, by rank."""
     ranks = rng.random(truth.shape).argsort(axis=1).argsort(axis=1)
     return truth ^ (ranks < d[:, None])
 

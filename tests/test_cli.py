@@ -607,7 +607,7 @@ SIMULATE_PINNED_RUNS = [
     ("classical_cover", 5, 2, 300, 7, ("--transcripts", "{tmp}/trials.jsonl")),
 ]
 SIMULATE_REPORTS_SHA256 = (
-    "62a430eebe58c26e92b4936a085fcc93e625bc8252a7fb8296178c496996a669")
+    "8ec28b4eacf75b333a9a214ab014bd6f944d5bbbb88363c32d53e443ffccbef8")
 
 
 def test_simulate_reports_are_pinned(tmp_path, capsys, pool_sizes):

@@ -46,7 +46,8 @@ from exclab.steering import (
     p_abort,
     p_global_steer,
 )
-from test_pbr import THREE_SIGMA_TAIL, chi2_sf, outcome_indices
+from test_known_answers import as_bits, python_inputs
+from test_pbr import THREE_SIGMA_TAIL, chi2_sf
 
 
 def joint_conditional_entropy(joint: np.ndarray) -> float:
@@ -115,13 +116,19 @@ def test_transcript_consistency_rules():
 
 
 def test_referee_draw_shapes_and_marginals():
+    # referee_draw hands over the raw words themselves, ceil(n / 64) per
+    # row.  The statistics below read x from the words by Python ints
+    # (python_inputs), not by the game's own unpacking.
+    for n, words in ((1, 1), (64, 1), (65, 2), (300, 5)):
+        drawn = referee_draw(n, make_rng(2718), 7)
+        assert drawn.shape == (7, words) and drawn.dtype == np.uint64
+        assert drawn.ravel().tolist() == make_rng(
+            2718).bit_generator.random_raw(7 * words).tolist()
     rng = make_rng(2718)
     n, m, draws = 3, 2, 6000
-    x = referee_draw(n, rng, draws)
-    assert x.shape == (draws, n) and x.dtype == np.int8
+    x = as_bits(python_inputs(rng, n, draws))
     y = select_subsets(rng.random((draws, n)), m)
     assert y.shape == (draws, m)
-    assert ((x == 0) | (x == 1)).all()
     # Positions are 0-based, distinct and sorted within each row.
     assert (y >= 0).all() and (y < n).all() and (np.diff(y, axis=1) > 0).all()
     ones = x.sum(axis=0)
@@ -140,15 +147,15 @@ def test_referee_draw_is_uniform_over_inputs_and_subsets():
     # Chi-square goodness of fit at the suite's one-sided 3-sigma level: the
     # C(6, 3) = 20 subsets and the 2**6 = 64 inputs, each against uniform.
     n, m, draws = 6, 3, 20000
-    rng = make_rng(1618)
-    x = referee_draw(n, rng, draws)
+    rng = make_rng(1619)
+    x = python_inputs(rng, n, draws)
     y = select_subsets(rng.random((draws, n)), m)
     subsets = {y: i for i, y in
                enumerate(itertools.combinations(range(1, n + 1), m))}
     subset_counts = np.bincount(
         [subsets[tuple(int(p) + 1 for p in row)] for row in y],
         minlength=len(subsets))
-    input_counts = np.bincount(outcome_indices(x), minlength=1 << n)
+    input_counts = np.bincount([int(row, 2) for row in x], minlength=1 << n)
     for counts in (subset_counts, input_counts):
         expected = draws / len(counts)
         statistic = float(((counts - expected) ** 2 / expected).sum())
@@ -462,7 +469,7 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
     is_cover = config.strategy == STRATEGY_CLASSICAL_COVER
     aborted = np.zeros(size, dtype=bool)
     if is_cover:
-        x = rng.integers(0, 2, size=(size, n), dtype=np.int8)
+        x = python_inputs(rng, n, size)
     else:
         messages = [{"kind": "quantum_state", "qubits": n}] * size
         if config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
@@ -478,25 +485,25 @@ def reference_block(config: GameConfig, rng: np.random.Generator, size: int,
     inputs, subsets, ranks = [], [], []
     for start in range(0, size, rows):
         count = min(rows, size - start)
-        inputs.append(x[start:start + count] if is_cover else
-                      rng.integers(0, 2, size=(count, n), dtype=np.int8))
+        inputs += (x[start:start + count] if is_cover else
+                   python_inputs(rng, n, count))
         keys = rng.random((count, n))
         subsets.append(np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m],
                                axis=1))
         if not is_cover:
             ranks.append(rng.random((count, m)).argsort(axis=1).argsort(axis=1))
-    x, y = np.concatenate(inputs), np.concatenate(subsets)
+    x, y = as_bits(inputs), np.concatenate(subsets)
     truth = np.take_along_axis(x, y, axis=1)
     if is_cover:
         cover = build_cover_strategy(n, m)
-        chosen = cover.assignment[outcome_indices(x)]
+        chosen = cover.assignment[[int(row, 2) for row in inputs]]
         answer = (cover.values[chosen, None] >> (n - 1 - y)) & 1
         messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
                     for c in chosen]
     else:
         answer = truth ^ (np.concatenate(ranks) < d[:, None])
     won = (answer != truth).any(axis=1) & ~aborted
-    records = [{"x": "".join(map(str, x[row])),
+    records = [{"x": inputs[row],
                 "y": [int(p) + 1 for p in y[row]],
                 "message": messages[row],
                 "answer": None if aborted[row] else "".join(map(str, answer[row])),
@@ -669,8 +676,7 @@ def test_cover_entropy_keeps_only_the_observed_inputs():
     stats = monte_carlo(config)
     cover = build_cover_strategy(16, 8)
     block_rng = make_rng(np.random.SeedSequence(3, spawn_key=(0,)))
-    x = referee_draw(16, block_rng, 400)
-    x_index = x @ (1 << np.arange(15, -1, -1, dtype=np.int64))
+    x_index = [int(x, 2) for x in python_inputs(block_rng, 16, 400)]
     joint = np.zeros((1 << 16, len(cover.messages)))
     np.add.at(joint, (x_index, cover.assignment[x_index]), 1.0)
     full = joint_conditional_entropy(joint)
@@ -701,9 +707,8 @@ def test_sparse_input_histogram_matches_dense_counts(pool_sizes, case):
     counts = np.zeros(1 << n, dtype=np.int64)
     for block in range(full_blocks + 1):
         rng = make_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-        x = referee_draw(n, rng, min(size, trials - block * size))
-        counts += np.bincount(x @ (1 << np.arange(n - 1, -1, -1)),
-                              minlength=1 << n)
+        x = python_inputs(rng, n, min(size, trials - block * size))
+        counts += np.bincount([int(row, 2) for row in x], minlength=1 << n)
     expected = conditional_entropy(counts, game._cover(n, m).assignment)
     config = GameConfig(n=n, m=m, strategy=STRATEGY_CLASSICAL_COVER,
                         trials=trials, seed=seed)
@@ -729,9 +734,9 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
         counted.clear()
         stats = monte_carlo(GameConfig(n=8, m=3, trials=trials, seed=11,
                                        strategy=STRATEGY_CLASSICAL_COVER))
-        x = referee_draw(8, make_rng(np.random.SeedSequence(
-            11, spawn_key=(0,))), trials)
-        counts = np.bincount(x @ (1 << np.arange(7, -1, -1)), minlength=256)
+        x = python_inputs(make_rng(np.random.SeedSequence(
+            11, spawn_key=(0,))), 8, trials)
+        counts = np.bincount([int(row, 2) for row in x], minlength=256)
         assert stats.empirical_conditional_entropy == conditional_entropy(
             counts, game._cover(8, 3).assignment)
         assert counted == ([trials] if trials < fewest else [])
@@ -745,10 +750,9 @@ def test_short_ranges_count_densely_up_to_the_crossover(monkeypatch,
     assert pool_sizes == [2]
     counts = np.zeros(1 << 16, dtype=np.int64)
     for block in range(2):
-        x = referee_draw(16, make_rng(np.random.SeedSequence(
-            11, spawn_key=(block,))), 4096)
-        counts += np.bincount(x @ (1 << np.arange(15, -1, -1)),
-                              minlength=1 << 16)
+        x = python_inputs(make_rng(np.random.SeedSequence(
+            11, spawn_key=(block,))), 16, 4096)
+        counts += np.bincount([int(row, 2) for row in x], minlength=1 << 16)
     assert stats.empirical_conditional_entropy == conditional_entropy(
         counts, game._cover(16, 8).assignment)
     assert counted == []
