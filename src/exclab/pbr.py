@@ -70,7 +70,7 @@ class GameParameters:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 
 
-def _integers(values) -> tuple[int, ...]:
+def _as_ints(values) -> tuple[int, ...]:
     """``values`` as Python ints by ``operator.index``, in C: no float."""
     try:
         return tuple(map(operator.index, values.tolist() if isinstance(
@@ -90,7 +90,7 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = _integers(self.bits)
+        bits = _as_ints(self.bits)
         if not bits:
             raise ValueError("bit string must be nonempty")
         if not {0, 1}.issuperset(bits):
@@ -138,7 +138,7 @@ class IndexSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        indices = _integers(self.indices)
+        indices = _as_ints(self.indices)
         if not indices:
             raise ValueError("subset must be nonempty")
         if indices[0] < 1 or not all(map(operator.lt, indices, indices[1:])):
