@@ -64,10 +64,9 @@ _SCALARS = {float: _float_json, str: encode_basestring_ascii,
             int: int.__repr__}
 
 
-def _to_json(obj, newline: str | None = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True)``, floats rounded to 12 significant
-    digits, indented by 2 below the line break ``newline`` or on one line
-    when it is None.  Refuses what json refuses and non-str keys with
+def _to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, floats rounded to 12
+    significant digits.  Refuses what json refuses and non-str keys with
     TypeError, and NaN and infinities (not JSON) with ValueError.
 
     A float is written as ``float.__repr__(float(f"{x:.12g}"))``, mostly
@@ -78,7 +77,7 @@ def _to_json(obj, newline: str | None = "\n") -> str:
     parts: list[str] = []
     put, get, labels = parts.append, _SCALARS.get, {}
 
-    def write(obj, newline: str | None) -> None:
+    def write(obj, newline: str) -> None:
         keys, ends = (sorted(obj), "{}") if isinstance(obj, dict) else (None, "[]")
         if keys is None and not isinstance(obj, (list, tuple)):
             for kind, scalar in _SCALARS.items():  # subclasses, e.g. np.float64
@@ -87,8 +86,7 @@ def _to_json(obj, newline: str | None = "\n") -> str:
             raise TypeError(f"{type(obj).__name__} is not JSON serializable")
         if not obj:
             return put(ends)
-        inner = newline and newline + "  "
-        separator, first = ", " if inner is None else "," + inner, len(parts)
+        separator, first = "," + (inner := newline + "  "), len(parts)
         for item in obj if keys is None else keys:
             put(separator)
             if keys is not None:  # encode_basestring_ascii refuses other keys
@@ -99,10 +97,10 @@ def _to_json(obj, newline: str | None = "\n") -> str:
                 write(item, inner)
             else:
                 put(scalar(item))
-        parts[first] = ends[0] + (inner or "")  # over the first separator
-        put((newline or "") + ends[1])
+        parts[first] = ends[0] + inner  # over the first separator
+        put(newline + ends[1])
 
-    write(obj, newline)
+    write(obj, "\n")
     return "".join(parts)
 
 
@@ -186,23 +184,20 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     config = game.GameConfig(
         n=args.n, m=args.m, strategy=args.strategy, trials=args.trials,
         seed=_resolve_seed(args.seed), delta=args.delta, k=args.k)
-    sink = transcript_file = None
+    sink = file = None
     if args.transcripts is not None:
-        # Opened at the first trial, after monte_carlo's refusals, so a
-        # refused run leaves the file as it was.
-        def sink(transcript: game.Transcript) -> None:
-            nonlocal transcript_file
-            if transcript_file is None:
-                transcript_file = Path(args.transcripts).open(
-                    "w", encoding="utf-8")
-            transcript_file.write(_to_json(transcript.to_dict(), None) + "\n")
+        # Opened at the first chunk, so a refused run leaves it as it was.
+        def sink(lines: str) -> None:
+            nonlocal file
+            file = file or Path(args.transcripts).open("w", encoding="utf-8")
+            file.write(lines)
 
     try:
         stats = game.monte_carlo(config, workers=args.threads,
                                  transcript_sink=sink)
     finally:
-        if transcript_file is not None:
-            transcript_file.close()
+        if file is not None:
+            file.close()
 
     # Success means the zero-error invariant held: no non-aborted loss.
     return ({"config": dict(vars(config)), "statistics": stats.to_dict()},

@@ -20,7 +20,7 @@ from its own counter-based substream, child b of SeedSequence(seed), so
 statistics are identical however blocks are distributed over workers.
 ``GameConfig`` refuses n past TRIAL_MAX_N, so every entry point refuses an
 oversized trial before it draws.  One function plays each strategy's
-block, and ``_send`` turns rows into Transcripts for a sink:
+block, and ``_lines`` writes its rows' transcripts for a sink:
 
 * ``_cover_block`` draws x (``referee_draw``), reads it as an index, and
   wins iff its message serves x: the two differ in more than n - m
@@ -40,6 +40,7 @@ sinkless run draws a prefix of that, so its report is the same either way.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -149,10 +150,6 @@ class Transcript:
                 self.x.bits[i - 1] for i in self.y.indices)):
             raise ValueError("verdict disagrees with answer")
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "x": str(self.x), "y": list(self.y.indices),
-                "answer": None if self.answer is None else str(self.answer)}
-
 
 @dataclass(frozen=True)
 class RunStatistics:
@@ -193,22 +190,24 @@ def _cover(n: int, m: int) -> CoverStrategy:
     return build_cover_strategy(n, m)
 
 
-def _send(sink: Callable[[Transcript], None], first: int, x: np.ndarray,
-          y: np.ndarray, messages: list[dict], answer: np.ndarray,
-          won: np.ndarray, aborted: np.ndarray) -> None:
-    """One Transcript per row, trials first onward, to ``sink`` in order."""
-    for row, message in enumerate(messages):
-        done = not aborted[row]
-        sink(Transcript(x=BitString(x[row]), y=IndexSubset(y[row] + 1),
-                        message=message,
-                        answer=BitString(answer[row]) if done else None,
-                        aborted=not done,
-                        won=bool(won[row]) if done else None,
-                        trial=first + row))
+def _lines(first: int, x: np.ndarray, y: np.ndarray, messages,
+           answer: np.ndarray, won: np.ndarray, aborted: np.ndarray) -> str:
+    """Rows' Transcripts, trials first onward, as ``json.dumps`` lines with
+    sorted keys, bits as str and y 1-based; messages come as JSON text."""
+    x, answer = ([row.decode() for row in np.pad(  # each row as a JSON str
+        bits + 48, ((0, 0), (1, 1)), constant_values=34).astype(np.uint8)
+        .view(f"S{bits.shape[1] + 2}")[:, 0].tolist()] for bits in (x, answer))
+    return "".join(
+        f'{{"aborted": {"true" if a else "false"}, "answer": '
+        f'{"null" if a else said}, "message": {message}, "trial": {trial}, '
+        f'"won": {"null" if a else ("false", "true")[w]}, "x": {bits}, '
+        f'"y": {subset}}}\n' for trial, bits, subset, message, said, w, a in
+        zip(itertools.count(first), x, (y + 1).tolist(), messages, answer,
+            won.tolist(), aborted.tolist()))
 
 
 def _cover_block(config: GameConfig, rng: np.random.Generator, size: int,
-                 first: int, sink: Callable[[Transcript], None] | None):
+                 first: int, sink: Callable[[str], None] | None):
     """A ``classical_cover`` block; returns (wins, 0, x_index), its inputs,
     unsorted, as the top n bits of one word each (n <= COVER_MAX_N), which
     ``monte_carlo`` counts: H(X | M) is fixed by them, M a function of X."""
@@ -221,15 +220,15 @@ def _cover_block(config: GameConfig, rng: np.random.Generator, size: int,
     won = np.bitwise_count(sent ^ x_index) > n - m
     if sink is not None:
         y = select_subsets(rng.random((size, n)), m)
-        messages = [{"kind": "classical_message", "bits": str(cover.messages[c])}
-                    for c in chosen]
-        _send(sink, first, _bits(words, n), y, messages,
-              (sent[:, None] >> (n - 1 - y)) & 1, won, np.zeros(size, bool))
+        texts = {c: f'{{"bits": "{cover.messages[c]}", "kind": '
+                    '"classical_message"}' for c in set(chosen.tolist())}
+        sink(_lines(first, _bits(words, n), y, map(texts.get, chosen.tolist()),
+                    (sent[:, None] >> (n - 1 - y)) & 1, won, np.zeros_like(won)))
     return int(won.sum()), 0, x_index
 
 
 def _quantum_block(config: GameConfig, rng: np.random.Generator, size: int,
-                   first: int, sink: Callable[[Transcript], None] | None):
+                   first: int, sink: Callable[[str], None] | None):
     """A ``quantum`` or ``entanglement_assisted`` block; returns (wins,
     aborts, None)."""
     n, m = config.n, config.m
@@ -244,30 +243,37 @@ def _quantum_block(config: GameConfig, rng: np.random.Generator, size: int,
         x = _bits(referee_draw(n, rng, len(d[rows])), n)
         y = select_subsets(rng.random(x.shape), m)
         answer = flip_positions(np.take_along_axis(x, y, axis=1), d[rows], rng)
-        messages = ([{"kind": "quantum_state", "qubits": n} for _ in x]
+        messages = ([f'{{"kind": "quantum_state", "qubits": {n}}}'] * len(x)
                     if set_index is None else
-                    [{"kind": "abort"} if a else
-                     {"kind": "set_index", "value": int(j)}
-                     for a, j in zip(aborted[rows], set_index[rows])])
-        _send(sink, first + start, x, y, messages, answer, won[rows],
-              aborted[rows])
+                    ['{"kind": "abort"}' if a else '{"kind": "set_index", '
+                     f'"value": {int(j)}}}' for a, j in zip(
+                         aborted[rows].tolist(), set_index[rows].tolist())])
+        sink(_lines(first + start, x, y, messages, answer, won[rows],
+                    aborted[rows]))
     return int(won.sum()), int(aborted.sum()), None
 
 
 def _play_block(config: GameConfig, rng: np.random.Generator, size: int,
-                first: int, sink: Callable[[Transcript], None] | None):
-    """Play trials first .. first + size - 1, drawing only from ``rng``;
-    returns (wins, aborts, x_index or None)."""
+                first: int, sink: Callable[[str], None] | None):
+    """Play the block of ``config``'s strategy, drawing only from ``rng``."""
     play = (_cover_block if config.strategy == STRATEGY_CLASSICAL_COVER
             else _quantum_block)
     return play(config, rng, size, first, sink)
 
 
+def read_transcripts(lines: str) -> list[Transcript]:
+    """The checked Transcripts of a transcript sink's JSON lines."""
+    return [Transcript(**{**r, "x": BitString.from_string(r["x"]),
+                          "y": IndexSubset(r["y"]), "answer": r["answer"]
+                          and BitString.from_string(r["answer"])})
+            for r in map(json.loads, lines.splitlines())]
+
+
 def run_trial(config: GameConfig, rng: np.random.Generator) -> Transcript:
     """Play one trial, the block of size 1, drawing only from ``rng``."""
-    transcripts: list[Transcript] = []
-    _play_block(config, rng, 1, 0, transcripts.append)
-    return transcripts[0]
+    lines: list[str] = []
+    _play_block(config, rng, 1, 0, lines.append)
+    return read_transcripts(lines[0])[0]
 
 
 def _message_bits(config: GameConfig) -> dict:
@@ -285,7 +291,7 @@ def _message_bits(config: GameConfig) -> dict:
 
 
 def _run_blocks(config: GameConfig, first: int, stop: int,
-                sink: Callable[[Transcript], None] | None = None):
+                sink: Callable[[str], None] | None = None):
     """Aggregate blocks [first, stop); returns (wins, aborts, counts of x or
     None, leftover input indices).  Block b plays trials from b *
     BLOCK_TRIALS on, from its own substream, child b of SeedSequence(seed),
@@ -317,15 +323,15 @@ def _run_blocks(config: GameConfig, first: int, stop: int,
 
 
 def monte_carlo(config: GameConfig, workers: int = 1,
-                transcript_sink: Callable[[Transcript], None] | None = None,
+                transcript_sink: Callable[[str], None] | None = None,
                 ) -> RunStatistics:
     """Run ``config.trials`` independent trials and summarize them.
 
     The blocks of trials are split into one contiguous range per worker
     (``qcore.pool_map``; one worker at most per usable CPU and per block, so
     a call of one block starts no pool); per-block substreams make the
-    result identical for any worker count.  Streaming transcripts to
-    ``transcript_sink`` forces one worker, so the sink sees trials in order.
+    result identical for any worker count.  A ``transcript_sink`` takes
+    each chunk's JSON lines and forces one worker, so it sees trials in order.
 
     For ``classical_cover`` the cover is built, or refused, before any
     worker starts.  The workers' counts are summed and all their leftover
@@ -334,8 +340,7 @@ def monte_carlo(config: GameConfig, workers: int = 1,
     and the parent each worker's counts and leftovers.
     """
     blocks = -(-config.trials // BLOCK_TRIALS)
-    workers = usable_workers(workers,
-                             blocks if transcript_sink is None else 1)
+    workers = usable_workers(workers, blocks if transcript_sink is None else 1)
     if config.strategy == STRATEGY_CLASSICAL_COVER:
         labels = _cover(config.n, config.m).assignment
     edges = [blocks * w // workers for w in range(workers + 1)]

@@ -99,7 +99,7 @@ class BitString:
 
     @classmethod
     def from_string(cls, text: str) -> BitString:
-        return cls(tuple(int(c) for c in text))
+        return cls(np.frombuffer(text.encode(), np.uint8) - ord("0"))
 
     @classmethod
     def from_index(cls, value: int, length: int) -> BitString:

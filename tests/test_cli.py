@@ -416,7 +416,6 @@ def _assert_writes_as_json_does(obj):
     reference = _round_floats(obj)
     assert cli._to_json(obj) == json.dumps(reference, indent=2,
                                            sort_keys=True)
-    assert cli._to_json(obj, None) == json.dumps(reference, sort_keys=True)
 
 
 JSON_VALUES = st.recursive(
@@ -472,7 +471,7 @@ def test_report_writer_matches_json_after_rounding(obj):
     (-1e-320, "-1e-320"),
 ], ids=repr)
 def test_report_writer_float_edges(value, text):
-    assert cli._to_json(value) == cli._to_json(value, None) == text
+    assert cli._to_json(value) == text
     _assert_writes_as_json_does([value, {"v": value}])
 
 
@@ -480,25 +479,23 @@ def test_report_writer_float_edges(value, text):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_report_writer_floats_take_the_rounded_repr(x):
     reference = float.__repr__(float(f"{x:.12g}"))
-    assert cli._to_json(x) == cli._to_json(x, None) == reference
-    assert cli._to_json([x], None) == f"[{reference}]"
+    assert cli._to_json(x) == reference
+    assert cli._to_json([x]) == f"[\n  {reference}\n]"
 
 
 @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1: 2},
                                    {"a": [{(1, 2): 3}]}, {1, 2}, b"x"],
                          ids=repr)
 def test_report_writer_refuses_what_json_refuses_and_non_str_keys(value):
-    for newline in ("\n", None):
-        with pytest.raises(TypeError):
-            cli._to_json(value, newline)
+    with pytest.raises(TypeError):
+        cli._to_json(value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
                                    [{"a": np.float64("nan")}]], ids=repr)
 def test_report_writer_refuses_non_finite_floats(value):
-    for newline in ("\n", None):
-        with pytest.raises(ValueError, match="not finite"):
-            cli._to_json(value, newline)
+    with pytest.raises(ValueError, match="not finite"):
+        cli._to_json(value)
 
 
 def test_simulate_quantum_json_and_determinism():
@@ -592,6 +589,48 @@ def test_simulate_at_n_300_does_not_depend_on_threads_or_the_sink(
     assert stats["aborts"] == sum(record["aborted"] for record in records)
     if strategy == "entanglement_assisted":
         assert 0 < stats["aborts"] < trials
+
+
+@pytest.mark.parametrize("strategy, extra", [
+    ("quantum", ()),
+    ("classical_cover", ()),
+    ("entanglement_assisted", ("--k", "3", "--delta", "0.05")),
+])
+def test_simulate_at_n_8_does_not_depend_on_threads_or_the_sink(
+        tmp_path, strategy, extra):
+    # 5,000 trials at n = 8 are two blocks.  The report must not depend on
+    # the sink (a block draws for it last) or on the worker count, nor the
+    # transcripts on the worker count; the file holds one line per trial.
+    argv = ["simulate", "--strategy", strategy, "--n", "8", "--m", "4",
+            "--trials", "5000", "--seed", "2", *extra]
+    reports, streams = set(), set()
+    for threads in ("1", "2"):
+        for sink in (False, True):
+            report = tmp_path / f"report-{threads}-{sink}.json"
+            path = tmp_path / f"trials-{threads}.jsonl"
+            assert cli.main([*argv, "--threads", threads, "--output",
+                             str(report), *(("--transcripts", str(path))
+                                            if sink else ())]) == 0
+            reports.add(report.read_bytes())
+        streams.add(path.read_bytes())
+    assert len(reports) == len(streams) == 1
+    assert streams.pop().count(b"\n") == 5000
+
+
+def test_the_cube_cover_report_does_not_depend_on_the_sink_or_workers(
+        tmp_path):
+    # (16, 6) needs many rounds and ends on the cube, whose 2**16 input
+    # table is gathered from the lattice state like any other.
+    argv = ["simulate", "--strategy", "classical_cover", "--n", "16",
+            "--m", "6", "--trials", "5000", "--seed", "2"]
+    path = tmp_path / "trials.jsonl"
+    reports = set()
+    for extra in ((), ("--transcripts", str(path)), ("--threads", "2")):
+        report = tmp_path / "report.json"
+        assert cli.main([*argv, *extra, "--output", str(report)]) == 0
+        reports.add(report.read_bytes())
+    assert len(reports) == 1
+    assert path.read_bytes().count(b"\n") == 5000
 
 
 # sha256 over the stdout of each `simulate` run below, in order, then the
@@ -915,6 +954,27 @@ def test_oracle_keeps_one_mask_at_m_equal_n():
                      preexec_fn=_limit_address_space_to_1_gib)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["pass"] is True
+
+
+def test_transcripts_at_the_trial_budget_fit_in_1_gib(tmp_path):
+    # A sink at n = TRIAL_MAX_N draws and writes one row at a time: two
+    # trials at (10**6, 31,622) write two lines, each with its 10**6-bit x,
+    # and the report is the sinkless run's.
+    argv = ("simulate", "--strategy", "quantum", "--n", str(TRIAL_MAX_N),
+            "--m", "31622", "--trials", "2")
+    path = tmp_path / "trials.jsonl"
+    with_sink = run_cli(*argv, "--transcripts", str(path),
+                        preexec_fn=_limit_address_space_to_1_gib)
+    assert with_sink.returncode == 0, with_sink.stderr
+    plain = run_cli(*argv, preexec_fn=_limit_address_space_to_1_gib)
+    assert plain.returncode == 0, plain.stderr
+    assert with_sink.stdout == plain.stdout
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [record["trial"] for record in records] == [0, 1]
+    for record in records:
+        assert len(record["x"]) == TRIAL_MAX_N
+        assert set(record["x"]) <= {"0", "1"}
+        assert len(record["y"]) == len(record["answer"]) == 31622
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Referee, single trials, and the Monte Carlo harness."""
 
 import itertools
+import json
 import math
 import resource
 import subprocess
@@ -27,6 +28,7 @@ from exclab.game import (
     RunStatistics,
     Transcript,
     monte_carlo,
+    read_transcripts,
     referee_draw,
     run_trial,
     select_subsets,
@@ -63,6 +65,22 @@ def quantum_config(**overrides) -> GameConfig:
     base = dict(n=4, m=2, strategy=STRATEGY_QUANTUM, trials=50, seed=7)
     base.update(overrides)
     return GameConfig(**base)
+
+
+def played(config: GameConfig, workers: int = 1):
+    """``monte_carlo``'s statistics, and the lines its sink took, in order,
+    read back as checked Transcripts."""
+    lines: list[str] = []
+    stats = monte_carlo(config, workers=workers, transcript_sink=lines.append)
+    return stats, read_transcripts("".join(lines))
+
+
+def record(transcript: Transcript) -> dict:
+    """A Transcript's fields as its transcript line holds them."""
+    answer = transcript.answer
+    return {**vars(transcript), "x": str(transcript.x),
+            "y": list(transcript.y.indices),
+            "answer": None if answer is None else str(answer)}
 
 
 def test_game_config_validation():
@@ -107,12 +125,15 @@ def test_transcript_consistency_rules():
     with pytest.raises(ValueError):
         Transcript(x=x, y=y, message={}, answer=other, aborted=True, won=None,
                    trial=0)
-    record = Transcript(x=x, y=y, message={"kind": "abort"}, answer=None,
-                        aborted=True, won=None, trial=17).to_dict()
-    assert record == {
-        "x": "1010", "y": [1, 3], "message": {"kind": "abort"},
-        "answer": None, "aborted": True, "won": None, "trial": 17,
-    }
+    # A transcript line is read back through the same checks.
+    line = {"x": "1010", "y": [1, 3], "message": {"kind": "abort"},
+            "answer": None, "aborted": True, "won": None, "trial": 17}
+    [aborted] = read_transcripts(json.dumps(line))
+    assert record(aborted) == line
+    assert aborted.x == x and aborted.y == y
+    with pytest.raises(ValueError, match="verdict"):
+        read_transcripts(json.dumps({**line, "answer": str(truth),
+                                     "aborted": False, "won": True}))
 
 
 def test_referee_draw_shapes_and_marginals():
@@ -184,8 +205,7 @@ def test_run_trial_classical_announces_a_cover_message():
     # message it announced, the cover's message for its input.
     config = GameConfig(n=10, m=4, strategy=STRATEGY_CLASSICAL_COVER,
                         trials=BLOCK_TRIALS + 50, seed=5)
-    transcripts = []
-    monte_carlo(config, transcript_sink=transcripts.append)
+    _, transcripts = played(config)
     assert [t.trial for t in transcripts] == list(range(config.trials))
     cover = build_cover_strategy(10, 4)
     for transcript in transcripts:
@@ -306,8 +326,7 @@ def test_a_sink_draws_at_most_trial_max_n_input_bits_at_a_time(monkeypatch):
             config = GameConfig(n=n, m=3, strategy=strategy,
                                 trials=BLOCK_TRIALS + 5, seed=2, **extra)
             draws.clear()
-            seen: list[Transcript] = []
-            stats = monte_carlo(config, transcript_sink=seen.append)
+            stats, seen = played(config)
             assert [t.trial for t in seen] == list(range(config.trials))
             rows = 100 // n  # per chunk, in blocks of BLOCK_TRIALS and 5
             assert draws == [n * min(rows, size - start)
@@ -346,8 +365,7 @@ def test_sinkless_runs_at_the_trial_budget_play_full_blocks(strategy, extra):
 
 def test_monte_carlo_transcript_sink_sees_ordered_trials():
     config = quantum_config(trials=25)
-    seen: list[Transcript] = []
-    stats = monte_carlo(config, workers=4, transcript_sink=seen.append)
+    stats, seen = played(config, workers=4)
     assert len(seen) == 25
     assert [t.trial for t in seen] == list(range(25))
     assert stats.wins == sum(1 for t in seen if t.won)
@@ -364,10 +382,9 @@ def test_two_block_transcripts_arrive_in_trial_order(strategy, extra):
     size = BLOCK_TRIALS
     config = GameConfig(n=3, m=2, strategy=strategy, trials=size + 5, seed=3,
                         **extra)
-    seen: list[Transcript] = []
-    stats = monte_carlo(config, workers=2, transcript_sink=seen.append)
+    stats, seen = played(config, workers=2)
     assert [t.trial for t in seen] == list(range(size + 5))
-    assert [t.to_dict()["trial"] for t in seen[size - 1:size + 1]] == [
+    assert [record(t)["trial"] for t in seen[size - 1:size + 1]] == [
         size - 1, size]
     assert stats.wins == sum(1 for t in seen if t.won)
     assert stats.aborts == sum(1 for t in seen if t.aborted)
@@ -437,8 +454,7 @@ def test_steering_trials_measure_the_steered_product_encoding(monkeypatch):
     monkeypatch.setattr(game, "flip_positions", recording)
     config = GameConfig(n=6, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED,
                         trials=200, seed=0, k=3, delta=0.05)
-    seen: list[Transcript] = []
-    stats = monte_carlo(config, transcript_sink=seen.append)
+    stats, seen = played(config)
     assert 0 < stats.aborts < stats.trials
     assert stats.wins == stats.trials - stats.aborts
     assert len(flipped) == 1
@@ -537,13 +553,94 @@ def test_staged_blocks_equal_the_one_stage_reference(strategy, extra):
             w, a, records = reference_block(
                 config, rng, min(size, trials - block * size), block * size)
             wins, aborts, expected = wins + w, aborts + a, expected + records
-        seen: list[Transcript] = []
-        stats = monte_carlo(config, transcript_sink=seen.append)
+        stats, seen = played(config)
         assert (stats.wins, stats.aborts) == (wins, aborts)
-        assert [t.to_dict() for t in seen] == expected
+        assert [record(t) for t in seen] == expected
         assert monte_carlo(config) == stats
         if strategy == STRATEGY_ENTANGLEMENT_ASSISTED and trials > 1000:
             assert 0 < aborts < trials
+
+
+@st.composite
+def block_columns(draw):
+    """A block's drawn columns for one strategy: its config, first trial,
+    input words, 0-based subsets, distances d (0 gives a lost trial) and
+    steering rounds, aborted or at set indices up to J = 10**20, k = 10**30."""
+    strategy = draw(st.sampled_from(STRATEGIES))
+    n = draw(st.integers(1, 6 if strategy == STRATEGY_CLASSICAL_COVER else 70))
+    m = draw(st.integers(1, n))
+    size = draw(st.integers(1, 5))
+    extra = ({"k": 10**30, "delta": 0.05}
+             if strategy == STRATEGY_ENTANGLEMENT_ASSISTED else {})
+    first = draw(st.one_of(st.integers(0, 9), st.integers(2**31 - 2, 2**31 + 2),
+                           st.integers(2**53 - 2, 2**53 + 2),
+                           st.integers(0, 2**70)))
+    rows = st.lists(st.integers(0, 2**64 - 1), min_size=-(-n // 64),
+                    max_size=-(-n // 64))
+    words = draw(st.lists(rows, min_size=size, max_size=size))
+    subsets = draw(st.lists(st.permutations(range(n)).map(
+        lambda order: sorted(order[:m])), min_size=size, max_size=size))
+    d = draw(st.lists(st.integers(0, m), min_size=size, max_size=size))
+    set_index = draw(st.lists(st.one_of(
+        st.integers(0, 9), st.integers(10**20 - 2, 10**20 + 2),
+        st.integers(2**53, 2**64)).map(float) | st.just(math.inf),
+        min_size=size, max_size=size))
+    return (GameConfig(n=n, m=m, strategy=strategy, trials=1, seed=0, **extra),
+            first, words, subsets, d, set_index)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(block_columns())
+@example((GameConfig(n=1, m=1, strategy=STRATEGY_QUANTUM, trials=1, seed=0),
+          2**53 + 1, [[0], [2**63]], [[0], [0]], [0, 1], [0.0, 0.0]))
+def test_transcript_lines_are_json_dumps_of_their_records(columns):
+    # Each line a block sends its sink is json.dumps(record, sort_keys=True)
+    # of the record built here from the drawn columns alone, and
+    # read_transcripts gives back the same fields.  The draws are replaced
+    # by the columns; the flips take the first d positions of the truth.
+    config, first, words, subsets, d, set_index = columns
+    n, m = config.n, config.m
+    aborted = [j >= config.k if config.k else False for j in set_index]
+    steering = config.strategy == STRATEGY_ENTANGLEMENT_ASSISTED
+    pending = iter(words)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "referee_draw", lambda n, rng, size: np.array(
+            [next(pending) for _ in range(size)], dtype=np.uint64))
+        patch.setattr(game, "select_subsets",
+                      lambda keys, m: np.array(subsets))
+        patch.setattr(game, "sample_distance", lambda m, rng, size: np.array(d))
+        patch.setattr(game, "draw_rounds", lambda config, rng, size: (
+            np.array(aborted), np.array(set_index)))
+        patch.setattr(game, "flip_positions", lambda truth, d, rng: truth ^ (
+            np.arange(truth.shape[1]) < d[:, None]))
+        lines: list[str] = []
+        game._play_block(config, make_rng(0), len(words), first, lines.append)
+    records = []
+    if config.strategy == STRATEGY_CLASSICAL_COVER:
+        cover = build_cover_strategy(n, m)
+    for row, (row_words, y) in enumerate(zip(words, subsets)):
+        x = "".join(format(w, "064b") for w in row_words)[:n]
+        truth = "".join(x[p] for p in y)
+        if config.strategy == STRATEGY_CLASSICAL_COVER:
+            sent = str(cover.messages[cover.assignment[int(x, 2)]])
+            message = {"kind": "classical_message", "bits": sent}
+            answer = "".join(sent[p] for p in y)
+        else:
+            message = ({"kind": "quantum_state", "qubits": n} if not steering
+                       else {"kind": "abort"} if aborted[row] else
+                       {"kind": "set_index", "value": int(set_index[row])})
+            answer = "".join(str(int(b) ^ (i < d[row]))
+                             for i, b in enumerate(truth))
+        done = not aborted[row]
+        records.append({"x": x, "y": [p + 1 for p in y], "message": message,
+                        "answer": answer if done else None,
+                        "aborted": not done,
+                        "won": answer != truth if done else None,
+                        "trial": first + row})
+    text = "".join(lines)
+    assert text == "".join(json.dumps(r, sort_keys=True) + "\n"
+                           for r in records)
+    assert [record(t) for t in read_transcripts(text)] == records
 
 
 def test_sinkless_blocks_draw_only_what_they_score(monkeypatch):
@@ -596,8 +693,7 @@ def test_transcripts_check_their_verdicts_without_restrict(monkeypatch,
     monkeypatch.setattr(game, "restrict", refuse)
     config = GameConfig(n=4, m=2, strategy=strategy,
                         trials=BLOCK_TRIALS + 3, seed=6, **extra)
-    seen: list[Transcript] = []
-    stats = monte_carlo(config, transcript_sink=seen.append)
+    stats, seen = played(config)
     assert len(seen) == config.trials
     assert stats.wins == sum(1 for t in seen if t.won)
 

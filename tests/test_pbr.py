@@ -50,6 +50,11 @@ def test_bitstring_validation():
         BitString.from_index(4, 2)
     with pytest.raises(ValueError):
         BitString.from_index(-1, 2)
+    # Text holds only the characters 0 and 1: a space, a digit past 1, or a
+    # non-ASCII digit (which int() would read as 1) is refused.
+    for text in ("", "012", "1 0", "/", "\u0661", "0\u00b9"):
+        with pytest.raises(ValueError):
+            BitString.from_string(text)
 
 
 def test_bitstring_bit_is_one_indexed_msb_first():
