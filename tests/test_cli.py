@@ -1,16 +1,25 @@
-"""End-to-end command-line checks via subprocess."""
+"""Command-line checks.
+
+Most call ``cli.main`` in this process; ``run_cli`` runs ``python -m
+exclab.cli`` in a subprocess for the rest.  Every check of what the commands
+print lives in tier-1: CI calls each command once through the installed
+``exclab`` script and checks nothing else of it.
+"""
 
 import concurrent.futures
+import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +52,14 @@ def run_cli(*argv: str, env_extra: dict | None = None, preexec_fn=None):
         env=env,
         preexec_fn=preexec_fn,
     )
+
+
+def _strict_json(text: str):
+    """``json.loads``, refusing NaN and Infinity, which it would take."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_verify_pbr_reports_and_passes():
@@ -299,6 +316,36 @@ def test_bounds_reports_are_pinned(capsys, format_args):
     assert digest.hexdigest() == BOUNDS_REPORTS_SHA256[output_format]
 
 
+# linear:0.9 reaches what power:0.75 barely does: most exact rows take the
+# 2*gamma > 2**n branch, the large ones the series complement.
+@pytest.mark.parametrize("rule, n_values", [
+    ("power:0.75", [*range(8, 65), 100, 1000, 10**4, 10**5, 10**8]),
+    ("linear:0.9", [*range(2, 66), 100, 10**6]),
+], ids=["power:0.75", "linear:0.9"])
+def test_bounds_csv_and_json_agree_field_by_field(tmp_path, capsys, rule,
+                                                  n_values):
+    # CSV prints .12g and JSON the repr of the rounded value: the same floats,
+    # exact and log-domain rows alike.  README's shell form reads the n list
+    # from a file: exclab bounds --n $(cat n_values.txt) --m-rule ...
+    n_values = [*map(str, n_values)]
+    n_file = tmp_path / "n_values.txt"
+    n_file.write_text(" ".join(n_values) + "\n")
+
+    def bounds(*argv):
+        assert cli.main(["bounds", "--m-rule", rule, "--n", *argv]) == 0
+        return capsys.readouterr().out
+
+    csv_text = bounds(*n_values)
+    assert bounds(*n_file.read_text().split()) == csv_text
+    csv_rows = list(csv.DictReader(io.StringIO(csv_text)))
+    json_rows = _strict_json(bounds(*n_values, "--format", "json"))["rows"]
+    assert len(csv_rows) == len(json_rows) == len(n_values)
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert csv_row.keys() == json_row.keys(), (csv_row, json_row)
+        for key, value in json_row.items():
+            assert float(csv_row[key]) == value, (key, csv_row, json_row)
+
+
 NON_FINITE_BOUNDS = ["bounds", "--n", "8", "--m-rule", "linear:0.5",
                      "--format", "json"]
 
@@ -318,7 +365,8 @@ def test_a_non_finite_report_value_exits_2_with_no_report(monkeypatch,
     assert captured.out == "" and "not finite" in captured.err
 
 
-# One run of every command; main writes each report, to stdout or --output.
+# One run of every command, and the quantum simulate report; main writes each
+# report, to stdout or --output.
 EVERY_COMMAND = {
     "verify-pbr": ["verify-pbr", "4"],
     "bounds-csv": ["bounds", "--n", "100", "1000", "--m-rule", "power:0.75"],
@@ -326,17 +374,26 @@ EVERY_COMMAND = {
                     "--format", "json"],
     "simulate": ["simulate", "--strategy", "classical_cover", "--n", "6",
                  "--m", "3", "--trials", "200", "--seed", "2"],
+    "simulate-quantum": ["simulate", "--strategy", "quantum", "--n", "8",
+                         "--m", "4", "--trials", "200", "--seed", "1"],
     "oracle": ["oracle", "5", "2"],
     "steering": ["steering", "--m-max", "8"],
     "choose-k": ["choose-k", "1.0", "0.05"],
 }
 
 
-@pytest.mark.parametrize("argv", EVERY_COMMAND.values(), ids=EVERY_COMMAND)
-def test_output_file_holds_exactly_what_stdout_would(tmp_path, capsys, argv):
+@pytest.mark.parametrize("name", EVERY_COMMAND)
+def test_output_file_holds_exactly_what_stdout_would(tmp_path, capsys, name):
+    argv = EVERY_COMMAND[name]
     assert cli.main(argv) == 0
     printed = capsys.readouterr()
     assert printed.err == "" and printed.out
+    if name not in ("bounds-csv", "choose-k"):  # the JSON reports
+        doc = _strict_json(printed.out)
+        assert doc["command"] == argv[0]
+    if name == "oracle":  # the exhaustive search finds the formula's minimum
+        assert doc["pass"] is True
+        assert doc["min_excluded"] == doc["closed_form"]
     target = tmp_path / "report"
     assert cli.main([*argv, "--output", str(target)]) == 0
     assert capsys.readouterr() == ("", "")
@@ -568,7 +625,9 @@ def test_simulate_at_n_300_does_not_depend_on_threads_or_the_sink(
     # BLOCK_TRIALS + 1 trials are two blocks, and a sink at n = 300 draws
     # 3,333 rows at a time, so the first block is two chunks.  The report
     # must not depend on the worker count or the sink, nor the transcripts
-    # on the worker count.
+    # on the worker count.  pool_sizes runs the pool in this process;
+    # test_simulate_at_n_8_does_not_depend_on_threads_or_the_sink runs both
+    # strategies on a real one.
     trials = game.BLOCK_TRIALS + 1
     argv = ["simulate", "--strategy", strategy, "--n", "300", "--m", str(m),
             "--trials", str(trials), "--seed", "8", *extra]
@@ -659,6 +718,12 @@ def test_simulate_reports_are_pinned(tmp_path, capsys, pool_sizes):
         captured = capsys.readouterr()
         assert captured.err == ""
         digest.update(captured.out.encode())
+        # A pooled run reports what a serial one does.  The pool runs in
+        # this process (pool_sizes); the cover at n = 16 runs on a real pool
+        # in test_the_cube_cover_report_does_not_depend_on_the_sink_or_workers.
+        if "--threads" in extra:
+            assert cli.main([*argv, "--threads", "1"]) == 0
+            assert capsys.readouterr() == captured
     digest.update((tmp_path / "trials.jsonl").read_bytes())
     assert pool_sizes == [2, 3]
     assert digest.hexdigest() == SIMULATE_REPORTS_SHA256
@@ -843,8 +908,10 @@ PARSE_CASES = {
 }
 
 
-@pytest.mark.parametrize("argv, code", PARSE_CASES.values(), ids=PARSE_CASES)
-def test_main_parses_as_the_full_parser_does(capsys, argv, code):
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_main_parses_as_the_full_parser_does(capsys, name):
+    argv, code = PARSE_CASES[name]
+
     def parse(parse_args):
         try:
             return vars(parse_args(list(argv))), capsys.readouterr()
@@ -854,6 +921,11 @@ def test_main_parses_as_the_full_parser_does(capsys, argv, code):
     once = parse(cli._parse_args)
     assert once == parse(cli.build_parser().parse_args)
     assert once[0] == code if code is not None else "func" in once[0]
+    if name == "missing-required":  # the refusing parser's usage line
+        assert once[1].err.startswith("usage: exclab simulate ")
+    if name == "help":  # one line for each command
+        for command in {run[0] for run in EVERY_COMMAND.values()}:
+            assert re.search(rf"^ +{command} ", once[1].out, re.M), command
 
 
 def test_oracle_small_instance():
@@ -1052,3 +1124,17 @@ def test_choose_k_small_alpha_exact_or_refused():
     tiny = run_cli("choose-k", "0.005", "0.05")
     assert tiny.returncode == 2
     assert "resource limit" in tiny.stderr
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tier1.yml"
+
+
+def test_the_ci_workflow_names_files_and_commands_that_exist():
+    # Read as text: the CI legs install no YAML parser.  The workflow calls
+    # each registered command once through the installed exclab script.
+    text = WORKFLOW.read_text(encoding="utf-8")
+    paths = re.findall(r"\b(?:tests|perfbench)/[\w/]+\.py\b", text)
+    root = WORKFLOW.parents[2]
+    assert paths and all((root / path).is_file() for path in paths), paths
+    calls = re.findall(r"^ *exclab ([\w-]+)", text, re.M)
+    assert sorted(calls) == sorted(cli._parsers()[1])

@@ -358,6 +358,10 @@ def test_sinkless_runs_at_the_trial_budget_play_full_blocks(strategy, extra):
     start = time.perf_counter()
     stats = monte_carlo(config)
     assert time.perf_counter() - start < 5.0
+    # Nor does the report depend on the worker count, on a real pool.
+    start = time.perf_counter()
+    assert monte_carlo(config, workers=2) == stats
+    assert time.perf_counter() - start < 5.0
     # p_g underflows at n = 10**6, so every steering round aborts.
     assert stats.wins == stats.trials - stats.aborts
     assert stats.aborts == (0 if strategy == STRATEGY_QUANTUM else 10**6)
