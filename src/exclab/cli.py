@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -102,6 +101,18 @@ def _to_json(obj) -> str:
 
     write(obj, "\n")
     return "".join(parts)
+
+
+def _write(path: str, text: str, flags: int = os.O_TRUNC) -> None:
+    """Write ``text`` as UTF-8 to ``path`` ("" is "."), unbuffered, created
+    with mode 0o666 under the umask, truncated or (os.O_APPEND) added to."""
+    file = os.open(path or ".", os.O_WRONLY | os.O_CREAT | flags, 0o666)
+    try:
+        data = text.encode("utf-8")
+        while data:  # a raw write may take only some of the bytes
+            data = data[os.write(file, data):]
+    finally:
+        os.close(file)
 
 
 def _rows(m_max: int, cap: int, row) -> tuple[dict, int]:
@@ -184,20 +195,16 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     config = game.GameConfig(
         n=args.n, m=args.m, strategy=args.strategy, trials=args.trials,
         seed=_resolve_seed(args.seed), delta=args.delta, k=args.k)
-    sink = file = None
+    sink, flags = None, os.O_TRUNC
     if args.transcripts is not None:
-        # Opened at the first chunk, so a refused run leaves it as it was.
+        # Truncated at the first chunk, so a refused run leaves it as it was.
         def sink(lines: str) -> None:
-            nonlocal file
-            file = file or Path(args.transcripts).open("w", encoding="utf-8")
-            file.write(lines)
+            nonlocal flags
+            _write(args.transcripts, lines, flags)
+            flags = os.O_APPEND
 
-    try:
-        stats = game.monte_carlo(config, workers=args.threads,
-                                 transcript_sink=sink)
-    finally:
-        if file is not None:
-            file.close()
+    stats = game.monte_carlo(config, workers=args.threads,
+                             transcript_sink=sink)
 
     # Success means the zero-error invariant held: no non-aborted loss.
     return ({"config": dict(vars(config)), "statistics": stats.to_dict()},
@@ -354,11 +361,8 @@ def main(argv: list[str] | None = None) -> int:
                                "command": args.command, **report}) + "\n"
         if args.output is None:
             sys.stdout.write(report)
-        else:  # unbuffered: one write, repeated only if the system cuts it
-            data = report.encode("utf-8")
-            with open(Path(args.output), "wb", buffering=0) as file:
-                while data:
-                    data = data[file.write(data):]
+        else:
+            _write(args.output, report)
         return code
     except ResourceLimitError as exc:
         print(f"exclab: resource limit: {exc}", file=sys.stderr)

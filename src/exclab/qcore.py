@@ -28,10 +28,10 @@ def usable_workers(requested: int, jobs: int) -> int:
     """Pool size: the request, capped by the usable CPUs and by ``jobs``."""
     if requested < 1:
         raise ValueError(f"workers must be >= 1, got {requested}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # sched_getaffinity is Linux-only
-        cpus = os.cpu_count() or 1
+    if requested == 1 or jobs == 1:  # without asking the OS for its CPUs
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux-only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return min(requested, cpus, jobs)
 
 

@@ -1,9 +1,12 @@
 """Command-line checks.
 
-Most call ``cli.main`` in this process; ``run_cli`` runs ``python -m
-exclab.cli`` in a subprocess for the rest.  Every check of what the commands
-print lives in tier-1: CI calls each command once through the installed
-``exclab`` script and checks nothing else of it.
+Most call ``cli.main`` in this process, many through ``run_main``.
+``run_cli`` runs ``python -m exclab.cli`` in a fresh interpreter only where
+one is the point: the ``-m`` entry point, EXCLAB_SEED read from the
+environment, a fresh process printing what this one does, or an address
+space limit on the child.  Every check of what the commands print lives in
+tier-1: CI calls each command once through the installed ``exclab`` script
+and checks nothing else of it.
 """
 
 import concurrent.futures
@@ -54,6 +57,23 @@ def run_cli(*argv: str, env_extra: dict | None = None, preexec_fn=None):
     )
 
 
+@pytest.fixture
+def run_main(capsys, monkeypatch):
+    """``run_cli`` in this process: ``cli.main``'s exit code (argparse's
+    too) and what it printed, with EXCLAB_SEED unset as ``run_cli`` has it."""
+    monkeypatch.delenv("EXCLAB_SEED", raising=False)
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(argv, code, out, err)
+
+    return run
+
+
 def _strict_json(text: str):
     """``json.loads``, refusing NaN and Infinity, which it would take."""
     def refuse(constant):
@@ -62,8 +82,13 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_verify_pbr_reports_and_passes():
-    result = run_cli("verify-pbr", "4")
+def _quantum(trials: int, threads: int) -> list[str]:
+    return ["simulate", "--strategy", "quantum", "--n", "8", "--m", "4",
+            "--trials", str(trials), "--seed", "1", "--threads", str(threads)]
+
+
+def test_verify_pbr_reports_and_passes(run_main):
+    result = run_main("verify-pbr", "4")
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["schema_version"] == "1"
@@ -83,16 +108,17 @@ def test_verify_pbr_reports_and_passes():
     assert first["pass"] is True
 
 
-def test_verify_pbr_is_byte_deterministic():
+def test_verify_pbr_is_byte_deterministic(run_main):
+    # A fresh interpreter prints what this one does.
     first = run_cli("verify-pbr", "3")
-    second = run_cli("verify-pbr", "3")
+    second = run_main("verify-pbr", "3")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
 
 
-def test_verify_pbr_rejects_out_of_range_m_max(capsys):
-    assert run_cli("verify-pbr", "21").returncode == 2
-    below = run_cli("verify-pbr", "0")
+def test_verify_pbr_rejects_out_of_range_m_max(capsys, run_main):
+    assert run_main("verify-pbr", "21").returncode == 2
+    below = run_main("verify-pbr", "0")
     assert below.returncode == 2 and "resource limit" not in below.stderr
     _assert_rows_refused_outside_1_to_cap(capsys, ["verify-pbr"], 20)
 
@@ -145,8 +171,8 @@ def test_verify_pbr_reaches_twenty_qubits_through_the_transform(tmp_path):
     assert elapsed < 5.0
 
 
-def test_bounds_csv_values_match_library():
-    result = run_cli("bounds", "--n", "16", "64", "--m-rule", "linear:0.25")
+def test_bounds_csv_values_match_library(run_main):
+    result = run_main("bounds", "--n", "16", "64", "--m-rule", "linear:0.25")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -162,15 +188,15 @@ def test_bounds_csv_values_match_library():
         assert float(cells[5]) == pytest.approx(2 * float(cells[4]), rel=1e-9)
 
 
-def test_bounds_empty_n_list_gives_header_only_csv():
-    result = run_cli("bounds", "--n", "--m-rule", "power:0.75")
+def test_bounds_empty_n_list_gives_header_only_csv(run_main):
+    result = run_main("bounds", "--n", "--m-rule", "power:0.75")
     assert result.returncode == 0, result.stderr
     assert result.stdout == CSV_HEADER + "\n"
 
 
-def test_bounds_json_format():
-    result = run_cli("bounds", "--n", "32", "--m-rule", "power:0.5",
-                     "--format", "json")
+def test_bounds_json_format(run_main):
+    result = run_main("bounds", "--n", "32", "--m-rule", "power:0.5",
+                      "--format", "json")
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["schema_version"] == "1"
@@ -200,26 +226,26 @@ def test_unusable_files_exit_2_with_a_message(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("n", ["0", "-8"])
-def test_bounds_refuses_n_below_one_with_exit_2(n):
+def test_bounds_refuses_n_below_one_with_exit_2(n, run_main):
     # (-8) ** 0.75 is complex: n must be refused before it meets the power.
-    result = run_cli("bounds", "--n", n, "--m-rule", "power:0.75")
+    result = run_main("bounds", "--n", n, "--m-rule", "power:0.75")
     assert result.returncode == 2
     assert result.stdout == "" and "Traceback" not in result.stderr
     assert f"n must be >= 1, got {n}" in result.stderr
 
 
-def test_bounds_requires_inputs():
+def test_bounds_requires_inputs(run_main):
     for argv, missing in ((["--n", "8"], "--m-rule"),
                           (["--m-rule", "power:0.75"], "--n"),
                           ([], "--n, --m-rule")):
-        result = run_cli("bounds", *argv)
+        result = run_main("bounds", *argv)
         assert result.returncode == 2
         assert result.stdout == ""
         assert f"the following arguments are required: {missing}" in (
             result.stderr)
 
 
-def test_bounds_refuses_a_batch_file(tmp_path):
+def test_bounds_refuses_a_batch_file(tmp_path, run_main):
     # The table is asked for by --n and --m-rule only; a shell reads a list
     # from a file: exclab bounds --n $(cat n_values.txt) --m-rule ...
     batch = tmp_path / "batch.json"
@@ -229,7 +255,7 @@ def test_bounds_refuses_a_batch_file(tmp_path):
             ([], "required: --n, --m-rule"),
             (["--n", "16", "64", "--m-rule", "linear:0.25"],
              f"unrecognized arguments: --spec {batch}")):
-        result = run_cli("bounds", "--spec", str(batch), *extra)
+        result = run_main("bounds", "--spec", str(batch), *extra)
         assert result.returncode == 2
         assert result.stdout == "" and message in result.stderr
 
@@ -250,9 +276,9 @@ def test_bounds_at_the_cap_answers_in_constant_memory(tmp_path):
     assert peak < len(rows) << 20
 
 
-def test_bounds_past_the_cap_exits_2_before_any_row():
+def test_bounds_past_the_cap_exits_2_before_any_row(run_main):
     for n in ("10000000000000", str(10**18)):
-        result = run_cli("bounds", "--n", "100", n, "--m-rule", "power:0.75")
+        result = run_main("bounds", "--n", "100", n, "--m-rule", "power:0.75")
         assert result.returncode == 2
         assert result.stdout == ""
         assert "resource limit" in result.stderr
@@ -275,10 +301,10 @@ def test_bounds_under_an_address_space_limit_never_exit_1():
         assert result.returncode == expected, result.stderr
 
 
-def test_bounds_output_file(tmp_path):
+def test_bounds_output_file(tmp_path, run_main):
     target = tmp_path / "table.csv"
-    result = run_cli("bounds", "--n", "8", "--m-rule", "linear:0.5",
-                     "--output", str(target))
+    result = run_main("bounds", "--n", "8", "--m-rule", "linear:0.5",
+                      "--output", str(target))
     assert result.returncode == 0
     assert result.stdout == ""
     content = target.read_text()
@@ -402,20 +428,30 @@ def test_output_file_holds_exactly_what_stdout_would(tmp_path, capsys, name):
 
 def test_output_file_holds_every_byte_after_short_writes(tmp_path, capsys,
                                                         monkeypatch):
-    # main writes --output unbuffered; a raw write may take only some bytes.
-    class ShortWrites(io.FileIO):
-        def write(self, data):
-            return super().write(bytes(data[:100]))
+    # main writes --output and the transcripts unbuffered, through os.write,
+    # and a raw write may take only some of the bytes: here at most 100.
+    argv = _quantum(5000, 1)  # two blocks: the sink takes two chunks
+    whole = {"report": tmp_path / "report.json",
+             "transcripts": tmp_path / "trials.jsonl"}
+    cut = {name: tmp_path / f"cut-{path.name}" for name, path in whole.items()}
+    for path in cut.values():  # an earlier, longer file is replaced
+        path.write_bytes(b"stale\n" * 10**5)
+    assert cli.main([*argv, "--output", str(whole["report"]),
+                     "--transcripts", str(whole["transcripts"])]) == 0
+    write, taken = os.write, []
 
-    argv = EVERY_COMMAND["bounds-json"]
-    assert cli.main(argv) == 0
-    printed = capsys.readouterr().out
-    assert len(printed) > 300
-    monkeypatch.setattr(cli, "open", lambda path, mode, buffering:
-                        ShortWrites(path, mode), raising=False)
-    target = tmp_path / "report"
-    assert cli.main([*argv, "--output", str(target)]) == 0
-    assert target.read_bytes() == printed.encode()
+    def short_write(file, data):
+        taken.append(write(file, bytes(data[:100])))
+        return taken[-1]
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    assert cli.main([*argv, "--output", str(cut["report"]),
+                     "--transcripts", str(cut["transcripts"])]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+    assert sum(taken) == sum(path.stat().st_size for path in whole.values())
+    for name, path in whole.items():
+        assert cut[name].read_bytes() == path.read_bytes(), name
 
 
 REFUSED_COMMANDS = {
@@ -453,6 +489,15 @@ def test_an_empty_path_exits_2_and_prints_nothing(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("exclab: ") and message in err
+
+
+def test_a_path_ending_in_a_slash_names_a_directory(tmp_path, capsys):
+    # The OS reads the path; pathlib would drop the slash and write "report".
+    argv = ["choose-k", "1", "0.05", "--output", f"{tmp_path}/report/"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Is a directory" in err
+    assert not any(tmp_path.iterdir())
 
 
 def _round_floats(obj):
@@ -555,11 +600,11 @@ def test_report_writer_refuses_non_finite_floats(value):
         cli._to_json(value)
 
 
-def test_simulate_quantum_json_and_determinism():
+def test_simulate_quantum_json_and_determinism(run_main):
     argv = ("simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
             "--trials", "50", "--seed", "3", "--threads", "1")
-    first = run_cli(*argv)
-    second = run_cli(*argv)
+    first = run_cli(*argv)  # a fresh interpreter, then this one
+    second = run_main(*argv)
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     doc = json.loads(first.stdout)
@@ -573,13 +618,13 @@ def test_simulate_quantum_json_and_determinism():
     assert stats["message_bits"] == {"qubits": 4.0}
 
 
-def test_simulate_thread_count_does_not_change_output():
+def test_simulate_thread_count_does_not_change_output(run_main):
     # 10,000 trials are three blocks, so --threads 3 really runs a pool.
     for strategy in ("quantum", "classical_cover"):
         argv = ("simulate", "--strategy", strategy, "--n", "6", "--m", "3",
                 "--trials", "10000", "--seed", "5")
-        serial = run_cli(*argv, "--threads", "1")
-        parallel = run_cli(*argv, "--threads", "3")
+        serial = run_main(*argv, "--threads", "1")
+        parallel = run_main(*argv, "--threads", "3")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
 
@@ -596,12 +641,12 @@ def test_simulate_seed_from_environment():
     assert bad.returncode == 2
 
 
-def test_simulate_transcript_stream(tmp_path):
+def test_simulate_transcript_stream(tmp_path, run_main):
     path = tmp_path / "transcripts.ndjson"
-    result = run_cli("simulate", "--strategy", "entanglement_assisted",
-                     "--n", "3", "--m", "3", "--k", "11", "--delta", "0.05",
-                     "--trials", "40", "--seed", "1", "--threads", "1",
-                     "--transcripts", str(path))
+    result = run_main("simulate", "--strategy", "entanglement_assisted",
+                      "--n", "3", "--m", "3", "--k", "11", "--delta", "0.05",
+                      "--trials", "40", "--seed", "1", "--threads", "1",
+                      "--transcripts", str(path))
     assert result.returncode == 0, result.stderr
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 40
@@ -745,19 +790,19 @@ def test_refused_simulate_leaves_the_transcript_file_as_it_was(
     assert path.read_text() == "an earlier run's transcripts\n"
 
 
-def test_simulate_usage_errors():
-    missing_k = run_cli("simulate", "--strategy", "entanglement_assisted",
-                        "--n", "4", "--m", "2", "--trials", "5")
+def test_simulate_usage_errors(run_main):
+    missing_k = run_main("simulate", "--strategy", "entanglement_assisted",
+                         "--n", "4", "--m", "2", "--trials", "5")
     assert missing_k.returncode == 2
-    too_big = run_cli("simulate", "--strategy", "classical_cover",
-                      "--n", "17", "--m", "2", "--trials", "5",
-                      "--threads", "1")
+    too_big = run_main("simulate", "--strategy", "classical_cover",
+                       "--n", "17", "--m", "2", "--trials", "5",
+                       "--threads", "1")
     assert too_big.returncode == 2
     assert "resource" in too_big.stderr
     # The greedy cover at (16, 1) needs 2**16 rounds; it is refused up front.
     start = time.perf_counter()
-    too_many_rounds = run_cli("simulate", "--strategy", "classical_cover",
-                              "--n", "16", "--m", "1", "--trials", "1")
+    too_many_rounds = run_main("simulate", "--strategy", "classical_cover",
+                               "--n", "16", "--m", "1", "--trials", "1")
     assert time.perf_counter() - start < 5.0
     assert too_many_rounds.returncode == 2
     assert too_many_rounds.stdout == ""
@@ -778,22 +823,22 @@ def test_verify_pbr_past_the_qubit_cap_exits_2_before_allocating(capsys):
     assert peak < 1 << 20
 
 
-def test_simulate_steering_past_the_qubit_cap_runs_with_zero_loss():
+def test_simulate_steering_past_the_qubit_cap_runs_with_zero_loss(run_main):
     # The 13-qubit cap guards dense verification only; completed steering
     # rounds are measured through the distance law, as quantum trials are.
     for m in ("14", "100"):
-        result = run_cli("simulate", "--strategy", "entanglement_assisted",
-                         "--n", m, "--m", m, "--k", "11", "--delta", "0.05",
-                         "--trials", "200", "--seed", "1")
+        result = run_main("simulate", "--strategy", "entanglement_assisted",
+                          "--n", m, "--m", m, "--k", "11", "--delta", "0.05",
+                          "--trials", "200", "--seed", "1")
         assert result.returncode == 0, result.stderr
         stats = json.loads(result.stdout)["statistics"]
         assert stats["trials"] == 200 and stats["aborts"] < 200
         assert stats["wins"] == stats["trials"] - stats["aborts"]
 
 
-def test_simulate_past_the_qubit_cap_runs_with_zero_loss():
-    result = run_cli("simulate", "--strategy", "quantum", "--n", "200",
-                     "--m", "100", "--trials", "200", "--seed", "1")
+def test_simulate_past_the_qubit_cap_runs_with_zero_loss(run_main):
+    result = run_main("simulate", "--strategy", "quantum", "--n", "200",
+                      "--m", "100", "--trials", "200", "--seed", "1")
     assert result.returncode == 0, result.stderr
     stats = json.loads(result.stdout)["statistics"]
     assert stats["trials"] == stats["wins"] == 200
@@ -835,15 +880,15 @@ def test_simulate_splits_more_blocks_than_int64_holds(monkeypatch, capsys,
     assert stats["win_rate"] == 1.0
 
 
-def test_simulate_plays_steering_runs_at_constant_communication_k():
+def test_simulate_plays_steering_runs_at_constant_communication_k(run_main):
     # k = choose_k(alpha, 0.05) at alpha = m/n = 0.05 and 0.01: pair by pair
     # a round would walk ~1/p_g = 2e10 and 5e51 sets.
     for n, alpha in ((60, 0.05), (300, 0.01)):
         start = time.perf_counter()
-        result = run_cli("simulate", "--strategy", "entanglement_assisted",
-                         "--n", str(n), "--m", "3",
-                         "--k", str(choose_k(alpha, 0.05)), "--delta", "0.05",
-                         "--trials", "1000")
+        result = run_main("simulate", "--strategy", "entanglement_assisted",
+                          "--n", str(n), "--m", "3",
+                          "--k", str(choose_k(alpha, 0.05)), "--delta", "0.05",
+                          "--trials", "1000")
         assert time.perf_counter() - start < 5.0
         assert result.returncode == 0, result.stderr
         stats = json.loads(result.stdout)["statistics"]
@@ -856,6 +901,36 @@ def test_threads_default_to_one_worker():
     simulate = parser.parse_args(["simulate", "--strategy", "quantum",
                                   "--n", "4", "--m", "2", "--trials", "5"])
     assert simulate.threads == 1
+
+
+# argv, and whether its run asks the OS for its usable CPUs: only a run that
+# could use more than one worker does.  5,000 trials are two blocks.
+AFFINITY_CASES = {
+    "simulate-threads-1": (_quantum(5000, 1), False),
+    "simulate-one-block": (_quantum(200, 2), False),
+    "oracle": (["oracle", "5", "2", "--threads", "4"], False),
+    "simulate-two-blocks": (_quantum(5000, 2), True),
+}
+
+
+@pytest.mark.parametrize("name", AFFINITY_CASES)
+def test_only_a_run_that_can_pool_asks_for_the_cpus(monkeypatch, capsys,
+                                                    pool_sizes, name):
+    argv, asks = AFFINITY_CASES[name]
+    assert cli.main(argv) == 0  # on pool_sizes' FAKE_CPUS
+    expected = capsys.readouterr()
+    assert pool_sizes == ([2] if asks else [])
+
+    def refuse(pid):
+        raise AssertionError("asked the OS for its CPUs")
+
+    monkeypatch.setattr(os, "sched_getaffinity", refuse)
+    if asks:
+        with pytest.raises(AssertionError, match="asked the OS"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == expected
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -928,8 +1003,8 @@ def test_main_parses_as_the_full_parser_does(capsys, name):
             assert re.search(rf"^ +{command} ", once[1].out, re.M), command
 
 
-def test_oracle_small_instance():
-    result = run_cli("oracle", "4", "2", "--threads", "1")
+def test_oracle_small_instance(run_main):
+    result = run_main("oracle", "4", "2", "--threads", "1")
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["min_excluded"] == 11
@@ -941,9 +1016,9 @@ def test_oracle_small_instance():
     assert len(doc["witness_answers"]) == 6
 
 
-def test_oracle_threads_do_not_change_output():
-    serial = run_cli("oracle", "4", "3", "--threads", "1")
-    parallel = run_cli("oracle", "4", "3", "--threads", "2")
+def test_oracle_threads_do_not_change_output(run_main):
+    serial = run_main("oracle", "4", "3", "--threads", "1")
+    parallel = run_main("oracle", "4", "3", "--threads", "2")
     assert serial.returncode == parallel.returncode == 0
     assert serial.stdout == parallel.stdout
 
@@ -1001,16 +1076,16 @@ def test_every_admitted_oracle_report_is_pinned(capsys):
     assert digest.hexdigest() == ORACLE_REPORTS_SHA256
 
 
-def test_oracle_refusals():
-    over_budget = run_cli("oracle", "5", "3")
+def test_oracle_refusals(run_main):
+    over_budget = run_main("oracle", "5", "3")
     assert over_budget.returncode == 2
     assert "budget" in over_budget.stderr
-    assert run_cli("oracle", "3", "5").returncode == 2
+    assert run_main("oracle", "3", "5").returncode == 2
     # Inside the answer-set budget but past n = 20: refused before any mask.
     # Far past it, C(n, m) has 301,027 digits: refused before it is formed.
     for n, m in (("21", "1"), ("1000000", "500000")):
         start = time.perf_counter()
-        past_cap = run_cli("oracle", n, m)
+        past_cap = run_main("oracle", n, m)
         assert time.perf_counter() - start < 5.0
         assert past_cap.returncode == 2
         assert past_cap.stdout == "" and "n <= 20" in past_cap.stderr
@@ -1054,15 +1129,15 @@ def test_transcripts_at_the_trial_budget_fit_in_1_gib(tmp_path):
     ("simulate", "--strategy", "quantum", "--n", "4", "--m", "2",
      "--trials", "10"),
 ], ids=["oracle", "simulate"])
-def test_zero_threads_exit_2(argv):
-    result = run_cli(*argv, "--threads", "0")
+def test_zero_threads_exit_2(argv, run_main):
+    result = run_main(*argv, "--threads", "0")
     assert result.returncode == 2
     assert result.stdout == ""
     assert "workers must be >= 1, got 0" in result.stderr
 
 
-def test_steering_report():
-    result = run_cli("steering", "--m-max", "8")
+def test_steering_report(run_main):
+    result = run_main("steering", "--m-max", "8")
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["pass"] is True
@@ -1093,8 +1168,8 @@ def test_steering_report_is_pinned_apart_from_fidelity_residuals(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == STEERING_32_SHA256
 
 
-def test_steering_rejects_bad_m_max(capsys):
-    assert run_cli("steering", "--m-max", "0").returncode == 2
+def test_steering_rejects_bad_m_max(capsys, run_main):
+    assert run_main("steering", "--m-max", "0").returncode == 2
     _assert_rows_refused_outside_1_to_cap(capsys, ["steering", "--m-max"],
                                           cli.STEERING_MAX_M)
 
@@ -1110,18 +1185,19 @@ def test_steering_past_the_row_cap_exits_2_before_any_row(capsys):
         assert out == "" and "resource limit" in err
 
 
-def test_choose_k_prints_bare_integer():
+def test_choose_k_prints_bare_integer(run_main):
+    # Through the -m entry point: its exit code and the process's stdout.
     result = run_cli("choose-k", "1.0", "0.05")
     assert result.returncode == 0
     assert result.stdout == "11\n"
-    assert run_cli("choose-k", "1.5", "0.05").returncode == 2
+    assert run_main("choose-k", "1.5", "0.05").returncode == 2
 
 
-def test_choose_k_small_alpha_exact_or_refused():
-    small = run_cli("choose-k", "0.03", "0.05")
+def test_choose_k_small_alpha_exact_or_refused(run_main):
+    small = run_main("choose-k", "0.03", "0.05")
     assert small.returncode == 0, small.stderr
     assert small.stdout == "350888694609641424159\n"
-    tiny = run_cli("choose-k", "0.005", "0.05")
+    tiny = run_main("choose-k", "0.005", "0.05")
     assert tiny.returncode == 2
     assert "resource limit" in tiny.stderr
 

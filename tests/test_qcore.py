@@ -20,6 +20,7 @@ from exclab.qcore import (
     make_rng,
     pool_map,
     tensor_product,
+    usable_workers,
 )
 
 
@@ -292,3 +293,10 @@ def test_pool_map_keeps_input_order_and_one_worker_starts_no_pool(monkeypatch):
         assert pool_map(1, pow, [], []) == []
     squares = pool_map(2, pow, range(40), itertools.repeat(2))
     assert squares == [i * i for i in range(40)]
+
+
+@pytest.mark.parametrize("requested", [0, -3])
+def test_usable_workers_refuses_fewer_than_one_even_for_one_job(requested):
+    # One job needs no CPU count, but the request is still checked first.
+    with pytest.raises(ValueError, match=f">= 1, got {requested}"):
+        usable_workers(requested, 1)
