@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .pbr import GameParameters, critical_angle
+from .pbr import GameParameters, _as_ints, critical_angle
 from .qcore import ResourceLimitError, binary_entropy
 
 # Largest n for which gamma is returned as an exact integer; beyond this the
@@ -66,36 +66,16 @@ def gamma(n: int, m: int) -> int:
     """Exact count of strings one zero-error message cannot exclude.
 
     Equals sum_{i=0}^{m-1} C(n, i): the strings within Hamming distance m-1
-    of the message.  Exact integers only up to n = EXACT_GAMMA_MAX_N; larger
-    instances must go through ``gamma_log2``.
+    of the message.  Exact integers only up to n = EXACT_GAMMA_MAX_N; past
+    it, ``bounds_row`` gives log2 gamma.
     """
     if not 1 <= m <= n:  # built only to refuse: a bounds row checked (n, m)
         GameParameters(n, m)
     if n > EXACT_GAMMA_MAX_N:
         raise ResourceLimitError(
-            f"exact gamma supports n <= {EXACT_GAMMA_MAX_N}; use gamma_log2"
+            f"exact gamma supports n <= {EXACT_GAMMA_MAX_N}; use bounds_row"
         )
     return sum(map(math.comb, [n] * m, range(m)))
-
-
-def _gamma_and_lower(params: GameParameters) -> tuple[float, float]:
-    """(log2 gamma, n - log2 gamma): exact integers up to EXACT_GAMMA_MAX_N,
-    then a log-domain tail sum; an n past BOUNDS_MAX_N raises
-    ResourceLimitError.  Once gamma passes 2**(n-1), n - log2 gamma would
-    keep only ulp(n), so the bound is -log2(1 - (2**n - gamma) / 2**n)."""
-    n = params.n
-    if n > EXACT_GAMMA_MAX_N:
-        return _series_log2(n, params.m)
-    count, size = gamma(n, params.m), 1 << n
-    log2_gamma = math.log2(count)
-    if 2 * count <= size:
-        return log2_gamma, n - log2_gamma
-    return log2_gamma, -math.log1p(-(size - count) / size) / math.log(2.0)
-
-
-def gamma_log2(n: int, m: int) -> float:
-    """log2 of gamma(n, m), as ``_gamma_and_lower`` computes it."""
-    return _gamma_and_lower(GameParameters(n, m))[0]
 
 
 def _refuse_past_cap(n_values: Sequence[int]) -> None:
@@ -135,7 +115,7 @@ def _series_log2(n: int, m: int) -> tuple[float, float]:
 def _log_comb(n: int, k: int) -> float:
     """ln C(n, k) for 2k <= n, n > 64, by Stirling's series for n!/(n-k)!.
 
-    lgamma(n+1) - lgamma(n-k+1) would leave gamma_log2 a relative error of
+    lgamma(n+1) - lgamma(n-k+1) would leave log2 gamma a relative error of
     2e-13 (at n = 2000, m = 2 and at n = 10**12); this form keeps 1e-15 up
     to n = 10**18.
     """
@@ -163,30 +143,15 @@ def _stirling_remainder(x: int) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - y / 1680) * y) * y) / x
 
 
-def classical_ic_lower_bound(params: GameParameters) -> float:
-    """n - log2(gamma): information any zero-error classical message carries."""
-    return _gamma_and_lower(params)[1]
-
-
-def quantum_message_entropy_upper(params: GameParameters) -> float:
-    """Entropy budget of the n-qubit product encoding at the critical angle.
+def _per_qubit_entropy(m: int) -> float:
+    """H2(sin^2(theta_m / 2)), the entropy budget of one encoded qubit.
 
     The equal mixture of the two bit states has eigenvalues cos^2(theta_m/2)
     and sin^2(theta_m/2), so each qubit carries at most H2 of that pair.  The
     sine form is evaluated because at large m the cosine eigenvalue sits next
     to 1 and would lose digits to cancellation inside the entropy.
     """
-    return params.n * _per_qubit_entropy(params.m)
-
-
-def _per_qubit_entropy(m: int) -> float:
-    """H2(sin^2(theta_m / 2)), the entropy budget of one encoded qubit."""
     return binary_entropy(math.sin(0.5 * critical_angle(m)) ** 2)
-
-
-def quantum_ic_upper_bound(params: GameParameters) -> float:
-    """Information cost of the quantum strategy: at most twice the entropy."""
-    return 2.0 * quantum_message_entropy_upper(params)
 
 
 class BoundsRow(NamedTuple):
@@ -199,17 +164,26 @@ class BoundsRow(NamedTuple):
     quantum_entropy_upper: float
     quantum_ic_upper: float
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def bounds_row(params: GameParameters, per_qubit: float | None = None) -> BoundsRow:
-    """All four bounds of one size; per_qubit, if given, is _per_qubit_entropy(m)."""
-    log2_gamma, lower = _gamma_and_lower(params)
-    if per_qubit is None:
-        per_qubit = _per_qubit_entropy(params.m)
-    entropy = params.n * per_qubit
-    return BoundsRow(params.n, params.m, log2_gamma, lower, entropy, 2.0 * entropy)
+    """All four bounds of one size; per_qubit, if given, is _per_qubit_entropy(m).
+
+    log2 gamma comes from exact integers up to EXACT_GAMMA_MAX_N, then from a
+    log-domain tail sum; an n past BOUNDS_MAX_N raises ResourceLimitError.
+    Once gamma passes 2**(n-1), n - log2 gamma would keep only ulp(n), so the
+    classical bound is -log2(1 - (2**n - gamma) / 2**n).  The quantum strategy
+    costs at most twice the n qubits' entropy budget.
+    """
+    n, m = params.n, params.m
+    if n > EXACT_GAMMA_MAX_N:
+        log2_gamma, lower = _series_log2(n, m)
+    else:
+        count, size = gamma(n, m), 1 << n
+        log2_gamma = math.log2(count)
+        lower = (n - log2_gamma if 2 * count <= size
+                 else -math.log1p(-(size - count) / size) / math.log(2.0))
+    entropy = n * (_per_qubit_entropy(m) if per_qubit is None else per_qubit)
+    return BoundsRow(n, m, log2_gamma, lower, entropy, 2.0 * entropy)
 
 
 def separation_table(n_values: Iterable[int], rule: MRule) -> tuple[BoundsRow, ...]:
@@ -219,7 +193,7 @@ def separation_table(n_values: Iterable[int], rule: MRule) -> tuple[BoundsRow, .
     CSV), not an error.  An n past BOUNDS_MAX_N or one the rule refuses stops
     the table before any row is computed; ``rule.apply`` checks each (n, m) once.
     """
-    n_values = tuple(n_values)
+    n_values = _as_ints(n_values)
     _refuse_past_cap(n_values)
     sizes = [_Size(n, rule.apply(n)) for n in n_values]
     per_qubit = {m: _per_qubit_entropy(m) for m in {size.m for size in sizes}}

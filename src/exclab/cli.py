@@ -178,7 +178,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict | str, int]:
             str(value) if isinstance(value, int) else f"{value:.12g}"
             for value in row) for row in rows)]
         return "\n".join(lines) + "\n", 0
-    return {"m_rule": args.m_rule, "rows": [row.to_dict() for row in rows]}, 0
+    return {"m_rule": args.m_rule, "rows": [row._asdict() for row in rows]}, 0
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -207,7 +207,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
                              transcript_sink=sink)
 
     # Success means the zero-error invariant held: no non-aborted loss.
-    return ({"config": dict(vars(config)), "statistics": stats.to_dict()},
+    return ({"config": dict(vars(config)), "statistics": dict(vars(stats))},
             int(stats.wins != stats.trials - stats.aborts))
 
 
@@ -305,8 +305,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     simulate.add_argument("--m", type=int, required=True)
     simulate.add_argument("--trials", type=int, required=True)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--delta", type=float, default=None)
-    simulate.add_argument("--k", type=int, default=None)
+    simulate.add_argument("--delta", type=float, default=None,
+                          help="steering abort budget: checked and reported, "
+                               "read by no round")
+    simulate.add_argument("--k", type=int, default=None,
+                          help="shared sets per steering round; k alone sets "
+                               "the rounds, and choose-k ALPHA DELTA gives the "
+                               "smallest k meeting the budget")
     simulate.add_argument("--threads", type=int, default=1)
     simulate.add_argument("--transcripts", default=None,
                           help="write one JSON transcript per line here")

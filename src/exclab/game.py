@@ -49,8 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .classical import CoverStrategy, build_cover_strategy
-from .pbr import (BitString, GameParameters, IndexSubset, flip_positions,
-                  sample_distance)
+from .pbr import (BitString, GameParameters, IndexSubset, _as_ints,
+                  flip_positions, sample_distance)
 from .qcore import (
     ResourceLimitError,
     conditional_entropy,
@@ -107,9 +107,10 @@ class GameConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, "
                              f"got {self.strategy!r}")
         GameParameters(self.n, self.m)
-        if self.trials < 1:
+        trials, seed = _as_ints((self.trials, self.seed))
+        if trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.strategy == STRATEGY_ENTANGLEMENT_ASSISTED:
             if self.k is None or self.delta is None:
@@ -163,9 +164,6 @@ class RunStatistics:
     abort_rate: float
     message_bits: dict
     empirical_conditional_entropy: float | None
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def referee_draw(n: int, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -64,9 +64,10 @@ class GameParameters:
     m: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n, m = _as_ints((self.n, self.m))
+        if n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.m <= self.n:
+        if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
 
 

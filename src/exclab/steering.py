@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pbr import BitString, GameParameters, critical_angle
+from .pbr import BitString, GameParameters, _as_ints, critical_angle
 from .qcore import ResourceLimitError
 
 # choose_k refuses a k of more decimal digits than this; it keeps every
@@ -147,7 +147,7 @@ class SteeringParameters:
 
     def __post_init__(self) -> None:
         GameParameters(self.n, self.m)
-        if self.k < 1:
+        if _as_ints((self.k,))[0] < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")

@@ -11,7 +11,7 @@ power of ten where both claims hold.  Each threshold is asserted on a
 reference built without exclab as well as on the program's value:
 
 * 4b brackets gamma between its largest term and a geometric-series bound
-  computed with ``math.lgamma``, and still checks the program's n = 10**6
+  computed with ``math.lgamma``, and still checks the n = 10**6 row's
   ``gamma_log2`` against the exact big-integer sum;
 * 5b evaluates 2 n H2(p), p = t**2 / (1 + t**2), t = e**(ln2/m) - 1, with the
   ``decimal`` module at 40 digits.
@@ -22,17 +22,13 @@ values and the crossing sizes the references give.
 
 import itertools
 import math
+import re
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 
-from exclab.bounds import (
-    GameParameters,
-    classical_ic_lower_bound,
-    gamma,
-    gamma_log2,
-    quantum_ic_upper_bound,
-)
+from exclab.bounds import GameParameters, bounds_row, gamma
 from exclab.classical import (
     brute_force_min_exclusion,
     build_cover_strategy,
@@ -57,9 +53,26 @@ from exclab.qcore import binary_entropy, conditional_entropy, make_rng
 from exclab.steering import build_kit, choose_k, p_global_steer
 
 
+# Each criterion's line must equal its one line in this file, which README.md
+# and perfbench/README.md cite.
+FROZEN = Path(__file__).resolve().parents[1] / "test_output.txt"
+FROZEN_LINES = re.findall(r"^ACCEPTANCE .*", FROZEN.read_text(encoding="utf-8"),
+                          re.M)
+
+
 def _report(criterion: str, ok: bool, detail: str) -> None:
-    print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
+    line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
+    print(line)
     assert ok, f"criterion {criterion}: {detail}"
+    prefix = f"ACCEPTANCE {criterion}: "
+    assert [frozen for frozen in FROZEN_LINES if frozen.startswith(prefix)] == [line]
+
+
+def test_every_frozen_line_has_one_criterion_test():
+    frozen = [line.split(":")[0].split()[1] for line in FROZEN_LINES]
+    tested = [name.split("_")[2].lstrip("0") for name in globals()
+              if name.startswith("test_criterion_")]
+    assert sorted(frozen) == sorted(tested)
 
 
 def test_criterion_01_perfect_exclusion_and_completeness():
@@ -123,7 +136,7 @@ def test_criterion_04a_classical_rate_at_quarter_density():
     rates = {}
     for n in (64, 256, 1024, 4096):
         m = n // 4
-        rates[n] = classical_ic_lower_bound(GameParameters(n, m)) / n
+        rates[n] = bounds_row(GameParameters(n, m)).classical_ic_lower / n
     _report(
         "4a",
         all(rate >= threshold for rate in rates.values()),
@@ -174,13 +187,14 @@ def test_criterion_04b_classical_rate_at_power_density():
     n_small = 10**6
     m_small = math.floor(n_small**0.75)
     exact_log2 = _exact_gamma_log2(n_small, m_small)
-    program_log2 = gamma_log2(n_small, m_small)
-    rate_small = classical_ic_lower_bound(GameParameters(n_small, m_small)) / n_small
+    row_small = bounds_row(GameParameters(n_small, m_small))
+    program_log2 = row_small.gamma_log2
+    rate_small = row_small.classical_ic_lower / n_small
 
     n = 10**8
     m = math.floor(n**0.75)
     low, high = _reference_rate_bracket(n, m)
-    rate = classical_ic_lower_bound(GameParameters(n, m)) / n
+    rate = bounds_row(GameParameters(n, m)).classical_ic_lower / n
     crossing = _first_n_where(
         lambda k: _reference_rate_bracket(k, math.floor(k**0.75))[0] >= 0.9
     )
@@ -200,7 +214,7 @@ def test_criterion_04b_classical_rate_at_power_density():
 
 def test_criterion_05a_quantum_cost_strictly_decreasing():
     values = [
-        quantum_ic_upper_bound(GameParameters(n, math.floor(n**0.75)))
+        bounds_row(GameParameters(n, math.floor(n**0.75))).quantum_ic_upper
         for n in (10**3, 10**4, 10**5, 10**6)
     ]
     decreasing = all(a > b for a, b in zip(values, values[1:]))
@@ -228,14 +242,13 @@ def _reference_quantum_cost(n: int, m: int) -> Decimal:
 
 def test_criterion_05b_quantum_cost_below_one_percent_of_a_bit():
     n_small = 10**6
-    value_small = quantum_ic_upper_bound(
-        GameParameters(n_small, math.floor(n_small**0.75))
-    )
+    value_small = bounds_row(
+        GameParameters(n_small, math.floor(n_small**0.75))).quantum_ic_upper
 
     n = 10**8
     m = math.floor(n**0.75)
     reference = _reference_quantum_cost(n, m)
-    value = quantum_ic_upper_bound(GameParameters(n, m))
+    value = bounds_row(GameParameters(n, m)).quantum_ic_upper
     crossing = _first_n_where(
         lambda k: _reference_quantum_cost(k, math.floor(k**0.75)) < Decimal("0.01")
     )
@@ -267,7 +280,7 @@ def test_criterion_06_cover_strategy_wins_everywhere_and_respects_bound():
                     if restrict(message, y) == restrict(x, y):
                         losses += 1
             cost = exact_information_cost(strategy)
-            floor_bound = n - gamma_log2(n, m) - 1e-9
+            floor_bound = n - bounds_row(GameParameters(n, m)).gamma_log2 - 1e-9
             if cost < floor_bound:
                 ic_violations.append((n, m, cost, floor_bound))
     _report(

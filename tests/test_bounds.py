@@ -17,15 +17,15 @@ from exclab.bounds import (
     MRule,
     _series_log2,
     bounds_row,
-    classical_ic_lower_bound,
     gamma,
-    gamma_log2,
-    quantum_ic_upper_bound,
-    quantum_message_entropy_upper,
     separation_table,
 )
 from exclab.pbr import critical_angle
 from exclab.qcore import ResourceLimitError, binary_entropy
+
+
+def _row(n: int, m: int) -> BoundsRow:
+    return bounds_row(GameParameters(n, m))
 
 
 def test_game_parameters_validation():
@@ -50,7 +50,7 @@ def test_gamma_small_values():
 
 
 def test_gamma_exact_cap():
-    with pytest.raises(ResourceLimitError, match="gamma_log2"):
+    with pytest.raises(ResourceLimitError, match="use bounds_row"):
         gamma(EXACT_GAMMA_MAX_N + 1, 3)
 
 
@@ -58,7 +58,7 @@ def test_gamma_log2_exact_and_series_paths_agree():
     # The exact-integer and log-domain paths overlap for n <= 64.
     for n in (10, 32, 64):
         for m in (1, 2, n // 2, n):
-            exact = gamma_log2(n, m)
+            exact = _row(n, m).gamma_log2
             series, rest = _series_log2(n, m)
             assert series == pytest.approx(exact, rel=1e-9)
             assert rest == pytest.approx(n - exact, rel=1e-9, abs=1e-12)
@@ -68,15 +68,15 @@ def test_gamma_log2_large_n_against_exact_big_integers():
     # math.comb is exact at any size, so it oracles the log-domain path.
     for n, m in ((100, 31), (500, 120), (1000, 177)):
         exact = math.log2(sum(math.comb(n, i) for i in range(m)))
-        assert gamma_log2(n, m) == pytest.approx(exact, rel=1e-10)
+        assert _row(n, m).gamma_log2 == pytest.approx(exact, rel=1e-10)
 
 
 def test_classical_ic_lower_examples():
-    assert classical_ic_lower_bound(GameParameters(3, 2)) == pytest.approx(1.0, abs=1e-12)
-    params = GameParameters(20, 7)
-    expected = 20 - gamma_log2(20, 7)
-    assert classical_ic_lower_bound(params) == pytest.approx(expected, abs=1e-12)
-    assert classical_ic_lower_bound(GameParameters(4, 4)) > 0.0
+    assert _row(3, 2).classical_ic_lower == pytest.approx(1.0, abs=1e-12)
+    row = _row(20, 7)
+    expected = 20 - row.gamma_log2
+    assert row.classical_ic_lower == pytest.approx(expected, abs=1e-12)
+    assert _row(4, 4).classical_ic_lower > 0.0
 
 
 def test_quantum_entropy_eigenvalue_forms_agree():
@@ -87,21 +87,20 @@ def test_quantum_entropy_eigenvalue_forms_agree():
         sine_form = binary_entropy(math.sin(half) ** 2)
         cosine_form = binary_entropy(math.cos(half) ** 2)
         assert sine_form == pytest.approx(cosine_form, rel=1e-6)
-        assert quantum_message_entropy_upper(GameParameters(m, m)) == pytest.approx(
+        assert _row(m, m).quantum_entropy_upper == pytest.approx(
             m * sine_form, rel=1e-12
         )
 
 
 def test_quantum_ic_upper_doubles_entropy():
-    params = GameParameters(100, 10)
-    assert quantum_ic_upper_bound(params) == pytest.approx(
-        2.0 * quantum_message_entropy_upper(params), rel=1e-15
+    row = _row(100, 10)
+    assert row.quantum_ic_upper == pytest.approx(
+        2.0 * row.quantum_entropy_upper, rel=1e-15
     )
 
 
 def test_quantum_entropy_per_qubit_shrinks_with_m():
-    values = [quantum_message_entropy_upper(GameParameters(m, m)) / m
-              for m in (1, 2, 4, 8, 16)]
+    values = [_row(m, m).quantum_entropy_upper / m for m in (1, 2, 4, 8, 16)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -109,10 +108,10 @@ def test_gamma_log2_below_entropy_bound_on_grid():
     # log2( sum_{i<=qn} C(n,i) ) <= n*H2(q) for 0 < q <= 1/2.
     for n in (5, 17, 64, 129, 1000):
         for q in (0.05, 0.2, 1.0 / 3.0, 0.5):
-            lhs = gamma_log2(n, math.floor(q * n) + 1)
+            lhs = _row(n, math.floor(q * n) + 1).gamma_log2
             assert lhs <= n * binary_entropy(q) + 1e-12
     # Exact equality case: n=1, q=1/2 sums C(1,0) = 1, and H2(1/2) = 1.
-    assert gamma_log2(1, 1) == 0.0
+    assert _row(1, 1).gamma_log2 == 0.0
     assert 1 * binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -129,12 +128,12 @@ def test_gamma_log2_matches_exact_sum(n_m):
     # exact path, against the big-integer sum.
     n, m = n_m
     exact = math.log2(sum(math.comb(n, i) for i in range(m)))
-    assert math.isclose(gamma_log2(n, m), exact, rel_tol=1e-13)
+    assert math.isclose(_row(n, m).gamma_log2, exact, rel_tol=1e-13)
 
 
 def test_gamma_log2_complement_does_not_overflow():
     # Summed down from C(n, m-1), the terms past n/2 would grow to inf.
-    value = gamma_log2(10**5, 90000)
+    value = _row(10**5, 90000).gamma_log2
     assert math.isfinite(value)
     assert value == pytest.approx(10**5, rel=1e-15)
 
@@ -170,7 +169,7 @@ def test_gamma_log2_at_the_cap_against_decimal_reference():
                 break
         reference = ((_decimal_log_comb(n, m - 1) + series.ln())
                      / Decimal(2).ln())
-    assert math.isclose(gamma_log2(n, m), float(reference), rel_tol=1e-12)
+    assert math.isclose(_row(n, m).gamma_log2, float(reference), rel_tol=1e-12)
 
 
 def test_gamma_log2_near_half_against_closed_forms():
@@ -184,8 +183,9 @@ def test_gamma_log2_near_half_against_closed_forms():
         below = n - 1 + (1 - c).ln() / ln2
         above = n - 1 + (1 + c + 2 * c * (n // 2) / (n // 2 + 1)).ln() / ln2
     assert MRule.parse("linear:0.5").apply(n) == n // 2
-    assert math.isclose(gamma_log2(n, n // 2), float(below), rel_tol=1e-12)
-    assert math.isclose(gamma_log2(n, n // 2 + 2), float(above), rel_tol=1e-12)
+    assert math.isclose(_row(n, n // 2).gamma_log2, float(below), rel_tol=1e-12)
+    assert math.isclose(_row(n, n // 2 + 2).gamma_log2, float(above),
+                        rel_tol=1e-12)
 
 
 def test_classical_lower_bound_near_half_against_decimal_reference():
@@ -201,8 +201,8 @@ def test_classical_lower_bound_near_half_against_decimal_reference():
             c = (1 - 1 / (8 * k_dec) + 1 / (128 * k_dec**2)
                  + 5 / (1024 * k_dec**3)) / (_PI * k_dec).sqrt()
             reference = 1 - (1 - c).ln() / Decimal(2).ln()
-        assert math.isclose(classical_ic_lower_bound(GameParameters(n, k)),
-                            float(reference), rel_tol=1e-10)
+        assert math.isclose(_row(n, k).classical_ic_lower, float(reference),
+                            rel_tol=1e-10)
 
 
 def decimal_classical_lower(n: int, m: int) -> Decimal:
@@ -219,7 +219,7 @@ def test_classical_lower_bound_on_every_exact_pair_against_decimal():
     # ulp(n) that n - log2(gamma) keeps.
     for n in range(1, EXACT_GAMMA_MAX_N + 1):
         for m in range(1, n + 1):
-            lower = classical_ic_lower_bound(GameParameters(n, m))
+            lower = _row(n, m).classical_ic_lower
             assert math.isclose(lower, float(decimal_classical_lower(n, m)),
                                 rel_tol=1e-13), (n, m)
 
@@ -230,7 +230,7 @@ def test_classical_lower_bound_paths_agree_across_the_exact_cap():
     for n in (EXACT_GAMMA_MAX_N, EXACT_GAMMA_MAX_N + 1):
         for m in (n, n - 1):
             reference = float(decimal_classical_lower(n, m))
-            lower = classical_ic_lower_bound(GameParameters(n, m))
+            lower = _row(n, m).classical_ic_lower
             assert math.isclose(lower, reference, rel_tol=1e-13), (n, m)
             assert math.isclose(_series_log2(n, m)[1], reference,
                                 rel_tol=1e-13), (n, m)
@@ -238,12 +238,24 @@ def test_classical_lower_bound_paths_agree_across_the_exact_cap():
 
 def test_bounds_refuse_past_the_cap_before_any_row(monkeypatch):
     with pytest.raises(ResourceLimitError, match="n <= "):
-        gamma_log2(BOUNDS_MAX_N + 1, 2)
+        _row(BOUNDS_MAX_N + 1, 2)
     computed = []
     monkeypatch.setattr(bounds, "bounds_row", computed.append)
     for n in (BOUNDS_MAX_N + 1, 10**18, 10**400):
         with pytest.raises(ResourceLimitError):
             separation_table((100, n), MRule.parse("power:0.75"))
+    assert computed == []
+
+
+def test_a_float_size_is_refused_before_any_row(monkeypatch):
+    # GameParameters(100.5, 10) used to give a row for n = 100.5.
+    for n, m in ((100.5, 10), (100, 10.0)):
+        with pytest.raises(ValueError, match="non-integer"):
+            bounds_row(GameParameters(n, m))
+    computed = []
+    monkeypatch.setattr(bounds, "bounds_row", computed.append)
+    with pytest.raises(ValueError, match="non-integer"):
+        separation_table((100, 100.5), MRule.parse("power:0.75"))
     assert computed == []
 
 
@@ -287,9 +299,9 @@ def test_separation_table_empty_input_gives_empty_table():
     assert separation_table((), MRule.parse("power:0.75")) == ()
 
 
-def test_bounds_row_to_dict_matches_csv_schema():
-    row = bounds_row(GameParameters(8, 2))
-    record = row.to_dict()
+def test_bounds_row_fields_match_csv_schema():
+    row = _row(8, 2)
+    record = row._asdict()
     assert list(record) == [
         "n", "m", "gamma_log2", "classical_ic_lower",
         "quantum_entropy_upper", "quantum_ic_upper",
@@ -328,9 +340,8 @@ def test_bounds_row_evaluates_gamma_and_the_entropy_once(monkeypatch):
     assert len({row.m for row in rows}) == 5 < len(rows)
     for row in (exact, series):
         assert row.quantum_ic_upper == 2.0 * row.quantum_entropy_upper
-        assert row.gamma_log2 == gamma_log2(row.n, row.m)
-        assert row.classical_ic_lower == classical_ic_lower_bound(
-            GameParameters(row.n, row.m))
+        exact_sum = sum(math.comb(row.n, i) for i in range(row.m))
+        assert math.isclose(row.gamma_log2, math.log2(exact_sum), rel_tol=1e-13)
 
 
 def test_a_bounds_table_checks_each_game_size_once(monkeypatch):
@@ -382,15 +393,12 @@ def test_separation_table_takes_a_one_shot_iterable(monkeypatch):
     # series complement on the three log-domain ones.
     ("linear:0.9", [*range(2, 65), 65, 100, 10**6]),
 ], ids=["power:0.75", "linear:0.9"])
-def test_table_rows_equal_the_one_quantity_functions(rule, n_values):
+def test_table_rows_equal_bounds_row_of_each_size(rule, n_values):
+    # A table shares each m's per-qubit entropy; a lone row computes its own.
     rows = separation_table(n_values, MRule.parse(rule))
     assert [row.n for row in rows] == list(n_values)
     for row in rows:
-        params = GameParameters(row.n, row.m)
-        entropy = quantum_message_entropy_upper(params)
-        assert row.gamma_log2 == gamma_log2(row.n, row.m)
-        assert row.classical_ic_lower == classical_ic_lower_bound(params)
+        assert row == bounds_row(GameParameters(row.n, row.m))
+        entropy = row.n * binary_entropy(math.sin(0.5 * critical_angle(row.m)) ** 2)
         assert row.quantum_entropy_upper == entropy
         assert row.quantum_ic_upper == 2.0 * entropy
-        assert row.quantum_ic_upper == quantum_ic_upper_bound(params)
-        assert row == bounds_row(params)

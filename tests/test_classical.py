@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exclab import classical
-from exclab.bounds import gamma, gamma_log2
+from exclab.bounds import bounds_row, gamma
 from exclab.classical import (
     COVER_MAX_N,
     EXCLUDED_COUNT_MAX_N,
@@ -24,7 +24,7 @@ from exclab.classical import (
     exact_information_cost,
     excluded_count,
 )
-from exclab.pbr import BitString, IndexSubset, restrict
+from exclab.pbr import BitString, GameParameters, IndexSubset, restrict
 from exclab.qcore import ResourceLimitError, fwht
 
 
@@ -680,7 +680,7 @@ def test_exact_information_cost_minimal_pair():
 def test_exact_information_cost_respects_counting_lower_bound(n, m):
     strategy = build_cover_strategy(n, m)
     cost = exact_information_cost(strategy)
-    assert cost >= n - gamma_log2(n, m) - 1e-9
+    assert cost >= bounds_row(GameParameters(n, m)).classical_ic_lower - 1e-9
     # It also never exceeds the message alphabet size.
     assert cost <= math.log2(len(strategy.messages)) + 1e-9
 

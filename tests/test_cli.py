@@ -30,12 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclab import classical, cli, game
-from exclab.bounds import (
-    BoundsRow,
-    GameParameters,
-    classical_ic_lower_bound,
-    gamma_log2,
-)
+from exclab.bounds import BoundsRow, GameParameters, bounds_row
 from exclab.classical import EXCLUDED_COUNT_MAX_N, ORACLE_BUDGET
 from exclab.game import TRIAL_MAX_N
 from exclab.steering import choose_k
@@ -181,10 +176,9 @@ def test_bounds_csv_values_match_library(run_main):
         cells = line.split(",")
         assert cells[0] == str(n)
         assert cells[1] == str(m)
-        assert float(cells[2]) == pytest.approx(gamma_log2(n, m), rel=1e-9)
-        assert float(cells[3]) == pytest.approx(
-            classical_ic_lower_bound(GameParameters(n, m)), rel=1e-9
-        )
+        row = bounds_row(GameParameters(n, m))
+        assert float(cells[2]) == pytest.approx(row.gamma_log2, rel=1e-9)
+        assert float(cells[3]) == pytest.approx(row.classical_ic_lower, rel=1e-9)
         assert float(cells[5]) == pytest.approx(2 * float(cells[4]), rel=1e-9)
 
 

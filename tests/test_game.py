@@ -108,6 +108,17 @@ def test_game_config_validation():
                seed=0, k=3, delta=0.5)
 
 
+@pytest.mark.parametrize("field", ["n", "m", "trials", "seed", "k"])
+def test_a_float_size_is_refused_before_any_draw(field):
+    # Each used to pass the checks and fail mid-run: n = 8.5 at a shift,
+    # k = 3.5 at int.bit_length, seed = 1.5 in SeedSequence.
+    fields = dict(n=8, m=4, strategy=STRATEGY_ENTANGLEMENT_ASSISTED, trials=10,
+                  seed=0, k=3, delta=0.05)
+    fields[field] += 0.5
+    with pytest.raises(ValueError, match="non-integer"):
+        GameConfig(**fields)
+
+
 def test_transcript_consistency_rules():
     x = BitString.from_string("1010")
     y = IndexSubset((1, 3))
@@ -958,8 +969,8 @@ def test_set_index_bits_ceil_counts_index_bits_exactly(k, bits):
 def test_strategy_listing():
     assert STRATEGIES == (STRATEGY_QUANTUM, STRATEGY_CLASSICAL_COVER,
                           STRATEGY_ENTANGLEMENT_ASSISTED)
-    assert RunStatistics(
+    assert vars(RunStatistics(
         strategy=STRATEGY_QUANTUM, trials=1, wins=1, aborts=0, win_rate=1.0,
         abort_rate=0.0, message_bits={"qubits": 1.0},
         empirical_conditional_entropy=None,
-    ).to_dict()["strategy"] == "quantum"
+    ))["strategy"] == "quantum"
